@@ -6,107 +6,15 @@ posterior over the prior scale g in four regimes (fixed sequence, empirical
 Bayes, hyper-g, Zellner-Siow), computes sup-norm ball posterior
 probabilities exactly or by Monte Carlo, and classifies their trend along n
 against the predictions of the four consistency conditions T1-T4.
+
+The package root exports the library entry points; the modules
+(model_core, g_regimes, posterior_engine, consistency_lab) hold the rest.
 """
 
-from .numerics import RngStream
-from .model_core import (
-    PriorConstants,
-    DesignSpec,
-    Scenario,
-    SufficientStats,
-    Truth,
-    build_design,
-    simulate_stats,
-    diagnostics,
-    mle_sup_error,
-    load_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    ScenarioError,
-)
-from .g_regimes import (
-    FixedG,
-    EmpiricalBayesG,
-    HyperG,
-    ZellnerSiowG,
-    GPosterior,
-    eb_ghat,
-    log_marginal_likelihood_g,
-    hyperg_log_density_u,
-    zs_log_density_u,
-    build_g_posterior,
-    posterior_expectation_g,
-    g_from_u,
-    u_from_g,
-)
-from .posterior_engine import (
-    BallProbability,
-    BallOptions,
-    Sigma2Posterior,
-    beta_posterior_mean,
-    sigma2_posterior,
-    sup_ball_probability,
-)
-from .consistency_lab import (
-    TheoremVerdict,
-    ExperimentReport,
-    LemmaOutcome,
-    evaluate_theorem1,
-    evaluate_theorem_subsequence_condition,
-    predict_verdict,
-    run_experiment,
-    verify_lemmas,
-    classify_trend,
-    VANISH_THRESHOLD,
-    FLOOR_THRESHOLD,
-)
+from .model_core import load_scenario
+from .posterior_engine import BallOptions
+from .consistency_lab import predict_verdict, run_experiment
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RngStream",
-    "PriorConstants",
-    "DesignSpec",
-    "Scenario",
-    "SufficientStats",
-    "Truth",
-    "build_design",
-    "simulate_stats",
-    "diagnostics",
-    "mle_sup_error",
-    "load_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "ScenarioError",
-    "FixedG",
-    "EmpiricalBayesG",
-    "HyperG",
-    "ZellnerSiowG",
-    "GPosterior",
-    "eb_ghat",
-    "log_marginal_likelihood_g",
-    "hyperg_log_density_u",
-    "zs_log_density_u",
-    "build_g_posterior",
-    "posterior_expectation_g",
-    "g_from_u",
-    "u_from_g",
-    "BallProbability",
-    "BallOptions",
-    "Sigma2Posterior",
-    "beta_posterior_mean",
-    "sigma2_posterior",
-    "sup_ball_probability",
-    "TheoremVerdict",
-    "ExperimentReport",
-    "LemmaOutcome",
-    "evaluate_theorem1",
-    "evaluate_theorem_subsequence_condition",
-    "predict_verdict",
-    "run_experiment",
-    "verify_lemmas",
-    "classify_trend",
-    "VANISH_THRESHOLD",
-    "FLOOR_THRESHOLD",
-    "__version__",
-]
+__all__ = ["load_scenario", "BallOptions", "run_experiment", "predict_verdict", "__version__"]

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.special import betainc, betaincc
 
-from .numerics import beta_quantile, log_beta_cdf, log_sum_exp
+from .numerics import beta_quantile, log_sum_exp
 
 __all__ = [
     "FixedG",
@@ -41,7 +42,6 @@ __all__ = [
     "g_from_u",
     "eb_ghat",
     "log_marginal_likelihood_g",
-    "hyperg_log_density_u",
     "zs_log_density_u",
     "GPosterior",
     "build_g_posterior",
@@ -144,20 +144,7 @@ def eb_ghat(n: int, p: int, a: float, resid_plus_b: float, quad_form: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# unnormalized posterior log densities in the u domain
-
-
-def hyperg_log_density_u(u, n: int, p: int, a: float, c: float, u_floor: float):
-    """Unnormalized log posterior density of u under the hyper-g prior: a
-    Beta((n - p + a - c)/2, (p + c - 2)/2) kernel restricted to
-    (u_floor, 1); -inf outside."""
-    u = np.asarray(u, dtype=float)
-    e1 = 0.5 * (n - p + a - c) - 1.0
-    e2 = 0.5 * (p + c) - 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = e1 * np.log(u) + e2 * np.log1p(-u)
-    out = np.where((u > u_floor) & (u < 1.0), out, -np.inf)
-    return out if out.ndim else float(out)
+# unnormalized Zellner-Siow posterior log density in the u domain
 
 
 def zs_log_density_u(
@@ -309,8 +296,7 @@ def _conditional_mass_grid(grid_size: int) -> np.ndarray:
 def _quantile_spaced_nodes(u_floor, shape1, shape2, grid_size):
     """Nodes at Beta(shape1, shape2) quantiles of conditional probability
     levels above u_floor (edge-refined, see _conditional_mass_grid)."""
-    log_fw = log_beta_cdf(u_floor, shape1, shape2)
-    fw = math.exp(log_fw)
+    fw = float(betainc(shape1, shape2, u_floor))
     if 1.0 - fw <= 0.0:
         raise ValueError(
             "posterior mass above the truncation point underflowed; the "
@@ -325,10 +311,10 @@ def _quantile_spaced_nodes(u_floor, shape1, shape2, grid_size):
 def _beta_mass_posterior(kind, u_nodes, shape1, shape2, stats_n, stats_p, a, b, u_floor, resid_plus_b, quad_form):
     """Assemble a GPosterior whose density is an exact truncated
     Beta(shape1, shape2): segment masses come from the incomplete-beta CDF
-    (evaluated from whichever tail is numerically stable), so weights and
+    (differenced in whichever tail is numerically stable), so weights and
     cdf carry no quadrature error beyond node placement."""
-    lower = np.array([math.exp(log_beta_cdf(x, shape1, shape2)) for x in u_nodes])
-    upper = np.array([math.exp(log_beta_cdf(1.0 - x, shape2, shape1)) for x in u_nodes])
+    lower = betainc(shape1, shape2, u_nodes)
+    upper = betaincc(shape1, shape2, u_nodes)
     mass = np.where(lower[1:] < 0.5, lower[1:] - lower[:-1], upper[:-1] - upper[1:])
     mass = np.clip(mass, 0.0, None)
     total = float(mass.sum())
@@ -411,9 +397,6 @@ def build_g_posterior(regime, stats, quad_form: float, prior, grid_size: int = 5
                 "posterior mass above the truncation point underflowed; the "
                 f"distribution is numerically degenerate at u_floor={u_floor!r}"
             )
-        f = hyperg_log_density_u(u, n, p, a, c, u_floor)
-        if np.any(np.isnan(f)):
-            raise ValueError("hyper-g log-density produced NaN on the node grid")
         # the truncated density IS a Beta(shape1, shape2) kernel, so segment
         # masses from the incomplete-beta CDF are exact
         return _beta_mass_posterior(

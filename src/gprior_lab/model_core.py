@@ -568,7 +568,6 @@ class Diagnostics:
     u_floor: float
     offset_sup: Optional[float] = None
     offset_sq: Optional[float] = None
-    offset_eigenvalue: Optional[float] = None
     expected_quadform: Optional[float] = None
     _resid_df_scale: Optional[float] = None  # (n - p) sigma0^2 + b, for expected_scale_total
 
@@ -583,16 +582,9 @@ class Diagnostics:
         self._need_truth()
         return self._resid_df_scale + self.expected_quadform / (g + 1.0)
 
-    def g_threshold(self, eps: float) -> float:
-        """max(0, ||gamma - beta0||_inf / eps - 1): the g level below which
-        prior shrinkage alone moves some coordinate by more than eps."""
-        self._need_truth()
-        if eps <= 0:
-            raise ValueError("eps must be > 0")
-        return max(0.0, self.offset_sup / eps - 1.0)
-
     def u_cutoff_raw(self, eps: float) -> float:
-        """Image of g_threshold(eps) in the u domain."""
+        """u at g + 1 = ||gamma - beta0||_inf / eps, below which prior shrinkage
+        alone moves some coordinate by more than eps (below u_floor if g < 0)."""
         self._need_truth()
         if eps <= 0:
             raise ValueError("eps must be > 0")
@@ -635,12 +627,6 @@ def diagnostics(
     offset_sq = float(diff @ diff)
     offset_sup = float(np.max(np.abs(diff))) if diff.size else 0.0
     offset_quad = _gram_quadform(stats.gram, diff)
-    if offset_sq > 0 and offset_quad > 0:
-        offset_eig = stats.n * offset_sq / offset_quad
-    else:
-        # offset direction undefined; any admissible eigenvalue works since
-        # it only ever multiplies a zero offset
-        offset_eig = float(np.mean(stats.n / stats.gram.eigenvalues))
     expected_quadform = stats.p * truth.sigma0_sq + offset_quad
     return Diagnostics(
         n=stats.n,
@@ -650,7 +636,6 @@ def diagnostics(
         u_floor=u_floor,
         offset_sup=offset_sup,
         offset_sq=offset_sq,
-        offset_eigenvalue=offset_eig,
         expected_quadform=expected_quadform,
         _resid_df_scale=(stats.n - stats.p) * truth.sigma0_sq + prior.b,
     )

@@ -2,11 +2,11 @@
 functions, and the Beta lower-tail bound check.
 
 Everything here is deliberately boring and well tested; the statistical
-modules sit on top of it.  Scalar special functions are backed by
-scipy.special where a mature implementation exists.  The regularized
-incomplete beta CDF is implemented locally with the continued-fraction
-method so tiny lower tails can be evaluated in log space, which the
-library routines do not expose.
+modules sit on top of it.  Special functions are scipy.special routines.
+The one exception is log_beta_cdf, a continued-fraction incomplete beta
+kept for beta_tail_bound_check alone: the tails it compares lie far below
+the smallest double, so they exist only in log space, which scipy does
+not offer for the incomplete beta.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from scipy import special as _sp
 __all__ = [
     "RngStream",
     "log_sum_exp",
-    "log_gamma",
-    "normal_cdf",
-    "normal_logcdf",
-    "log_beta_pdf",
-    "beta_cdf",
     "log_beta_cdf",
     "beta_quantile",
     "inverse_gamma_cdf",
@@ -99,20 +94,6 @@ class RngStream:
             raise ValueError("shape and scale must be positive")
         return scale / self.generator.standard_gamma(shape, size)
 
-    def noncentral_chi_square(self, df: float, noncentrality: float, size=None):
-        """Noncentral chi-square as chisq(df-1) plus one squared shifted normal.
-
-        ``noncentrality`` uses the half convention: the mean is
-        df + 2 * noncentrality.  Requires df >= 1.
-        """
-        if df < 1:
-            raise ValueError("df must be >= 1 for the shifted-normal construction")
-        if noncentrality < 0:
-            raise ValueError("noncentrality must be >= 0")
-        shift = math.sqrt(2.0 * noncentrality)
-        z = self.generator.standard_normal(size)
-        return self.chi_square(df - 1.0, size) + (z + shift) ** 2
-
 
 # ---------------------------------------------------------------------------
 # log-space helpers
@@ -133,38 +114,6 @@ def log_sum_exp(values) -> float:
 
 # ---------------------------------------------------------------------------
 # scalar special functions
-
-
-def log_gamma(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("log_gamma requires x > 0")
-    out = _sp.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def normal_cdf(x):
-    out = _sp.ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def normal_logcdf(x):
-    out = _sp.log_ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def log_beta_pdf(x, a: float, b: float):
-    """Log density of Beta(a, b); -inf outside (0, 1)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta parameters must be positive")
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            (x > 0) & (x < 1),
-            (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - _sp.betaln(a, b),
-            -np.inf,
-        )
-    return float(out) if out.ndim == 0 else out
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -216,31 +165,11 @@ def log_beta_cdf(x: float, a: float, b: float) -> float:
         return -np.inf
     if x >= 1.0:
         return 0.0
+    log_bt = a * math.log(x) + b * math.log1p(-x) - float(_sp.betaln(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
-        log_bt = a * math.log(x) + b * math.log1p(-x) - float(_sp.betaln(a, b))
         return log_bt + math.log(_beta_cf(a, b, x) / a)
     # upper side: 1 - I_{1-x}(b, a), where the complement is not tiny
-    comp = log_beta_cdf(1.0 - x, b, a)
-    return math.log1p(-math.exp(comp))
-
-
-def beta_cdf(x, a: float, b: float):
-    """Regularized incomplete beta I_x(a, b) via the continued fraction."""
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-
-    def _one(xx: float) -> float:
-        if xx <= 0.0:
-            return 0.0
-        if xx >= 1.0:
-            return 1.0
-        log_bt = a * math.log(xx) + b * math.log1p(-xx) - float(_sp.betaln(a, b))
-        if xx < (a + 1.0) / (a + b + 2.0):
-            return math.exp(log_bt) * _beta_cf(a, b, xx) / a
-        return 1.0 - math.exp(log_bt) * _beta_cf(b, a, 1.0 - xx) / b
-
-    out = np.array([_one(v) for v in np.atleast_1d(xs)])
-    return float(out[0]) if scalar else out.reshape(xs.shape)
+    return math.log1p(-math.exp(log_bt) * _beta_cf(b, a, 1.0 - x) / b)
 
 
 def beta_quantile(q, a: float, b: float):

@@ -26,15 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from scipy.special import gammainccinv
+from scipy.special import gammainccinv, ndtr
 
-from .numerics import (
-    RngStream,
-    inverse_gamma_cdf,
-    inverse_gamma_quantile,
-    log_sum_exp,
-    normal_logcdf,
-)
+from .numerics import RngStream, inverse_gamma_cdf, inverse_gamma_quantile, log_sum_exp
 from .g_regimes import GPosterior
 from .model_core import SufficientStats, PriorConstants
 
@@ -165,22 +159,18 @@ def _sigma_grid_weights(m: int):
 
 def _log_interval_prob(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """log(Phi(hi) - Phi(lo)) elementwise, stable in both tails."""
-    # two-tail miss; when small, log1p(-miss) is exact
-    miss = _phi_tail(-hi) + _phi_tail(lo)
-    log_hi = normal_logcdf(hi)
-    log_lo = normal_logcdf(lo)
+    below, above = ndtr(lo), ndtr(-hi)
+    miss = below + above
+    # small masses are differences of lower tails, where ndtr is relatively
+    # accurate; reflecting intervals centred above 0 gives [lo, hi] and
+    # [-hi, -lo] the same expression
+    upper = lo > -hi
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.exp(np.minimum(log_lo - log_hi, 0.0))
-        direct = log_hi + np.log1p(-ratio)
-        near_one = np.log1p(-np.minimum(miss, 1.0))
-    # interval entirely in the far lower tail: both log cdfs are -inf
-    direct = np.where(np.isneginf(log_hi), -np.inf, direct)
-    return np.where(miss < 0.5, near_one, direct)
-
-
-def _phi_tail(x):
-    """Phi(x) computed as an upper tail when x is very negative."""
-    return np.exp(normal_logcdf(x))
+        return np.where(
+            miss < 0.5,
+            np.log1p(-miss),  # exact when the two-tail miss is small
+            np.log(ndtr(np.where(upper, -lo, hi)) - np.where(upper, above, below)),
+        )
 
 
 def _exact_ball_probability(

@@ -18,14 +18,13 @@ from gprior_lab.g_regimes import (
     build_g_posterior,
     eb_ghat,
     g_from_u,
-    hyperg_log_density_u,
     log_marginal_likelihood_g,
     posterior_expectation_g,
     u_from_g,
     zs_log_density_u,
 )
 from gprior_lab.model_core import PriorConstants, diagnostics
-from gprior_lab.numerics import RngStream, log_beta_pdf
+from gprior_lab.numerics import RngStream
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
 
@@ -134,29 +133,46 @@ class TestEbGhat:
 # hyper-g density in u
 
 
+def _hyperg_posterior(n, p, c, u_floor):
+    """Hyper-g posterior (a = 0) for statistics with S + b = 1 and the
+    quad_form that puts the truncation point at u_floor."""
+    stats = axis_stats(n, np.zeros(p), 1.0)
+    prior = PriorConstants(a=0.0, b=0.0)
+    return build_g_posterior(HyperG(c=c), stats, 1.0 / u_floor - 1.0, prior, grid_size=64)
+
+
 class TestHyperGDensity:
     def test_is_beta_kernel_up_to_constant(self):
-        n, p, a, c, w = 400, 100, 0.0, 3.0, 0.2
-        s1 = 0.5 * (n - p + a - c)
+        # the u-posterior is u^(s1-1) (1-u)^(s2-1) on (u_floor, 1): its cdf
+        # at each node matches adaptive quadrature of that kernel
+        n, p, c, w = 60, 10, 3.0, 0.2
+        s1 = 0.5 * (n - p - c)
         s2 = 0.5 * (p + c - 2.0)
-        us = np.linspace(w + 1e-4, 1.0 - 1e-4, 100)
-        diffs = [
-            hyperg_log_density_u(float(u), n, p, a, c, w) - log_beta_pdf(float(u), s1, s2)
-            for u in us
-        ]
-        assert max(diffs) - min(diffs) <= 1e-9
+        post = _hyperg_posterior(n, p, c, w)
+
+        def kernel(u):
+            return u ** (s1 - 1.0) * (1.0 - u) ** (s2 - 1.0)
+
+        u0, u_last = post.u_nodes[0], post.u_nodes[-1]
+        total = scipy.integrate.quad(kernel, u0, u_last, epsabs=0, epsrel=1e-13, limit=200)[0]
+        for k in range(0, post.u_nodes.size, 7):
+            part = scipy.integrate.quad(kernel, u0, post.u_nodes[k], epsabs=0, epsrel=1e-13, limit=200)[0]
+            assert post.cdf[k] == pytest.approx(part / total, abs=1e-10)
 
     def test_support_enforced(self):
         w = 0.3
-        assert hyperg_log_density_u(w - 1e-6, 100, 20, 0.0, 3.0, w) == -np.inf
-        assert hyperg_log_density_u(1.0, 100, 20, 0.0, 3.0, w) == -np.inf
+        post = _hyperg_posterior(100, 20, 3.0, w)
+        assert np.all((post.u_nodes > w) & (post.u_nodes < 1.0))
+        draws = post.sample_u(RngStream(12, ("hg-support",)), 10_000)
+        assert np.all((draws > w) & (draws < 1.0))
 
     def test_flat_case(self):
-        # n - p + a - c = 2 and p + c = 4 make both exponents vanish
-        n, p, a, c = 6, 1, 0.0, 3.0
-        w = 0.25
-        vals = [hyperg_log_density_u(u, n, p, a, c, w) for u in (0.3, 0.5, 0.7, 0.9)]
-        assert max(vals) - min(vals) <= 1e-12
+        # n - p + a - c = 2 and p + c = 4 make both exponents vanish, so the
+        # u-posterior is uniform on (u_floor, 1) and its cdf is linear
+        post = _hyperg_posterior(6, 1, 3.0, 0.25)
+        u = post.u_nodes
+        linear = (u - u[0]) / (u[-1] - u[0])
+        assert np.max(np.abs(post.cdf - linear)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

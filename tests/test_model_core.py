@@ -315,13 +315,12 @@ class TestDiagnostics:
         diag = diagnostics(stats, gamma, PRIOR, truth=sc.truth_at(200))
         d = stats.beta_hat - gamma
         assert diag.quad_form == pytest.approx(200.0 * float(d @ d), rel=1e-10)
-        assert diag.offset_eigenvalue == pytest.approx(1.0, rel=1e-10)
 
     def test_offset_fields_need_truth(self):
         sc = make_scenario()
         stats = simulate_scenario_stats(sc, 200, 23)
         diag = diagnostics(stats, sc.gamma_at(200), PRIOR)
-        assert diag.offset_sup is None and diag.offset_eigenvalue is None
+        assert diag.offset_sup is None and diag.expected_quadform is None
 
     def test_quad_form_mean_matches_expectation(self):
         sc = make_scenario(sigma0_sq=2.0)
@@ -344,7 +343,7 @@ class TestDiagnostics:
         stats = axis_stats(10, [0.5, -0.5], 2.0)
         diag = diagnostics(stats, np.zeros(2), PRIOR)
         with pytest.raises(ValueError, match="truth"):
-            diag.g_threshold(0.1)
+            diag.u_cutoff_raw(0.1)
         with pytest.raises(ValueError, match="truth"):
             diag.u_cutoff(0.1)
 
@@ -364,7 +363,6 @@ class TestDiagnostics:
         diag = diagnostics(stats, sc.gamma_at(50), PRIOR, truth=sc.truth_at(50))
         assert diag.quad_form >= 0.0
         assert 0.0 < diag.u_floor <= 1.0
-        assert diag.g_threshold(0.3) >= 0.0
         assert diag.u_floor <= diag.u_cutoff(0.3) <= 1.0
 
 

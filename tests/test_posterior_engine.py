@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 import scipy.stats as st
 from hypothesis import given, strategies as hst
 
@@ -28,6 +29,7 @@ from gprior_lab.posterior_engine import (
     BallProbability,
     Sigma2Posterior,
     beta_posterior_mean,
+    _log_interval_prob,
     sigma2_posterior,
     sup_ball_probability,
 )
@@ -147,6 +149,28 @@ class TestSigma2Posterior:
         # g -> inf: the quadratic-form contribution to the scale vanishes
         limit = sigma2_posterior(stats, gamma, PRIOR, 1e12)
         assert limit.scale == pytest.approx((stats.resid_ss + PRIOR.b) / 2, rel=1e-9)
+
+
+class TestIntervalKernel:
+    def test_reflection_symmetry(self):
+        # [lo, hi] and [-hi, -lo] carry the same normal mass
+        x = np.linspace(-30.0, 30.0, 241)
+        hi, lo = np.meshgrid(x, x)
+        keep = hi >= lo
+        a = _log_interval_prob(hi[keep], lo[keep])
+        b = _log_interval_prob(-lo[keep], -hi[keep])
+        assert not np.any(np.isnan(a))
+        nonempty = ~(np.isneginf(a) & np.isneginf(b))
+        assert np.max(np.abs(a[nonempty] - b[nonempty])) <= 1e-15
+
+    def test_upper_tail_matches_reflected_log_ndtr(self):
+        # oracle: log(Phi(-lo) - Phi(-hi)) from lower-tail log cdfs
+        for lo, hi, want in ((10.0, 11.0, -53.2313), (8.3, 8.6, -37.574)):
+            log_a, log_b = sp.log_ndtr(-lo), sp.log_ndtr(-hi)
+            ref = log_a + math.log1p(-math.exp(log_b - log_a))
+            got = float(_log_interval_prob(np.array(hi), np.array(lo)))
+            assert got == pytest.approx(ref, rel=1e-12)
+            assert got == pytest.approx(want, abs=1e-3)
 
 
 class TestExactRouteOracles:
