@@ -356,23 +356,21 @@ def _run_cell(scenario, n, rep, master_seed, eps_grid, opts, mode, grid_size):
     beta0 = scenario.beta0_at(n)
     diag = diagnostics(stats, gamma, scenario.prior)
     post = build_g_posterior(scenario.regime, stats, diag.quad_form, scenario.prior, grid_size=grid_size)
-    rows = []
-    for eps in eps_grid:
-        bp = sup_ball_probability(post, stats, gamma, beta0, eps, opts, ball_rng)
-        rows.append(
-            {
-                "n": int(n),
-                "p": int(stats.p),
-                "rep": int(rep),
-                "eps": float(eps),
-                "prob": float(bp.value),
-                "se": None if bp.std_error is None else float(bp.std_error),
-                "method": bp.method,
-                "seed": int(master_seed),
-                "path": [scenario.name, int(n), int(rep)],
-            }
-        )
-    return rows
+    bp = sup_ball_probability(post, stats, gamma, beta0, eps_grid, opts, ball_rng)
+    return [
+        {
+            "n": int(n),
+            "p": int(stats.p),
+            "rep": int(rep),
+            "eps": float(eps),
+            "prob": float(bp.value[k]),
+            "se": None if bp.std_error is None else float(bp.std_error[k]),
+            "method": bp.method,
+            "seed": int(master_seed),
+            "path": [scenario.name, int(n), int(rep)],
+        }
+        for k, eps in enumerate(eps_grid)
+    ]
 
 
 def run_experiment(

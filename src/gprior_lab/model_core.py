@@ -557,7 +557,7 @@ class Diagnostics:
 
     quad_form is the misfit (beta_hat - gamma)' X'X (beta_hat - gamma);
     u_floor is (S + b) / (S + b + quad_form), the left endpoint of the
-    u-domain onto which g >= 0 maps.  Truth-dependent fields (offsets and
+    u-domain onto which g >= 0 maps.  Truth-dependent fields (offset_sup and
     expected values under the truth) are None unless a Truth was supplied.
     """
 
@@ -567,7 +567,6 @@ class Diagnostics:
     resid_plus_b: float
     u_floor: float
     offset_sup: Optional[float] = None
-    offset_sq: Optional[float] = None
     expected_quadform: Optional[float] = None
     _resid_df_scale: Optional[float] = None  # (n - p) sigma0^2 + b, for expected_scale_total
 
@@ -624,7 +623,6 @@ def diagnostics(
             u_floor=u_floor,
         )
     diff = gamma - truth.beta0
-    offset_sq = float(diff @ diff)
     offset_sup = float(np.max(np.abs(diff))) if diff.size else 0.0
     offset_quad = _gram_quadform(stats.gram, diff)
     expected_quadform = stats.p * truth.sigma0_sq + offset_quad
@@ -635,7 +633,6 @@ def diagnostics(
         resid_plus_b=resid_plus_b,
         u_floor=u_floor,
         offset_sup=offset_sup,
-        offset_sq=offset_sq,
         expected_quadform=expected_quadform,
         _resid_df_scale=(stats.n - stats.p) * truth.sigma0_sq + prior.b,
     )

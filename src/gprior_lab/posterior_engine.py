@@ -14,15 +14,16 @@ and over the posterior of g.  Two independent routes compute it: a
 deterministic 'exact' route (axis-aligned designs only) that multiplies
 per-coordinate normal interval probabilities in log space on a sigma^2
 quantile grid and complements the result, and an 'mc' route that samples
-(g, sigma^2, beta) and counts exceedances.  The routes share no code path
-beyond the conditional laws above, so each validates the other.
+(g, sigma^2, beta) once and counts, for every radius, the draws whose sup
+distance exceeds it.  The routes share no code path beyond the
+conditional laws above, so each validates the other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -44,6 +45,11 @@ __all__ = [
 # coordinates whose worst-case interval miss is below ~2*Phi(-8.5) < 2e-17
 # contribute nothing at double precision and are skipped in the exact route
 _ACTIVE_SET_SIGMAS = 8.5
+
+# elements of one (draws x p) Monte Carlo batch array: 2**22 float64s is
+# 32 MB whatever p is, and the batch size depends on p alone, so the draws
+# (and the estimates) do not depend on the thread count or the eps grid
+_MC_BATCH_ELEMENTS = 2**22
 
 
 def beta_posterior_mean(stats: SufficientStats, gamma: np.ndarray, g: float) -> np.ndarray:
@@ -130,14 +136,16 @@ class BallOptions:
 
 @dataclass(frozen=True)
 class BallProbability:
-    """One evaluated ball-exceedance probability P(sup distance > eps);
-    std_error is None for the exact route and the binomial standard error
-    for the mc route."""
+    """Evaluated ball-exceedance probabilities P(sup distance > eps).
 
-    epsilon: float
-    value: float
+    epsilon, value and std_error are floats for a scalar radius and 1-D
+    arrays of one length for a grid of radii.  std_error is None for the
+    exact route and the Wilson-score standard error for the mc route."""
+
+    epsilon: Union[float, np.ndarray]
+    value: Union[float, np.ndarray]
     method: str
-    std_error: Optional[float] = None
+    std_error: Union[float, np.ndarray, None] = None
 
 
 def _g_nodes_and_weights(post: GPosterior, g_quad: Optional[int]):
@@ -216,40 +224,54 @@ def _exact_ball_probability(
     return max(0.0, -math.expm1(min(log_inside, 0.0)))
 
 
-def _mc_ball_probability(
+def _mc_exceedances(
     post: GPosterior,
     stats: SufficientStats,
     gamma: np.ndarray,
     center: np.ndarray,
-    epsilon: float,
+    eps: np.ndarray,
     opts: BallOptions,
     rng: RngStream,
-):
+) -> np.ndarray:
+    """Draw opts.mc_draws (g, sigma^2, beta) samples and count, for each
+    radius eps[k], the draws with max_i |beta_i - center_i| > eps[k]."""
     shape = 0.5 * (stats.n + post.a - 2.0)
-    root_e = np.sqrt(stats.gram.eigenvalues)
-    exceed = 0
-    total = opts.mc_draws
-    batch = max(1, min(total, int(2e7 / max(stats.p, 1))))
-    done = 0
-    while done < total:
+    total, p = opts.mc_draws, stats.p
+    batch = max(1, min(total, _MC_BATCH_ELEMENTS // max(p, 1)))
+    # z / sqrt(eigenvalues), rotated back by q, has covariance (X'X)^{-1}
+    inv_root_e = 1.0 / np.sqrt(stats.gram.eigenvalues)
+    mix = None if stats.gram.q is None else stats.gram.q.T * inv_root_e[:, None]
+    # beta - center = (gamma - center) + gg (beta_hat - gamma) + sqrt(gg sigma^2) noise
+    offset = gamma - center
+    shift = stats.beta_hat - gamma
+    buffers = np.empty((2, batch, p))
+    exceed = np.zeros(eps.shape, dtype=np.int64)
+    for done in range(0, total, batch):
         m = min(batch, total - done)
         g = np.asarray(post.sample_g(rng, m))
         gg = g / (g + 1.0)
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = rng.inverse_gamma(shape, scale, m)
-        z = rng.standard_normal((m, stats.p)) / root_e
-        if stats.gram.q is not None:
-            z = z @ stats.gram.q.T
-        beta = (
-            gg[:, None] * stats.beta_hat
-            + (1.0 - gg)[:, None] * gamma
-            + np.sqrt(gg * sigma2)[:, None] * z
-        )
-        exceed += int(np.count_nonzero(np.max(np.abs(beta - center), axis=1) > epsilon))
-        done += m
-    value = exceed / total
-    se = math.sqrt(value * (1.0 - value) / total)
-    return value, se
+        dev, scratch = buffers[0, :m], buffers[1, :m]
+        rng.generator.standard_normal(out=dev)
+        if mix is None:
+            dev *= inv_root_e
+        else:
+            dev, scratch = np.matmul(dev, mix, out=scratch), dev
+        dev *= np.sqrt(gg * sigma2)[:, None]
+        dev += np.multiply(gg[:, None], shift, out=scratch)
+        dev += offset
+        dist = np.max(np.abs(dev, out=dev), axis=1)
+        exceed += np.count_nonzero(dist[:, None] > eps, axis=0)
+    return exceed
+
+
+def _wilson_std_error(value: np.ndarray, draws: int) -> np.ndarray:
+    """Half-width of the one-sigma (z = 1) Wilson score interval:
+    sqrt(p(1-p)/N + 1/(4N^2)) / (1 + 1/N).  Unlike the binomial
+    sqrt(p(1-p)/N) it stays positive at p = 0 and p = 1, where it is
+    1/(2(N+1))."""
+    return np.sqrt(value * (1.0 - value) / draws + 0.25 / draws**2) / (1.0 + 1.0 / draws)
 
 
 def sup_ball_probability(
@@ -257,7 +279,7 @@ def sup_ball_probability(
     stats: SufficientStats,
     gamma: np.ndarray,
     center: np.ndarray,
-    epsilon: float,
+    epsilon,
     options: Optional[BallOptions] = None,
     rng: Optional[RngStream] = None,
 ) -> BallProbability:
@@ -269,9 +291,19 @@ def sup_ball_probability(
     sigma^2 and over the g-posterior ``post``.  The 'exact' route needs an
     axis-aligned design; the 'mc' route needs an ``rng``.  'auto' picks
     exact when available.
+
+    ``epsilon`` is a float or a 1-D array of radii; for an array the
+    result holds arrays of the same length.  The mc route draws one
+    sample per call and scores every radius on it, so its estimates are
+    nonincreasing in epsilon and each one is the same whatever other
+    radii the call holds.
     """
     opts = options or BallOptions()
-    if epsilon < 0:
+    scalar = np.ndim(epsilon) == 0
+    eps = np.array(epsilon, dtype=float, ndmin=1)
+    if eps.ndim != 1:
+        raise ValueError("epsilon must be a float or a 1-D array")
+    if np.any(eps < 0):
         raise ValueError("epsilon must be >= 0")
     gamma = np.asarray(gamma, dtype=float)
     center = np.asarray(center, dtype=float)
@@ -281,9 +313,20 @@ def sup_ball_probability(
     if method == "auto":
         method = "exact" if stats.gram.q is None else "mc"
     if method == "exact":
-        value = _exact_ball_probability(post, stats, gamma, center, epsilon, opts)
-        return BallProbability(epsilon=epsilon, value=value, method="exact", std_error=None)
-    if rng is None:
-        raise ValueError("the mc route requires an rng")
-    value, se = _mc_ball_probability(post, stats, gamma, center, epsilon, opts, rng)
-    return BallProbability(epsilon=epsilon, value=value, method="mc", std_error=se)
+        value = np.array(
+            [_exact_ball_probability(post, stats, gamma, center, float(e), opts) for e in eps]
+        )
+        se = None
+    else:
+        if rng is None:
+            raise ValueError("the mc route requires an rng")
+        value = _mc_exceedances(post, stats, gamma, center, eps, opts, rng) / opts.mc_draws
+        se = _wilson_std_error(value, opts.mc_draws)
+    if scalar:
+        return BallProbability(
+            epsilon=float(eps[0]),
+            value=float(value[0]),
+            method=method,
+            std_error=None if se is None else float(se[0]),
+        )
+    return BallProbability(epsilon=eps, value=value, method=method, std_error=se)

@@ -285,6 +285,29 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             run_experiment(sc, (50,), (0.5,), reps=1, threads=0)
 
+    def test_mc_cell_does_not_depend_on_the_other_radii(self):
+        # one sample per cell is scored at every radius, so adding radii to
+        # the grid leaves an existing radius's estimate as it was
+        sc = make_scenario(
+            name="rot_grid",
+            design=DesignSpec.diagonal((0.5, 1.0), 1.0, 2.0),
+            gamma_rule=FirstMRule(1.0, 3),
+        )
+        opts = BallOptions(mc_draws=2000)
+        alone, among = (
+            run_experiment(sc, (100,), grid, reps=2, master_seed=5, ball_options=opts)
+            for grid in ((0.2,), (0.1, 0.2, 0.5))
+        )
+
+        def at_02(rep):
+            return [(c["rep"], c["prob"], c["se"]) for c in rep.cells if c["eps"] == 0.2]
+
+        assert at_02(alone) == at_02(among)
+        # both estimates lie strictly inside (0, 1), where a different
+        # sample would show
+        assert all(0.0 < prob < 1.0 for _, prob, _ in at_02(among))
+        assert {c["method"] for c in among.cells} == {"mc"}
+
     def test_matching_prior_location_vanishes(self):
         # prior located exactly at the truth with g = 1: the posterior sits
         # on top of beta0 and the exceedance dies along the grid

@@ -14,7 +14,9 @@ import scipy.special as sp
 import scipy.stats as st
 from hypothesis import given, strategies as hst
 
+import gprior_lab.posterior_engine as posterior_engine
 from gprior_lab.model_core import (
+    DesignSpec,
     FixedG,
     GramSpectrum,
     HyperG,
@@ -30,6 +32,7 @@ from gprior_lab.posterior_engine import (
     Sigma2Posterior,
     beta_posterior_mean,
     _log_interval_prob,
+    _wilson_std_error,
     sigma2_posterior,
     sup_ball_probability,
 )
@@ -303,6 +306,10 @@ class TestBallProbabilityBehavior:
         stats, gamma, post = _hyper_g_instance()
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
             sup_ball_probability(post, stats, gamma, np.zeros(stats.p), -0.1)
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            sup_ball_probability(post, stats, gamma, np.zeros(stats.p), np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match="1-D array"):
+            sup_ball_probability(post, stats, gamma, np.zeros(stats.p), np.ones((2, 2)))
 
     def test_point_mass_at_zero_g_is_an_indicator(self):
         # g = 0 collapses beta onto gamma, so exceedance is a 0/1 indicator
@@ -317,15 +324,77 @@ class TestBallProbabilityBehavior:
         assert sup_ball_probability(post, stats, gamma, far, 0.5, opts).value == 1.0
 
 
-class TestDispatchAndValidation:
-    def _rotated_stats(self):
-        from gprior_lab.model_core import DesignSpec
+def _rotated_instance():
+    sc = make_scenario(name="rot", design=DesignSpec.diagonal((0.5, 1.0), 1.0, 2.0))
+    stats = simulate_scenario_stats(sc, 40, 5, mode="full")
+    gamma = sc.gamma_at(40)
+    diag = diagnostics(stats, gamma, PRIOR)
+    post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
+    return stats, gamma, post, sc.beta0_at(40)
 
-        sc = make_scenario(
-            name="rot", design=DesignSpec.diagonal((0.5, 1.0), 1.0, 2.0)
+
+class TestRadiusGrid:
+    GRID = np.array([0.05, 0.3, 0.5, 0.8, 1.2])
+
+    def test_exact_grid_equals_scalar_calls_bitwise(self):
+        stats, gamma, post = _hyper_g_instance()
+        center = beta_posterior_mean(stats, gamma, 3.0)
+        opts = BallOptions(method="exact")
+        grid = sup_ball_probability(post, stats, gamma, center, self.GRID, opts)
+        assert grid.method == "exact" and grid.std_error is None
+        assert grid.epsilon.tolist() == self.GRID.tolist()
+        for k, eps in enumerate(self.GRID):
+            one = sup_ball_probability(post, stats, gamma, center, float(eps), opts)
+            assert isinstance(one.value, float)
+            assert grid.value[k] == one.value
+
+    @pytest.mark.parametrize("batch_draws", [None, 7])
+    def test_mc_grid_equals_fresh_scalar_calls(self, monkeypatch, batch_draws):
+        # the rotated design takes the mc route; a 7-draw batch budget
+        # splits 500 draws into 72 batches with a short last one
+        stats, gamma, post, center = _rotated_instance()
+        if batch_draws is not None:
+            monkeypatch.setattr(posterior_engine, "_MC_BATCH_ELEMENTS", batch_draws * stats.p)
+        opts = BallOptions(mc_draws=500)
+        grid = sup_ball_probability(
+            post, stats, gamma, center, self.GRID, opts, RngStream(4, ("grid",))
         )
-        return simulate_scenario_stats(sc, 40, 5, mode="full"), sc
+        assert grid.method == "mc"
+        for k, eps in enumerate(self.GRID):
+            one = sup_ball_probability(
+                post, stats, gamma, center, float(eps), opts, RngStream(4, ("grid",))
+            )
+            assert isinstance(one.value, float) and isinstance(one.std_error, float)
+            assert (grid.value[k], grid.std_error[k]) == (one.value, one.std_error)
 
+    def test_mc_exceedance_nonincreasing_in_eps(self):
+        stats, gamma, post, center = _rotated_instance()
+        radii = np.linspace(0.0, 2.0, 81)
+        res = sup_ball_probability(
+            post, stats, gamma, center, radii, BallOptions(mc_draws=2000),
+            RngStream(6, ("mono",)),
+        )
+        assert np.all(np.diff(res.value) <= 0.0)
+        assert res.value[0] == 1.0 and res.value[-1] < res.value[0]
+
+    def test_mc_std_error_positive_at_zero_and_one(self):
+        stats, gamma, post = _hyper_g_instance()
+        res = sup_ball_probability(
+            post, stats, gamma, np.zeros(stats.p), np.array([0.0, 1e9]),
+            BallOptions(method="mc", mc_draws=1000), RngStream(2, ("ends",)),
+        )
+        assert res.value.tolist() == [1.0, 0.0]
+        assert np.all(res.std_error > 0.0)
+        assert res.std_error == pytest.approx([1.0 / (2.0 * 1001)] * 2, rel=1e-12)
+
+    def test_wilson_error_tracks_binomial_in_the_bulk(self):
+        draws = 20_000
+        p = np.linspace(0.05, 0.95, 91)
+        binomial = np.sqrt(p * (1.0 - p) / draws)
+        assert np.max(np.abs(_wilson_std_error(p, draws) / binomial - 1.0)) < 0.01
+
+
+class TestDispatchAndValidation:
     def test_auto_picks_exact_for_axis_aligned(self):
         stats, gamma, post = _hyper_g_instance()
         res = sup_ball_probability(post, stats, gamma, np.zeros(stats.p), 0.7)
@@ -333,26 +402,20 @@ class TestDispatchAndValidation:
         assert res.std_error is None
 
     def test_auto_falls_back_to_mc_for_rotated_gram(self):
-        stats, sc = self._rotated_stats()
+        stats, gamma, post, beta0 = _rotated_instance()
         assert stats.gram.q is not None
-        gamma = sc.gamma_at(40)
-        diag = diagnostics(stats, gamma, PRIOR)
-        post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
-        res = sup_ball_probability(post, stats, gamma, sc.beta0_at(40), 0.5,
+        res = sup_ball_probability(post, stats, gamma, beta0, 0.5,
                                    rng=RngStream(4, ("auto",)))
         assert res.method == "mc"
         assert 0.0 <= res.value <= 1.0 and res.std_error is not None
-        again = sup_ball_probability(post, stats, gamma, sc.beta0_at(40), 0.5,
+        again = sup_ball_probability(post, stats, gamma, beta0, 0.5,
                                      rng=RngStream(4, ("auto",)))
         assert again.value == res.value
 
     def test_exact_route_rejects_rotated_gram(self):
-        stats, sc = self._rotated_stats()
-        gamma = sc.gamma_at(40)
-        diag = diagnostics(stats, gamma, PRIOR)
-        post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
+        stats, gamma, post, beta0 = _rotated_instance()
         with pytest.raises(ValueError, match="axis-aligned"):
-            sup_ball_probability(post, stats, gamma, sc.beta0_at(40), 0.5,
+            sup_ball_probability(post, stats, gamma, beta0, 0.5,
                                  BallOptions(method="exact"))
 
     def test_mc_route_requires_rng(self):
