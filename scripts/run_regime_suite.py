@@ -28,8 +28,9 @@ from gprior_lab.consistency_lab import run_experiment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# exact route with capped quadrature: report-level agreement with the full
-# defaults is ~1e-5 while large-n cells run ~8x faster
+# exact route with capped quadrature: on the two mixture scenarios its
+# probabilities stay within 4e-4 of the full defaults and cells run 10-13x
+# faster (README "Performance notes")
 SUITE_OPTIONS = BallOptions(method="exact", g_quad=64, sigma_grid=65)
 
 

@@ -125,7 +125,11 @@ def limit_profile(fn: Callable[[int], float], n_grid) -> tuple:
 def classify_limit(fn: Callable[[int], float], n_grid) -> str:
     """Classify the limit of a deterministic nonnegative sequence as
     'zero', 'positive', 'diverging', or 'unknown'."""
-    ns, v = limit_profile(fn, n_grid)
+    return _classify_profile(limit_profile(fn, n_grid)[1])
+
+
+def _classify_profile(v: list) -> str:
+    """classify_limit's rule applied to the values of a limit_profile."""
     ref = 1.0 + abs(v[0])
     tail_nonincreasing = v[-2] <= v[-3] + 1e-12 and v[-1] <= v[-2] + 1e-12
     if v[-1] < 1e-3 * ref and tail_nonincreasing:
@@ -175,7 +179,7 @@ def _offset_sq(scenario: Scenario, n: int) -> float:
 
 def _trace(fn, n_grid) -> dict:
     ns, values = limit_profile(fn, n_grid)
-    return {"ns": ns, "values": values, "class": classify_limit(fn, n_grid)}
+    return {"ns": ns, "values": values, "class": _classify_profile(values)}
 
 
 def evaluate_theorem1(scenario: Scenario, n_grid) -> TheoremVerdict:

@@ -31,12 +31,10 @@ from scipy.special import gammainccinv, ndtr
 
 from .numerics import RngStream, inverse_gamma_cdf, inverse_gamma_quantile, log_sum_exp
 from .g_regimes import GPosterior
-from .model_core import SufficientStats, PriorConstants
+from .model_core import SufficientStats
 
 __all__ = [
-    "beta_posterior_mean",
     "Sigma2Posterior",
-    "sigma2_posterior",
     "BallOptions",
     "BallProbability",
     "sup_ball_probability",
@@ -50,14 +48,6 @@ _ACTIVE_SET_SIGMAS = 8.5
 # 32 MB whatever p is, and the batch size depends on p alone, so the draws
 # (and the estimates) do not depend on the thread count or the eps grid
 _MC_BATCH_ELEMENTS = 2**22
-
-
-def beta_posterior_mean(stats: SufficientStats, gamma: np.ndarray, g: float) -> np.ndarray:
-    """m(g) = (g/(g+1)) beta_hat + (1/(g+1)) gamma."""
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    w = g / (g + 1.0)
-    return w * stats.beta_hat + (1.0 - w) * gamma
 
 
 @dataclass(frozen=True)
@@ -85,22 +75,6 @@ class Sigma2Posterior:
 
     def sample(self, rng: RngStream, size=None):
         return rng.inverse_gamma(self.shape, self.scale, size)
-
-
-def sigma2_posterior(
-    stats: SufficientStats, gamma: np.ndarray, prior: PriorConstants, g: float
-) -> Sigma2Posterior:
-    """The variance posterior at a given g."""
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    diff = stats.beta_hat - gamma
-    w = diff if stats.gram.q is None else stats.gram.q.T @ diff
-    quad_form = float(np.sum(stats.gram.eigenvalues * w * w))
-    scale_total = stats.resid_ss + prior.b + quad_form / (g + 1.0)
-    shape = 0.5 * (stats.n + prior.a - 2.0)
-    if shape <= 0:
-        raise ValueError("variance posterior needs n + a - 2 > 0")
-    return Sigma2Posterior(shape=shape, scale=0.5 * scale_total)
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +139,42 @@ def _sigma_grid_weights(m: int):
     return probs, np.full(m, 1.0 / m)
 
 
-def _log_interval_prob(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """log(Phi(hi) - Phi(lo)) elementwise, stable in both tails."""
-    below, above = ndtr(lo), ndtr(-hi)
-    miss = below + above
+def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch=None) -> np.ndarray:
+    """log(Phi(hi) - Phi(lo)) elementwise, stable in both tails.
+
+    ``scratch``, if given, is an array of shape (3,) + hi.shape that takes
+    the two tail masses and the result, so a caller looping over blocks of
+    one shape allocates nothing; the result is a view of it."""
+    if scratch is None:
+        scratch = np.empty((3,) + np.shape(hi))
+    below, above, out = scratch[0, ...], scratch[1, ...], scratch[2, ...]
+    ndtr(lo, out=below)
+    ndtr(np.negative(hi, out=above), out=above)
+    miss = np.add(below, above, out=out)
     # small masses are differences of lower tails, where ndtr is relatively
     # accurate; reflecting intervals centred above 0 gives [lo, hi] and
-    # [-hi, -lo] the same expression
-    upper = lo > -hi
+    # [-hi, -lo] the same expression.  Only narrow intervals (miss >= 0.5)
+    # take this branch, so it is evaluated on that subset alone.
+    far = miss >= 0.5
+    lo_far, hi_far = lo[far], hi[far]
+    upper = lo_far > -hi_far
+    near = np.where(upper, above[far], below[far])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            miss < 0.5,
-            np.log1p(-miss),  # exact when the two-tail miss is small
-            np.log(ndtr(np.where(upper, -lo, hi)) - np.where(upper, above, below)),
-        )
+        tail = np.log(ndtr(np.where(upper, -lo_far, hi_far)) - near)
+        np.log1p(np.negative(miss, out=out), out=out)  # exact when the two-tail miss is small
+    out[far] = tail
+    return out
 
 
-def _exact_ball_probability(
+def _exact_ball_probabilities(
     post: GPosterior,
     stats: SufficientStats,
     gamma: np.ndarray,
     center: np.ndarray,
-    epsilon: float,
+    eps: np.ndarray,
     opts: BallOptions,
-) -> float:
+) -> np.ndarray:
+    """Exceedance at every radius eps[j] in one pass over the g-nodes."""
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
     shape = 0.5 * (stats.n + post.a - 2.0)
@@ -197,31 +183,41 @@ def _exact_ball_probability(
     log_sig_w = np.log(sig_w)
     inv_e = 1.0 / stats.gram.eigenvalues
     g_nodes, g_weights = _g_nodes_and_weights(post, opts.g_quad)
-    log_total = np.full(g_nodes.shape, -np.inf)
+    # log P(inside | g-node) per radius; a node with no active coordinate is 0
+    log_total = np.zeros((eps.size, g_nodes.size))
+    # hi, lo and the kernel's scratch (two tails, result), reused throughout;
+    # the result slot holds tau until the kernel overwrites it
+    buffers = np.empty((5, opts.sigma_grid * stats.p))
     for k, g in enumerate(g_nodes):
         gg = g / (g + 1.0)
         mean = gg * stats.beta_hat + (1.0 - gg) * gamma
         delta = mean - center
+        abs_delta = np.abs(delta)
         if gg == 0.0:
-            log_total[k] = 0.0 if np.max(np.abs(delta)) <= epsilon else -np.inf
+            log_total[np.max(abs_delta) > eps, k] = -np.inf
             continue
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = scale * base_nodes
-        tau_sq_max = gg * sigma2[-1] * inv_e
-        active = (epsilon - np.abs(delta)) < _ACTIVE_SET_SIGMAS * np.sqrt(tau_sq_max)
-        if not np.any(active):
-            log_total[k] = 0.0
-            continue
-        d = delta[active]
-        tau = np.sqrt(gg * np.outer(sigma2, inv_e[active]))
-        hi = (epsilon - d) / tau
-        lo = (-epsilon - d) / tau
-        log_rows = np.sum(_log_interval_prob(hi, lo), axis=1)
-        log_total[k] = log_sum_exp(log_sig_w + log_rows)
+        reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg * sigma2[-1] * inv_e)
+        for j, epsilon in enumerate(eps):
+            active = (epsilon - abs_delta) < reach
+            m = np.count_nonzero(active)
+            if m == 0:
+                continue
+            d = delta[active]
+            work = buffers[:, : opts.sigma_grid * m].reshape(5, opts.sigma_grid, m)
+            hi, lo, tau = work[0], work[1], work[4]
+            np.multiply.outer(sigma2, inv_e[active], out=tau)
+            np.sqrt(np.multiply(gg, tau, out=tau), out=tau)
+            np.divide(epsilon - d, tau, out=hi)
+            np.divide(-epsilon - d, tau, out=lo)
+            log_rows = np.sum(_log_interval_prob(hi, lo, work[2:]), axis=1)
+            log_total[j, k] = log_sum_exp(log_sig_w + log_rows)
     with np.errstate(divide="ignore"):
-        log_inside = log_sum_exp(np.log(g_weights) + log_total)
+        log_g_w = np.log(g_weights)
     # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1
-    return max(0.0, -math.expm1(min(log_inside, 0.0)))
+    log_inside = [min(log_sum_exp(log_g_w + row), 0.0) for row in log_total]
+    return np.array([max(0.0, -math.expm1(x)) for x in log_inside])
 
 
 def _mc_exceedances(
@@ -313,9 +309,7 @@ def sup_ball_probability(
     if method == "auto":
         method = "exact" if stats.gram.q is None else "mc"
     if method == "exact":
-        value = np.array(
-            [_exact_ball_probability(post, stats, gamma, center, float(e), opts) for e in eps]
-        )
+        value = _exact_ball_probabilities(post, stats, gamma, center, eps, opts)
         se = None
     else:
         if rng is None:

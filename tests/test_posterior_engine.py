@@ -7,6 +7,7 @@ sandwich that needs no distributional knowledge at all.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,16 +31,42 @@ from gprior_lab.posterior_engine import (
     BallOptions,
     BallProbability,
     Sigma2Posterior,
-    beta_posterior_mean,
     _log_interval_prob,
     _wilson_std_error,
-    sigma2_posterior,
     sup_ball_probability,
 )
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
 
 PRIOR = PriorConstants()
+
+
+# Oracles: the conditional laws of the module docstring, written out on
+# their own.  Both routes inline these formulas over their node arrays.
+
+
+def beta_posterior_mean(stats: SufficientStats, gamma: np.ndarray, g: float) -> np.ndarray:
+    """m(g) = (g/(g+1)) beta_hat + (1/(g+1)) gamma."""
+    if g < 0:
+        raise ValueError("g must be >= 0")
+    w = g / (g + 1.0)
+    return w * stats.beta_hat + (1.0 - w) * gamma
+
+
+def sigma2_posterior(
+    stats: SufficientStats, gamma: np.ndarray, prior: PriorConstants, g: float
+) -> Sigma2Posterior:
+    """The variance posterior at a given g."""
+    if g < 0:
+        raise ValueError("g must be >= 0")
+    diff = stats.beta_hat - gamma
+    w = diff if stats.gram.q is None else stats.gram.q.T @ diff
+    quad_form = float(np.sum(stats.gram.eigenvalues * w * w))
+    scale_total = stats.resid_ss + prior.b + quad_form / (g + 1.0)
+    shape = 0.5 * (stats.n + prior.a - 2.0)
+    if shape <= 0:
+        raise ValueError("variance posterior needs n + a - 2 > 0")
+    return Sigma2Posterior(shape=shape, scale=0.5 * scale_total)
 
 
 def _hyper_g_instance():
@@ -165,6 +192,38 @@ class TestIntervalKernel:
         assert not np.any(np.isnan(a))
         nonempty = ~(np.isneginf(a) & np.isneginf(b))
         assert np.max(np.abs(a[nonempty] - b[nonempty])) <= 1e-15
+
+    def test_matches_both_branch_form(self):
+        # oracle: both branches evaluated on every element and chosen by
+        # np.where; the kernel evaluates the tail branch on its subset only
+        def both_branches(hi, lo):
+            below, above = sp.ndtr(lo), sp.ndtr(-hi)
+            miss = below + above
+            upper = lo > -hi
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(
+                    miss < 0.5,
+                    np.log1p(-miss),
+                    np.log(sp.ndtr(np.where(upper, -lo, hi)) - np.where(upper, above, below)),
+                )
+
+        x = np.linspace(-12.0, 12.0, 96)
+        hi, lo = np.meshgrid(x, x)
+        keep = hi >= lo
+        far = np.array([[10.0, 11.0], [-11.0, -10.0], [40.0, 41.0], [-41.0, -40.0]])
+        lo = np.concatenate([lo[keep], far[:, 0]]).reshape(-1, 2)
+        hi = np.concatenate([hi[keep], far[:, 1]]).reshape(-1, 2)
+        miss = sp.ndtr(lo) + sp.ndtr(-hi)
+        assert np.any(miss < 0.5) and np.any((miss >= 0.5) & (miss < 1.0)) and np.any(miss == 1.0)
+        want = both_branches(hi, lo)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_interval_prob(hi, lo)
+            scratch = np.full((3,) + hi.shape, np.nan)
+            in_scratch = _log_interval_prob(hi, lo, scratch)
+        assert np.array_equal(got, want)
+        assert np.array_equal(in_scratch, want) and np.shares_memory(in_scratch, scratch)
+        assert np.isneginf(got[-1]).all() and np.isfinite(got[-2]).all()
 
     def test_upper_tail_matches_reflected_log_ndtr(self):
         # oracle: log(Phi(-lo) - Phi(-hi)) from lower-tail log cdfs
@@ -340,13 +399,17 @@ class TestRadiusGrid:
         stats, gamma, post = _hyper_g_instance()
         center = beta_posterior_mean(stats, gamma, 3.0)
         opts = BallOptions(method="exact")
-        grid = sup_ball_probability(post, stats, gamma, center, self.GRID, opts)
+        # 0.01 lies below |m(g) - center| in every coordinate at every g-node;
+        # at 8.0 no coordinate is active at any node, so the exceedance is 0
+        radii = np.concatenate([[0.01], self.GRID, [8.0]])
+        grid = sup_ball_probability(post, stats, gamma, center, radii, opts)
         assert grid.method == "exact" and grid.std_error is None
-        assert grid.epsilon.tolist() == self.GRID.tolist()
-        for k, eps in enumerate(self.GRID):
+        assert grid.epsilon.tolist() == radii.tolist()
+        for k, eps in enumerate(radii):
             one = sup_ball_probability(post, stats, gamma, center, float(eps), opts)
             assert isinstance(one.value, float)
             assert grid.value[k] == one.value
+        assert grid.value[0] > 0.99 and grid.value[-1] == 0.0
 
     @pytest.mark.parametrize("batch_draws", [None, 7])
     def test_mc_grid_equals_fresh_scalar_calls(self, monkeypatch, batch_draws):
