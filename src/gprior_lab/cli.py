@@ -53,6 +53,21 @@ def _positive_int_list(text: str):
     return values
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, so bad counts exit 2 as usage errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _positive_float_list(text: str):
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -81,7 +96,7 @@ def _add_common(sub, n_grid=True, reps=None):
     if n_grid:
         sub.add_argument("--n-grid", type=_positive_int_list, required=True, help="comma-separated sample sizes")
     if reps is not None:
-        sub.add_argument("--reps", type=int, default=reps, help=f"replications per n (default {reps})")
+        sub.add_argument("--reps", type=_int_at_least(1), default=reps, help=f"replications per n (default {reps})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,12 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     exp = subs.add_parser("experiment", help="run a ball-probability experiment")
     _add_common(exp, reps=20)
     exp.add_argument("--eps-grid", type=_positive_float_list, required=True, help="comma-separated radii")
-    exp.add_argument("--threads", type=int, default=1)
+    exp.add_argument("--threads", type=_int_at_least(1), default=1)
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--format", choices=("json", "csv", "both"), default="both")
     exp.add_argument("--method", choices=("auto", "exact", "mc"), default="auto")
-    exp.add_argument("--mc-draws", type=int, default=20_000)
-    exp.add_argument("--grid-size", type=int, default=512, help="u-grid size for hyper-g and Zellner-Siow posteriors")
+    exp.add_argument("--mc-draws", type=_int_at_least(1), default=20_000)
+    exp.add_argument("--grid-size", type=_int_at_least(16), default=512, help="u-grid size for hyper-g and Zellner-Siow posteriors")
     exp.add_argument("--with-lemmas", action="store_true", help="also run the concentration checks and embed them in the report")
     exp.set_defaults(func=_cmd_experiment)
 
@@ -130,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = _resolve_seed(args)
-    if args.reps < 1:
-        raise ScenarioError("--reps must be >= 1")
     scenario.validate_grid(args.n_grid)
     draws = []
     for n in args.n_grid:
@@ -201,13 +214,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_theorem(args) -> int:
     scenario = load_scenario(args.scenario)
     verdict = predict_verdict(scenario, args.n_grid)
-    doc = {
-        "theorem": verdict.theorem,
-        "predicted": verdict.predicted,
-        "sufficient_only": verdict.sufficient_only,
-        "display": verdict.display(),
-        "evidence": verdict.evidence,
-    }
+    doc = verdict.to_dict()
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .numerics import RngStream
 from .model_core import (
@@ -44,9 +45,8 @@ from .g_regimes import (
     ZellnerSiowG,
     build_g_posterior,
     eb_ghat,
-    posterior_expectation_g,
 )
-from .posterior_engine import BallOptions, Sigma2Posterior, sup_ball_probability
+from .posterior_engine import BallOptions, sup_ball_probability
 
 __all__ = [
     "VANISH_THRESHOLD",
@@ -62,8 +62,6 @@ __all__ = [
     "run_experiment",
     "LemmaOutcome",
     "verify_lemmas",
-    "shrinkage_spread_stat",
-    "regime_kind",
 ]
 
 # a trend of medians counts as vanishing when it ends below this...
@@ -72,18 +70,6 @@ VANISH_THRESHOLD = 0.05
 FLOOR_THRESHOLD = 0.1
 
 REPORT_SCHEMA_VERSION = 1
-
-
-def regime_kind(regime) -> str:
-    if isinstance(regime, FixedG):
-        return "fixed"
-    if isinstance(regime, EmpiricalBayesG):
-        return "eb"
-    if isinstance(regime, HyperG):
-        return "hyper_g"
-    if isinstance(regime, ZellnerSiowG):
-        return "zs"
-    raise ValueError(f"unknown regime {regime!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +97,20 @@ def classify_trend(values) -> str:
     return "indeterminate"
 
 
-def limit_profile(fn: Callable[[int], float], n_grid) -> tuple:
-    """Evaluate a deterministic sequence on the grid, geometrically extended
-    (factor 4) to at least 8 points so limits are visible."""
+def _extended_grid(n_grid) -> list:
+    """The grid geometrically extended (factor 4) to at least 8 points so
+    limits are visible."""
     ns = [int(n) for n in n_grid]
     if not ns:
         raise ValueError("empty n grid")
     while len(ns) < 8:
         ns.append(ns[-1] * 4)
+    return ns
+
+
+def limit_profile(fn: Callable[[int], float], n_grid) -> tuple:
+    """Evaluate a deterministic sequence on the extended grid."""
+    ns = _extended_grid(n_grid)
     return ns, [float(fn(n)) for n in ns]
 
 
@@ -166,19 +158,31 @@ class TheoremVerdict:
             return f"Unknown (Theorem {num} sufficient only)"
         return f"Unknown (Theorem {num})"
 
+    def to_dict(self) -> dict:
+        """The verdict block of report.json and of `gprior-lab theorem --json`."""
+        return {
+            "theorem": self.theorem,
+            "predicted": self.predicted,
+            "sufficient_only": self.sufficient_only,
+            "display": self.display(),
+            "evidence": self.evidence,
+        }
 
-def _offset_sup(scenario: Scenario, n: int) -> float:
-    d = scenario.gamma_at(n) - scenario.beta0_at(n)
-    return float(np.max(np.abs(d))) if d.size else 0.0
+
+def _offset_norms(scenario: Scenario, n_grid) -> tuple:
+    """(ns, sup, sq): the extended grid with ||gamma - beta0||_inf and
+    ||gamma - beta0||_2^2 at each n, building each offset vector once."""
+    ns = _extended_grid(n_grid)
+    sup, sq = [], []
+    for n in ns:
+        d = scenario.gamma_at(n) - scenario.beta0_at(n)
+        sup.append(float(np.max(np.abs(d))) if d.size else 0.0)
+        sq.append(float(d @ d))
+        del d  # free this offset before the next, larger one is built
+    return ns, sup, sq
 
 
-def _offset_sq(scenario: Scenario, n: int) -> float:
-    d = scenario.gamma_at(n) - scenario.beta0_at(n)
-    return float(d @ d)
-
-
-def _trace(fn, n_grid) -> dict:
-    ns, values = limit_profile(fn, n_grid)
+def _trace(ns, values) -> dict:
     return {"ns": ns, "values": values, "class": _classify_profile(values)}
 
 
@@ -188,17 +192,13 @@ def evaluate_theorem1(scenario: Scenario, n_grid) -> TheoremVerdict:
     g_n (g_n + 1)^{-2} (log p_n) ||gamma - beta0||_2^2 / n both vanish."""
     if not isinstance(scenario.regime, FixedG):
         raise ValueError("evaluate_theorem1 applies only to the fixed-g regime")
-    regime = scenario.regime
-
-    def center(n: int) -> float:
-        return _offset_sup(scenario, n) / (regime.g_at(n) + 1.0)
-
-    def spread(n: int) -> float:
-        g = regime.g_at(n)
-        p = scenario.p_at(n)
-        return g / (g + 1.0) ** 2 * math.log(p) / n * _offset_sq(scenario, n)
-
-    ev = {"center_condition": _trace(center, n_grid), "spread_condition": _trace(spread, n_grid)}
+    ns, sup, sq = _offset_norms(scenario, n_grid)
+    gs = [scenario.regime.g_at(n) for n in ns]
+    center = [s / (g + 1.0) for s, g in zip(sup, gs)]
+    spread = [
+        g / (g + 1.0) ** 2 * math.log(scenario.p_at(n)) / n * d2 for n, g, d2 in zip(ns, gs, sq)
+    ]
+    ev = {"center_condition": _trace(ns, center), "spread_condition": _trace(ns, spread)}
     classes = (ev["center_condition"]["class"], ev["spread_condition"]["class"])
     if all(c == "zero" for c in classes):
         predicted = "consistent"
@@ -218,11 +218,8 @@ def evaluate_theorem_subsequence_condition(scenario: Scenario, n_grid):
     classified.  The scenario rule vocabulary only produces monotone-type
     sequences, so full-sequence limits settle subsequence behavior.
     """
-    ev = {
-        "alpha": scenario.alpha,
-        "offset_sq": _trace(lambda n: _offset_sq(scenario, n), n_grid),
-        "offset_sup": _trace(lambda n: _offset_sup(scenario, n), n_grid),
-    }
+    ns, sup, sq = _offset_norms(scenario, n_grid)
+    ev = {"alpha": scenario.alpha, "offset_sq": _trace(ns, sq), "offset_sup": _trace(ns, sup)}
     if scenario.alpha == 0.0:
         return True, ev
     sq_class = ev["offset_sq"]["class"]
@@ -268,13 +265,6 @@ def predict_verdict(scenario: Scenario, n_grid) -> TheoremVerdict:
 
 # ---------------------------------------------------------------------------
 # experiments
-
-
-def shrinkage_spread_stat(post) -> float:
-    """n^{-3} quad_form^2 E[g^2 (g+1)^{-4} | data]: the spread control that
-    licenses reading consistency off the posterior of g alone."""
-    val = posterior_expectation_g(post, lambda g: (g / (g + 1.0) ** 2) ** 2)
-    return post.quad_form**2 * val / float(post.n) ** 3
 
 
 def _lemma_doc(outcome: "LemmaOutcome") -> dict:
@@ -323,13 +313,7 @@ class ExperimentReport:
             "master_seed": self.master_seed,
             "cells": self.cells,
             "aggregates": self.aggregates,
-            "verdict": {
-                "theorem": self.verdict.theorem,
-                "predicted": self.verdict.predicted,
-                "sufficient_only": self.verdict.sufficient_only,
-                "display": self.verdict.display(),
-                "evidence": self.verdict.evidence,
-            },
+            "verdict": self.verdict.to_dict(),
             "agreement": self.agreement,
             "lemmas": [_lemma_doc(o) for o in self.lemma_outcomes],
         }
@@ -522,8 +506,8 @@ def verify_lemmas(
         raise ValueError("reps must be >= 1")
     scenario.validate_grid(n_grid)
     prior = scenario.prior
-    sq_trace = _trace(lambda n: _offset_sq(scenario, n), n_grid)
-    sq_class = sq_trace["class"]
+    _, _, sq = _offset_norms(scenario, n_grid)
+    sq_class = _classify_profile(sq)
     is_fixed = isinstance(scenario.regime, FixedG)
 
     per_n = {}
@@ -557,11 +541,12 @@ def verify_lemmas(
                 g = scenario.regime.g_at(n)
                 expected = diag.expected_scale_total(g)
                 rec["scale_ratio"].append(diag.scale_total(g) / expected)
-                post = Sigma2Posterior(
-                    shape=0.5 * (n + prior.a - 2.0), scale=0.5 * diag.scale_total(g)
-                )
+                # P(lo <= sigma^2 <= hi) under sigma^2 | g ~ InverseGamma(shape, scale),
+                # whose cdf at x is gammaincc(shape, scale / x)
+                shape, scale = 0.5 * (n + prior.a - 2.0), 0.5 * diag.scale_total(g)
+                lo, hi = expected / (2.0 * n), 2.0 * expected / n
                 rec["sigma2_cover"].append(
-                    post.interval_probability(expected / (2.0 * n), 2.0 * expected / n)
+                    float(gammaincc(shape, scale / hi) - gammaincc(shape, scale / lo))
                 )
         per_n[n] = rec
 
@@ -665,7 +650,7 @@ def verify_lemmas(
     # (delta + lambda_max sigma0^2) when the squared offset settles at
     # delta > 0
     if sq_class == "positive":
-        delta = sq_trace["values"][-1]
+        delta = sq[-1]
         lam = scenario.design.lambda_max
         bound = (1.0 - scenario.alpha) * lam * scenario.sigma0_sq / (delta + lam * scenario.sigma0_sq)
         worst = float(np.max(per_n[final]["u_floor"]))

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
-from scipy.special import betainc, betaincc
+from scipy.special import betainc, betaincc, betaincinv
 
-from .numerics import beta_quantile, log_sum_exp
+from .numerics import log_sum_exp
 
 __all__ = [
     "FixedG",
@@ -41,11 +41,9 @@ __all__ = [
     "u_from_g",
     "g_from_u",
     "eb_ghat",
-    "log_marginal_likelihood_g",
     "zs_log_density_u",
     "GPosterior",
     "build_g_posterior",
-    "posterior_expectation_g",
 ]
 
 
@@ -114,21 +112,7 @@ def g_from_u(u, u_floor: float):
 
 
 # ---------------------------------------------------------------------------
-# marginal likelihood in g and the empirical-Bayes maximizer
-
-
-def log_marginal_likelihood_g(g, n: int, p: int, a: float, resid_plus_b: float, quad_form: float):
-    """log marginal likelihood of g (up to a g-free constant):
-
-        (n - p + a - 2)/2 * log(g + 1) - (n + a - 2)/2 * log((g + 1)(S + b) + T)
-    """
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("g must be >= 0")
-    out = 0.5 * (n - p + a - 2.0) * np.log1p(g) - 0.5 * (n + a - 2.0) * np.log(
-        (g + 1.0) * resid_plus_b + quad_form
-    )
-    return out if out.ndim else float(out)
+# the empirical-Bayes maximizer of the marginal likelihood in g
 
 
 def eb_ghat(n: int, p: int, a: float, resid_plus_b: float, quad_form: float) -> float:
@@ -189,10 +173,7 @@ class GPosterior:
     """
 
     kind: str
-    n: int
-    p: int
     a: float
-    b: float
     u_floor: float
     resid_plus_b: float
     quad_form: float
@@ -212,11 +193,6 @@ class GPosterior:
             return np.array([self.g_star]), np.array([1.0])
         g = g_from_u(self.u_nodes, self.u_floor)
         return g, self.node_weights
-
-    def mean_u(self) -> float:
-        if self.is_point:
-            return u_from_g(self.g_star, self.u_floor)
-        return float(self.node_weights @ self.u_nodes)
 
     def quantile_u(self, q):
         q = np.asarray(q, dtype=float)
@@ -238,7 +214,7 @@ class GPosterior:
         return np.asarray(g_from_u(u, self.u_floor))
 
 
-def _grid_posterior(kind, u_nodes, log_density, stats_n, stats_p, a, b, u_floor, resid_plus_b, quad_form):
+def _grid_posterior(kind, u_nodes, log_density, a, u_floor, resid_plus_b, quad_form):
     """Assemble a GPosterior from nodes and unnormalized log densities."""
     f = np.asarray(log_density, dtype=float)
     if np.any(np.isnan(f)):
@@ -266,10 +242,7 @@ def _grid_posterior(kind, u_nodes, log_density, stats_n, stats_p, a, b, u_floor,
     cdf /= cdf[-1]
     return GPosterior(
         kind=kind,
-        n=stats_n,
-        p=stats_p,
         a=a,
-        b=b,
         u_floor=u_floor,
         resid_plus_b=resid_plus_b,
         quad_form=quad_form,
@@ -303,12 +276,12 @@ def _quantile_spaced_nodes(u_floor, shape1, shape2, grid_size):
             f"distribution is numerically degenerate at u_floor={u_floor!r}"
         )
     q = fw + (1.0 - fw) * _conditional_mass_grid(grid_size)
-    u = beta_quantile(q, shape1, shape2)
+    u = betaincinv(shape1, shape2, q)
     lo = u_floor + (1.0 - u_floor) * 1e-13
     return np.clip(u, lo, 1.0 - 1e-12)
 
 
-def _beta_mass_posterior(kind, u_nodes, shape1, shape2, stats_n, stats_p, a, b, u_floor, resid_plus_b, quad_form):
+def _beta_mass_posterior(kind, u_nodes, shape1, shape2, a, u_floor, resid_plus_b, quad_form):
     """Assemble a GPosterior whose density is an exact truncated
     Beta(shape1, shape2): segment masses come from the incomplete-beta CDF
     (differenced in whichever tail is numerically stable), so weights and
@@ -332,10 +305,7 @@ def _beta_mass_posterior(kind, u_nodes, shape1, shape2, stats_n, stats_p, a, b, 
     cdf /= cdf[-1]
     return GPosterior(
         kind=kind,
-        n=stats_n,
-        p=stats_p,
         a=a,
-        b=b,
         u_floor=u_floor,
         resid_plus_b=resid_plus_b,
         quad_form=quad_form,
@@ -367,10 +337,7 @@ def build_g_posterior(regime, stats, quad_form: float, prior, grid_size: int = 5
     def point(g_star: float) -> GPosterior:
         return GPosterior(
             kind="point",
-            n=n,
-            p=p,
             a=a,
-            b=b,
             u_floor=u_floor,
             resid_plus_b=resid_plus_b,
             quad_form=quad_form,
@@ -400,7 +367,7 @@ def build_g_posterior(regime, stats, quad_form: float, prior, grid_size: int = 5
         # the truncated density IS a Beta(shape1, shape2) kernel, so segment
         # masses from the incomplete-beta CDF are exact
         return _beta_mass_posterior(
-            "hyper_g", u, shape1, shape2, n, p, a, b, u_floor, resid_plus_b, quad_form
+            "hyper_g", u, shape1, shape2, a, u_floor, resid_plus_b, quad_form
         )
     if isinstance(regime, ZellnerSiowG):
         shape1 = 0.5 * (n - p + a)
@@ -427,14 +394,5 @@ def build_g_posterior(regime, stats, quad_form: float, prior, grid_size: int = 5
                 "posterior mass above the truncation point underflowed; the "
                 f"distribution is numerically degenerate at u_floor={u_floor!r}"
             )
-        return _grid_posterior("zellner_siow", u, f, n, p, a, b, u_floor, resid_plus_b, quad_form)
+        return _grid_posterior("zellner_siow", u, f, a, u_floor, resid_plus_b, quad_form)
     raise ValueError(f"unknown regime {regime!r}")
-
-
-def posterior_expectation_g(post: GPosterior, f: Callable) -> float:
-    """E[f(g) | data] under the g-posterior; f must accept an ndarray."""
-    nodes, weights = post.quadrature()
-    vals = np.asarray(f(nodes), dtype=float)
-    if vals.shape != nodes.shape:
-        raise ValueError("integrand must map the g-node array to a same-shape array")
-    return float(weights @ vals)

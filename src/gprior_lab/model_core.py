@@ -53,7 +53,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "load_scenario",
-    "save_scenario",
 ]
 
 
@@ -128,14 +127,6 @@ class GramSpectrum:
 
     q: Optional[np.ndarray]
     eigenvalues: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def axis_aligned(self) -> bool:
-        return self.q is None
 
 
 def build_design(spec: DesignSpec, n: int, p: int, rng: RngStream) -> GramSpectrum:
@@ -675,6 +666,9 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     if extra:
         raise ScenarioError(f"design: unknown keys {sorted(extra)}")
     if design_doc["kind"] == "orthogonal":
+        given = sorted(set(design_doc) - {"kind"})
+        if given:
+            raise ScenarioError(f"design: an orthogonal design takes no {given}")
         design = DesignSpec.orthogonal()
     else:
         design = DesignSpec(
@@ -738,7 +732,3 @@ def load_scenario(path) -> Scenario:
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     return scenario_from_dict(doc, default_name=path.stem)
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")

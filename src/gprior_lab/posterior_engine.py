@@ -10,13 +10,16 @@ Given the sufficient statistics, a prior location gamma, and a value of g:
 The headline functional is the posterior probability that beta falls
 OUTSIDE the closed sup-norm ball of radius eps around a reference point,
 i.e. P(max_i |beta_i - center_i| > eps | data), integrated over sigma^2
-and over the posterior of g.  Two independent routes compute it: a
-deterministic 'exact' route (axis-aligned designs only) that multiplies
-per-coordinate normal interval probabilities in log space on a sigma^2
-quantile grid and complements the result, and an 'mc' route that samples
-(g, sigma^2, beta) once and counts, for every radius, the draws whose sup
-distance exceeds it.  The routes share no code path beyond the
-conditional laws above, so each validates the other.
+and over the posterior of g.  Two routes compute it: a deterministic
+'exact' route (axis-aligned designs only) that multiplies per-coordinate
+normal interval probabilities in log space on a sigma^2 quantile grid and
+complements the result, and an 'mc' route that samples (g, sigma^2, beta)
+once and counts, for every radius, the draws whose sup distance exceeds
+it.  Given g they share nothing but the conditional laws above, so each
+checks the other's sigma^2 and beta integration.  Both read the same
+GPosterior, though: exact takes its nodes and weights, mc samples its
+piecewise-linear cdf.  A wrong law of g moves both routes alike and their
+agreement cannot reveal it.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ import numpy as np
 
 from scipy.special import gammainccinv, ndtr
 
-from .numerics import RngStream, inverse_gamma_cdf, inverse_gamma_quantile, log_sum_exp
-from .g_regimes import GPosterior
+from .numerics import RngStream, log_sum_exp
+from .g_regimes import GPosterior, g_from_u
 from .model_core import SufficientStats
 
 __all__ = [
-    "Sigma2Posterior",
     "BallOptions",
     "BallProbability",
     "sup_ball_probability",
@@ -48,33 +50,6 @@ _ACTIVE_SET_SIGMAS = 8.5
 # 32 MB whatever p is, and the batch size depends on p alone, so the draws
 # (and the estimates) do not depend on the thread count or the eps grid
 _MC_BATCH_ELEMENTS = 2**22
-
-
-@dataclass(frozen=True)
-class Sigma2Posterior:
-    """InverseGamma law of sigma^2 given g and the data."""
-
-    shape: float
-    scale: float
-
-    def mean(self) -> float:
-        if self.shape <= 1.0:
-            raise ValueError("mean requires shape > 1, i.e. n + a - 4 > 0")
-        return self.scale / (self.shape - 1.0)
-
-    def cdf(self, x):
-        return inverse_gamma_cdf(x, self.shape, self.scale)
-
-    def quantile(self, q):
-        return inverse_gamma_quantile(q, self.shape, self.scale)
-
-    def interval_probability(self, lo: float, hi: float) -> float:
-        if not (0 <= lo <= hi):
-            raise ValueError("need 0 <= lo <= hi")
-        return float(self.cdf(hi) - self.cdf(lo))
-
-    def sample(self, rng: RngStream, size=None):
-        return rng.inverse_gamma(self.shape, self.scale, size)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +101,7 @@ def _g_nodes_and_weights(post: GPosterior, g_quad: Optional[int]):
     if post.is_point or g_quad is None:
         return post.quadrature()
     q = (np.arange(g_quad) + 0.5) / g_quad
-    u = np.asarray(post.quantile_u(q))
-    g = np.asarray((u - post.u_floor) / (post.u_floor * (1.0 - u)))
-    return g, np.full(g_quad, 1.0 / g_quad)
+    return g_from_u(post.quantile_u(q), post.u_floor), np.full(g_quad, 1.0 / g_quad)
 
 
 def _sigma_grid_weights(m: int):

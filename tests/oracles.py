@@ -1,0 +1,149 @@
+"""Test oracles: independent references the suite checks the lab against.
+
+  * log_beta_cdf (a continued-fraction incomplete beta in log space) and
+    beta_tail_bound_check, the Beta lower-tail envelope AC5 verifies.  The
+    tails lie far below the smallest double, so they exist only in log
+    space, which scipy does not offer for the incomplete beta.
+  * log_marginal_likelihood_g, the profile that the empirical-Bayes ghat
+    maximizes in closed form.
+  * shrinkage_spread_stat, the spread control AC9 tracks.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import special as _sp
+
+
+# ---------------------------------------------------------------------------
+# Beta lower tail
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta (modified Lentz).
+
+    Converges for x < (a + 1) / (a + b + 2); the callers switch to the
+    reflected parameters on the other side.
+    """
+    tiny = 1e-300
+    eps = 3e-16
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 800):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return h
+    raise RuntimeError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
+
+
+def log_beta_cdf(x: float, a: float, b: float) -> float:
+    """log P(Beta(a, b) <= x), accurate deep in the lower tail."""
+    if a <= 0 or b <= 0:
+        raise ValueError("beta parameters must be positive")
+    if x <= 0.0:
+        return -np.inf
+    if x >= 1.0:
+        return 0.0
+    log_bt = a * math.log(x) + b * math.log1p(-x) - float(_sp.betaln(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return log_bt + math.log(_beta_cf(a, b, x) / a)
+    # upper side: 1 - I_{1-x}(b, a), where the complement is not tiny
+    return math.log1p(-math.exp(log_bt) * _beta_cf(b, a, 1.0 - x) / b)
+
+
+@dataclass(frozen=True)
+class BetaTailBound:
+    log_exact: float
+    log_bound: float
+    holds: bool
+
+    @property
+    def exact(self) -> float:
+        return math.exp(self.log_exact) if self.log_exact > -700 else 0.0
+
+    @property
+    def bound(self) -> float:
+        return math.exp(self.log_bound) if self.log_bound < 700 else math.inf
+
+
+def beta_tail_bound_check(
+    a_n: float, b_n: float, xi: float, alpha: float, n: float | None = None
+) -> BetaTailBound:
+    """Check the lower-tail envelope P(Z <= xi) <= 4^n * xi^(n(1-alpha)) for
+    Z ~ Beta(a_n, b_n) with a_n ~ n(1-alpha), or <= xi^(n/2) when alpha = 0.
+
+    The comparison is done in log space so that astronomically small tails
+    are still compared honestly.  ``n`` defaults to the value recovered from
+    the a_n / n -> 1 - alpha convention.
+    """
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError("alpha must lie in [0, 1)")
+    if xi < 0.0:
+        raise ValueError("xi must be >= 0")
+    if n is None:
+        n = a_n / (1.0 - alpha)
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if xi == 0.0:
+        return BetaTailBound(log_exact=-np.inf, log_bound=-np.inf, holds=True)
+    log_exact = log_beta_cdf(min(xi, 1.0), a_n, b_n)
+    if alpha > 0.0:
+        log_bound = n * math.log(4.0) + n * (1.0 - alpha) * math.log(xi)
+    else:
+        log_bound = (n / 2.0) * math.log(xi)
+    return BetaTailBound(log_exact=log_exact, log_bound=log_bound, holds=log_exact <= log_bound)
+
+
+# ---------------------------------------------------------------------------
+# marginal likelihood in g
+
+
+def log_marginal_likelihood_g(g, n: int, p: int, a: float, resid_plus_b: float, quad_form: float):
+    """log marginal likelihood of g (up to a g-free constant):
+
+        (n - p + a - 2)/2 * log(g + 1) - (n + a - 2)/2 * log((g + 1)(S + b) + T)
+    """
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
+        raise ValueError("g must be >= 0")
+    out = 0.5 * (n - p + a - 2.0) * np.log1p(g) - 0.5 * (n + a - 2.0) * np.log(
+        (g + 1.0) * resid_plus_b + quad_form
+    )
+    return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# posterior spread of g
+
+
+def shrinkage_spread_stat(post, n: int) -> float:
+    """n^{-3} quad_form^2 E[g^2 (g+1)^{-4} | data]: the spread control that
+    licenses reading consistency off the posterior of g alone."""
+    g_nodes, weights = post.quadrature()
+    val = float(weights @ ((g_nodes / (g_nodes + 1.0) ** 2) ** 2))
+    return post.quad_form**2 * val / float(n) ** 3

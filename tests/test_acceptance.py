@@ -31,11 +31,10 @@ from gprior_lab.model_core import (
     scenario_from_dict,
     simulate_stats,
 )
-from gprior_lab.numerics import RngStream, beta_tail_bound_check
+from gprior_lab.numerics import RngStream
 from gprior_lab.g_regimes import (
     build_g_posterior,
     eb_ghat,
-    log_marginal_likelihood_g,
     u_from_g,
     zs_log_density_u,
 )
@@ -43,9 +42,10 @@ from gprior_lab.posterior_engine import BallOptions, sup_ball_probability
 from gprior_lab.consistency_lab import (
     FLOOR_THRESHOLD,
     run_experiment,
-    shrinkage_spread_stat,
     verify_lemmas,
 )
+
+from oracles import beta_tail_bound_check, log_marginal_likelihood_g, shrinkage_spread_stat
 
 PRIOR = PriorConstants()
 SEED = 20260815
@@ -368,7 +368,7 @@ def test_ac9_shrinkage_spread_statistic_decreases():
                 stats = simulate_stats(sc, n, rng, mode="direct")
                 diag = diagnostics(stats, sc.gamma_at(n), PRIOR)
                 post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
-                vals.append(shrinkage_spread_stat(post))
+                vals.append(shrinkage_spread_stat(post, n))
             medians.append(float(np.median(vals)))
         decreasing = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
         details.append(f"{name}: medians {['%.2e' % m for m in medians]}")

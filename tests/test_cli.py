@@ -5,6 +5,7 @@ observable; subprocess smoke tests cover the installed console script and,
 where it is not installed, the module entry point it names.
 """
 
+import importlib.util
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ import pytest
 
 import gprior_lab
 from gprior_lab.cli import main
-from gprior_lab.model_core import FixedG, save_scenario, scenario_to_dict
+from gprior_lab.model_core import FixedG, scenario_to_dict
 
 from conftest import make_scenario
 
@@ -27,7 +28,7 @@ SCENARIOS = REPO_ROOT / "scenarios"
 @pytest.fixture()
 def eb_path(tmp_path):
     path = tmp_path / "cli_eb.json"
-    save_scenario(make_scenario(name="cli_eb"), path)
+    path.write_text(json.dumps(scenario_to_dict(make_scenario(name="cli_eb"))))
     return str(path)
 
 
@@ -165,7 +166,7 @@ class TestLemmasCommand:
         # asymptotic tolerance, so at least one check must report FAIL
         sc = make_scenario(name="cli_fail", sigma0_sq=25.0, regime=FixedG(rule=1.0))
         path = tmp_path / "cli_fail.json"
-        save_scenario(sc, path)
+        path.write_text(json.dumps(scenario_to_dict(sc)))
         rc = main(["lemmas", "--scenario", str(path),
                    "--n-grid", "6,8", "--reps", "3", "--seed", "1"])
         assert rc == 3
@@ -255,6 +256,26 @@ class TestArgumentParsing:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("experiment", "--threads", "0"),
+            ("experiment", "--reps", "0"),
+            ("experiment", "--mc-draws", "0"),
+            ("experiment", "--grid-size", "4"),
+            ("lemmas", "--reps", "0"),
+            ("simulate", "--reps", "0"),
+        ],
+    )
+    def test_bad_numeric_flag_is_systemexit_2(self, eb_path, tmp_path, capsys, command, flag, value):
+        argv = [command, "--scenario", eb_path, "--n-grid", "50,100", flag, value]
+        if command == "experiment":
+            argv += ["--eps-grid", "0.5", "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     @staticmethod
     def _assert_top_level_help(proc):
         assert proc.returncode == 0
@@ -286,3 +307,36 @@ class TestArgumentParsing:
             capture_output=True, text=True, env=env,
         )
         self._assert_top_level_help(proc)
+
+
+class TestRegimeSuiteScript:
+    def test_runs_one_shipped_scenario(self, tmp_path, capsys):
+        path = REPO_ROOT / "scripts" / "run_regime_suite.py"
+        spec = importlib.util.spec_from_file_location("run_regime_suite", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        rc = script.main([
+            "--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
+            "--n-grid", "50,100", "--reps", "1", "--threads", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert len(summary) == 1
+        row = summary[0]
+        assert (row["scenario"], row["regime"]) == ("eb_fixed_offset_alpha05", "eb")
+        assert row["verdict"] == "Inconsistent (Theorem 2)"
+        assert list(row["trends"]) == ["0.1", "0.5"]
+        # the script writes to_dict() without sort_keys, so key order is part
+        # of its output
+        report = json.loads((tmp_path / "eb_fixed_offset_alpha05" / "report.json").read_text())
+        assert list(report) == [
+            "schema_version", "scenario", "n_grid", "eps_grid", "reps", "master_seed",
+            "cells", "aggregates", "verdict", "agreement", "lemmas", "wall_time_s",
+        ]
+        assert list(report["verdict"]) == ["theorem", "predicted", "sufficient_only", "display", "evidence"]
+        assert report["n_grid"] == [50, 100] and report["eps_grid"] == [0.1, 0.5]
+        assert report["verdict"]["display"] == row["verdict"]
+        lines = (tmp_path / "eb_fixed_offset_alpha05" / "cells.csv").read_text().splitlines()
+        assert lines[0] == "scenario,regime,n,p,rep,eps,prob,se,seed"
+        assert len(lines) == 1 + 2 * 1 * 2
+        assert all(line.startswith("eb_fixed_offset_alpha05,eb,") for line in lines[1:])

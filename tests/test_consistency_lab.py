@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats as st
 
 from gprior_lab.model_core import (
     ConstantRule,
@@ -19,6 +20,8 @@ from gprior_lab.model_core import (
     ScaledNormRule,
     SqrtDimension,
     ZellnerSiowG,
+    ZerosRule,
+    diagnostics,
 )
 from gprior_lab.g_regimes import build_g_posterior
 from gprior_lab.posterior_engine import BallOptions
@@ -32,13 +35,12 @@ from gprior_lab.consistency_lab import (
     evaluate_theorem_subsequence_condition,
     limit_profile,
     predict_verdict,
-    regime_kind,
     run_experiment,
-    shrinkage_spread_stat,
     verify_lemmas,
 )
 
-from conftest import axis_stats, make_scenario
+from conftest import axis_stats, make_scenario, simulate_scenario_stats
+from oracles import shrinkage_spread_stat
 
 PRIOR = PriorConstants()
 GRID = (200, 800, 3200)
@@ -98,14 +100,27 @@ class TestLimitClassification:
             limit_profile(lambda n: 1.0, ())
 
 
+class _CountingRule:
+    """A coefficient rule that records the n of every evaluation."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = []
+
+    def values(self, n, p):
+        self.calls.append(n)
+        return self.rule.values(n, p)
+
+
 class TestVerdicts:
-    def test_regime_kind_names(self):
-        assert regime_kind(FixedG(rule="n")) == "fixed"
-        assert regime_kind(EmpiricalBayesG()) == "eb"
-        assert regime_kind(HyperG(c=3.0)) == "hyper_g"
-        assert regime_kind(ZellnerSiowG()) == "zs"
-        with pytest.raises(ValueError, match="unknown regime"):
-            regime_kind(object())
+    @pytest.mark.parametrize("regime", [FixedG(rule="n"), EmpiricalBayesG(), ZellnerSiowG()])
+    def test_offset_built_once_per_n(self, regime):
+        beta0, gamma = _CountingRule(FirstMRule(1.0, 3)), _CountingRule(ZerosRule())
+        sc = make_scenario(regime=regime, beta0_rule=beta0, gamma_rule=gamma)
+        predict_verdict(sc, GRID)
+        extended = limit_profile(lambda n: 0.0, GRID)[0]
+        assert beta0.calls == extended
+        assert gamma.calls == extended
 
     def test_fixed_growing_g_is_consistent(self):
         v = predict_verdict(make_scenario(regime=FixedG(rule="n")), GRID)
@@ -179,14 +194,14 @@ class TestShrinkageSpread:
         quad_form = float(np.sum(stats.gram.eigenvalues * stats.beta_hat**2))
         post = build_g_posterior(FixedG(rule=3.0), stats, quad_form, PRIOR)
         expected = quad_form**2 * (3.0 / 16.0) ** 2 / 50.0**3
-        assert shrinkage_spread_stat(post) == pytest.approx(expected, rel=1e-12)
+        assert shrinkage_spread_stat(post, 50) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_and_bounded_by_envelope(self):
         # g^2 (g+1)^{-4} <= 1/16 pointwise, so the stat is capped
         stats = axis_stats(50, [2.0, 1.0, 0.0], 30.0)
         quad_form = float(np.sum(stats.gram.eigenvalues * stats.beta_hat**2))
         post = build_g_posterior(HyperG(c=3.0), stats, quad_form, PRIOR)
-        val = shrinkage_spread_stat(post)
+        val = shrinkage_spread_stat(post, 50)
         assert 0.0 <= val <= quad_form**2 / 16.0 / 50.0**3
 
 
@@ -390,6 +405,22 @@ class TestVerifyLemmas:
         assert by_name["u_floor_bounded"].skipped
         assert by_name["u_floor_and_cutoff_vanish"].skipped
         assert not by_name["scale_total_ratio_concentrates"].skipped
+
+    def test_sigma2_interval_mass_matches_scipy_invgamma(self):
+        # the lemma's gammaincc difference against scipy's InverseGamma law
+        # of sigma^2 | g, at a size where the mass is visibly below 1
+        sc = make_scenario(name="lemsig", regime=FixedG(rule="n"))
+        outs = verify_lemmas(sc, (12, 16), reps=5, master_seed=5)
+        cover = {o.name: o for o in outs}["sigma2_interval_mass"].details["final_median"]
+        masses = []
+        for rep in range(5):
+            stats = simulate_scenario_stats(sc, 16, 5, rep)
+            diag = diagnostics(stats, sc.gamma_at(16), sc.prior, sc.truth_at(16))
+            law = st.invgamma(0.5 * (16 + sc.prior.a - 2.0), scale=0.5 * diag.scale_total(16.0))
+            expected = diag.expected_scale_total(16.0)
+            masses.append(law.cdf(2.0 * expected / 16) - law.cdf(expected / (2.0 * 16)))
+        assert cover == pytest.approx(float(np.median(masses)), rel=1e-12)
+        assert 0.5 < cover < 0.999
 
     def test_reps_validation(self):
         with pytest.raises(ValueError, match="reps must be >= 1"):

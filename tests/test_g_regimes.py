@@ -18,8 +18,6 @@ from gprior_lab.g_regimes import (
     build_g_posterior,
     eb_ghat,
     g_from_u,
-    log_marginal_likelihood_g,
-    posterior_expectation_g,
     u_from_g,
     zs_log_density_u,
 )
@@ -27,6 +25,7 @@ from gprior_lab.model_core import PriorConstants, diagnostics
 from gprior_lab.numerics import RngStream
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
+from oracles import log_marginal_likelihood_g
 
 PRIOR = PriorConstants()
 
@@ -287,12 +286,14 @@ class TestHyperGPosterior:
         s2 = 0.5 * (stats.p + 3.0 - 2.0)
         w = post.u_floor
         ref = (s1 / (s1 + s2)) * (1.0 - sp.betainc(s1 + 1.0, s2, w)) / (1.0 - sp.betainc(s1, s2, w))
-        assert post.mean_u() == pytest.approx(ref, rel=1e-6)
+        assert post.node_weights @ post.u_nodes == pytest.approx(ref, rel=1e-6)
 
     def test_mean_u_stable_in_grid_size(self):
         _, stats, diag = _instance()
-        m512 = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR, grid_size=512).mean_u()
-        m1024 = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR, grid_size=1024).mean_u()
+        p512 = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR, grid_size=512)
+        p1024 = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR, grid_size=1024)
+        m512 = p512.node_weights @ p512.u_nodes
+        m1024 = p1024.node_weights @ p1024.u_nodes
         assert abs(m512 - m1024) <= 1e-6 * abs(m1024)
 
     def test_log_norm_matches_upper_tail_mass(self):
@@ -325,7 +326,7 @@ class TestHyperGPosterior:
         rng = RngStream(21, ("samp",)).generator
         u = post.sample_u(rng, 100_000)
         sd = float(np.std(u))
-        assert abs(float(np.mean(u)) - post.mean_u()) <= 4 * sd / math.sqrt(100_000)
+        assert abs(float(np.mean(u)) - post.node_weights @ post.u_nodes) <= 4 * sd / math.sqrt(100_000)
 
     def test_quantile_domain(self):
         _, stats, diag = _instance()
@@ -349,13 +350,14 @@ class TestZsPosterior:
 
         z0, _ = scipy.integrate.quad(f, w, 1.0, args=(0,), limit=400, points=[w + 1e-9 * (1 - w)])
         z1, _ = scipy.integrate.quad(f, w, 1.0, args=(1,), limit=400, points=[w + 1e-9 * (1 - w)])
-        assert post.mean_u() == pytest.approx(z1 / z0, rel=1e-5)
+        assert post.node_weights @ post.u_nodes == pytest.approx(z1 / z0, rel=1e-5)
 
     def test_expectation_helpers(self):
         _, stats, diag = _instance(regime=ZellnerSiowG(), seed=13)
         post = build_g_posterior(ZellnerSiowG(), stats, diag.quad_form, PRIOR)
-        assert posterior_expectation_g(post, lambda g: np.ones_like(g)) == pytest.approx(1.0, abs=1e-8)
-        val = posterior_expectation_g(post, lambda g: (g / (g + 1.0) ** 2) ** 2)
+        g_nodes, weights = post.quadrature()
+        assert weights @ np.ones_like(g_nodes) == pytest.approx(1.0, abs=1e-8)
+        val = weights @ ((g_nodes / (g_nodes + 1.0) ** 2) ** 2)
         assert 0.0 < val <= 1.0 / 16.0 + 1e-12
 
 
@@ -363,12 +365,14 @@ class TestPosteriorExpectation:
     def test_point_mass_is_plain_evaluation(self):
         _, stats, diag = _instance()
         post = build_g_posterior(FixedG(rule=3.0), stats, diag.quad_form, PRIOR)
-        assert posterior_expectation_g(post, lambda g: g / (g + 1.0)) == pytest.approx(0.75)
+        g_nodes, weights = post.quadrature()
+        assert weights @ (g_nodes / (g_nodes + 1.0)) == pytest.approx(0.75)
 
     def test_mc_cross_check(self):
         _, stats, diag = _instance()
         post = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR)
-        quad = posterior_expectation_g(post, lambda g: g / (g + 1.0))
+        g_nodes, weights = post.quadrature()
+        quad = weights @ (g_nodes / (g_nodes + 1.0))
         rng = RngStream(33, ("mc",)).generator
         draws = post.sample_g(rng, 100_000)
         vals = draws / (draws + 1.0)

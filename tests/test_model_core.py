@@ -27,7 +27,6 @@ from gprior_lab.model_core import (
     diagnostics,
     load_scenario,
     mle_sup_error,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     simulate_stats,
@@ -380,7 +379,7 @@ class TestScenarioJson:
             alpha=0.0,
         )
         path = tmp_path / "scenario.json"
-        save_scenario(sc, path)
+        path.write_text(json.dumps(scenario_to_dict(sc)))
         back = load_scenario(path)
         assert back == sc
 
@@ -388,13 +387,22 @@ class TestScenarioJson:
         for k, regime in enumerate((FixedG(rule="n"), FixedG(rule=2.5), EmpiricalBayesG(), HyperG(c=4.0), ZellnerSiowG())):
             sc = make_scenario(name=f"r{k}", regime=regime)
             path = tmp_path / f"r{k}.json"
-            save_scenario(sc, path)
+            path.write_text(json.dumps(scenario_to_dict(sc)))
             assert load_scenario(path) == sc
 
     def test_unknown_key_rejected(self):
         doc = scenario_to_dict(make_scenario())
         doc["extra_knob"] = 1
         with pytest.raises(ScenarioError):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("spectrum", [0.5, 1.0]), ("lambda_max", 5)])
+    def test_orthogonal_design_rejects_diagonal_keys(self, key, value):
+        # an orthogonal design has X'X = n I; a spectrum or eigenvalue bound
+        # would be dropped silently, so it is refused
+        doc = scenario_to_dict(make_scenario())
+        doc["design"] = {"kind": "orthogonal", key: value}
+        with pytest.raises(ScenarioError, match=key):
             scenario_from_dict(doc)
 
     def test_wrong_schema_version(self):

@@ -1,4 +1,5 @@
-"""Numeric kernels: special functions, samplers, keyed streams, tail bound."""
+"""Numeric kernels (keyed streams, samplers, log_sum_exp) and the Beta
+lower-tail oracles in oracles.py."""
 
 import math
 
@@ -9,15 +10,10 @@ import scipy.stats as st
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from gprior_lab.numerics import (
-    RngStream,
-    beta_quantile,
-    beta_tail_bound_check,
-    inverse_gamma_cdf,
-    inverse_gamma_quantile,
-    log_beta_cdf,
-    log_sum_exp,
-)
+from gprior_lab.g_regimes import _conditional_mass_grid, _quantile_spaced_nodes
+from gprior_lab.numerics import RngStream, log_sum_exp
+
+from oracles import beta_tail_bound_check, log_beta_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +137,13 @@ class TestBetaCdf:
         assert r.log_exact == pytest.approx(math.log(0.5), abs=1e-13)
 
     def test_quantile_round_trip(self):
-        qs = np.linspace(1e-6, 1.0 - 1e-6, 101)
+        # the hyper-g u-nodes sit at Beta quantiles of their conditional
+        # levels above the truncation point
+        u_floor = 0.05
         for a, b in ((0.7, 3.0), (5.0, 5.0), (40.0, 160.0)):
-            xs = beta_quantile(qs, a, b)
+            xs = _quantile_spaced_nodes(u_floor, a, b, 101)
+            fw = sp.betainc(a, b, u_floor)
+            qs = fw + (1.0 - fw) * _conditional_mass_grid(101)
             back = sp.betainc(a, b, xs)
             assert np.max(np.abs(back - qs)) <= 1e-10
 
@@ -154,31 +154,6 @@ class TestBetaCdf:
     def test_monotone_in_x(self, x1, x2):
         lo, hi = min(x1, x2), max(x1, x2)
         assert _beta_cdf(lo, 2.5, 7.5) <= _beta_cdf(hi, 2.5, 7.5) + 1e-15
-
-# ---------------------------------------------------------------------------
-# inverse gamma
-
-
-class TestInverseGamma:
-    def test_round_trip(self):
-        qs = np.linspace(1e-6, 1.0 - 1e-6, 41)
-        for shape, scale in ((2.0, 3.0), (50.0, 10.0), (1000.0, 2000.0)):
-            xs = [inverse_gamma_quantile(float(q), shape, scale) for q in qs]
-            back = np.array([inverse_gamma_cdf(x, shape, scale) for x in xs])
-            assert np.max(np.abs(back - qs)) <= 1e-8
-
-    def test_cdf_against_scipy(self):
-        xs = np.geomspace(0.01, 100.0, 50)
-        ref = st.invgamma.cdf(xs, 3.0, scale=4.0)
-        ours = np.array([inverse_gamma_cdf(float(x), 3.0, 4.0) for x in xs])
-        assert np.max(np.abs(ours - ref)) <= 1e-12
-
-    def test_quantile_domain(self):
-        with pytest.raises(ValueError):
-            inverse_gamma_quantile(0.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            inverse_gamma_quantile(1.0, 2.0, 1.0)
-
 
 # ---------------------------------------------------------------------------
 # keyed streams and samplers
@@ -230,7 +205,7 @@ class TestRngStream:
 
     def test_inverse_gamma_matches_cdf(self):
         draws = RngStream(8, ("igks",)).inverse_gamma(6.0, 4.0, 20_000)
-        ks = st.kstest(draws, lambda x: np.array([inverse_gamma_cdf(float(t), 6.0, 4.0) for t in np.atleast_1d(x)])).statistic
+        ks = st.kstest(draws, st.invgamma(6.0, scale=4.0).cdf).statistic
         assert ks < 0.02
 
 

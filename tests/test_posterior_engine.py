@@ -30,7 +30,6 @@ from gprior_lab.numerics import RngStream
 from gprior_lab.posterior_engine import (
     BallOptions,
     BallProbability,
-    Sigma2Posterior,
     _log_interval_prob,
     _wilson_std_error,
     sup_ball_probability,
@@ -53,10 +52,8 @@ def beta_posterior_mean(stats: SufficientStats, gamma: np.ndarray, g: float) -> 
     return w * stats.beta_hat + (1.0 - w) * gamma
 
 
-def sigma2_posterior(
-    stats: SufficientStats, gamma: np.ndarray, prior: PriorConstants, g: float
-) -> Sigma2Posterior:
-    """The variance posterior at a given g."""
+def sigma2_posterior(stats: SufficientStats, gamma: np.ndarray, prior: PriorConstants, g: float):
+    """The variance posterior at a given g, as a frozen scipy InverseGamma."""
     if g < 0:
         raise ValueError("g must be >= 0")
     diff = stats.beta_hat - gamma
@@ -66,7 +63,7 @@ def sigma2_posterior(
     shape = 0.5 * (stats.n + prior.a - 2.0)
     if shape <= 0:
         raise ValueError("variance posterior needs n + a - 2 > 0")
-    return Sigma2Posterior(shape=shape, scale=0.5 * scale_total)
+    return st.invgamma(shape, scale=0.5 * scale_total)
 
 
 def _hyper_g_instance():
@@ -127,8 +124,8 @@ class TestSigma2Posterior:
         # n=10, a=b=0, S=4; T = 2*2^2 + 2*0 = 8; g=1 -> scale_total = 4 + 4
         stats = axis_stats(10, [2.0, 0.0], 4.0, eigenvalues=[2.0, 2.0])
         post = sigma2_posterior(stats, np.zeros(2), PRIOR, 1.0)
-        assert post.shape == pytest.approx(4.0)
-        assert post.scale == pytest.approx(4.0)
+        assert post.args[0] == pytest.approx(4.0)
+        assert post.kwds["scale"] == pytest.approx(4.0)
         assert post.mean() == pytest.approx(4.0 / 3.0)
 
     def test_rotated_gram_uses_rotated_coordinates(self):
@@ -142,11 +139,7 @@ class TestSigma2Posterior:
         post = sigma2_posterior(stats, np.zeros(2), PRIOR, 3.0)
         w = q.T @ beta_hat
         quad_form = float(np.sum(eigs * w * w))
-        assert post.scale == pytest.approx(0.5 * (5.0 + quad_form / 4.0), rel=1e-12)
-
-    def test_mean_needs_shape_above_one(self):
-        with pytest.raises(ValueError, match="shape > 1"):
-            Sigma2Posterior(shape=1.0, scale=3.0).mean()
+        assert post.kwds["scale"] == pytest.approx(0.5 * (5.0 + quad_form / 4.0), rel=1e-12)
 
     def test_shape_must_be_positive(self):
         stats = axis_stats(2, [0.5], 1.0)
@@ -158,13 +151,6 @@ class TestSigma2Posterior:
         with pytest.raises(ValueError, match="g must be >= 0"):
             sigma2_posterior(stats, np.zeros(1), PRIOR, -1.0)
 
-    def test_interval_probability_domain(self):
-        post = Sigma2Posterior(shape=4.0, scale=4.0)
-        with pytest.raises(ValueError, match="0 <= lo <= hi"):
-            post.interval_probability(2.0, 1.0)
-        with pytest.raises(ValueError, match="0 <= lo <= hi"):
-            post.interval_probability(-1.0, 1.0)
-
     def test_concentration_and_sampler_at_large_n(self):
         # fixed g = n at n = 2000: the variance posterior concentrates hard
         sc = make_scenario(name="sig9", regime=FixedG(rule="n"))
@@ -173,12 +159,12 @@ class TestSigma2Posterior:
         diag = diagnostics(stats, gamma, PRIOR, truth=sc.truth_at(2000))
         post = sigma2_posterior(stats, gamma, PRIOR, 2000.0)
         target = diag.expected_scale_total(2000.0)
-        assert post.interval_probability(target / (2 * 2000), 2 * target / 2000) > 0.99
-        draws = post.sample(RngStream(9, ("mc",)), 100_000)
+        assert post.cdf(2 * target / 2000) - post.cdf(target / (2 * 2000)) > 0.99
+        draws = RngStream(9, ("mc",)).inverse_gamma(post.args[0], post.kwds["scale"], 100_000)
         assert abs(float(draws.mean()) - post.mean()) / post.mean() < 0.01
         # g -> inf: the quadratic-form contribution to the scale vanishes
         limit = sigma2_posterior(stats, gamma, PRIOR, 1e12)
-        assert limit.scale == pytest.approx((stats.resid_ss + PRIOR.b) / 2, rel=1e-9)
+        assert limit.kwds["scale"] == pytest.approx((stats.resid_ss + PRIOR.b) / 2, rel=1e-9)
 
 
 class TestIntervalKernel:
