@@ -22,7 +22,8 @@ import sys
 import time
 from pathlib import Path
 
-from gprior_lab.model_core import load_scenario
+from gprior_lab.cli import _int_at_least, _positive_float_list, _positive_int_list
+from gprior_lab.model_core import ScenarioError, load_scenario
 from gprior_lab.posterior_engine import BallOptions
 from gprior_lab.consistency_lab import run_experiment
 
@@ -32,14 +33,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # probabilities stay within 4e-4 of the full defaults and cells run 10-13x
 # faster (README "Performance notes")
 SUITE_OPTIONS = BallOptions(method="exact", g_quad=64, sigma_grid=65)
-
-
-def parse_int_grid(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def parse_float_grid(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 def run_one(path: Path, args: argparse.Namespace) -> dict:
@@ -91,11 +84,11 @@ def main(argv=None) -> int:
         help="scenario JSON to run (repeatable; default: every file in scenarios/)",
     )
     parser.add_argument("--out", type=Path, default=Path("suite_out"))
-    parser.add_argument("--n-grid", type=parse_int_grid, default=(200, 800, 3200))
-    parser.add_argument("--eps", type=parse_float_grid, default=(0.1, 0.5))
-    parser.add_argument("--reps", type=int, default=30)
+    parser.add_argument("--n-grid", type=_positive_int_list, default=(200, 800, 3200))
+    parser.add_argument("--eps", type=_positive_float_list, default=(0.1, 0.5))
+    parser.add_argument("--reps", type=_int_at_least(1), default=30)
     parser.add_argument("--seed", type=int, default=20260815)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=_int_at_least(1), default=4)
     parser.add_argument(
         "--lemmas",
         action="store_true",
@@ -108,7 +101,11 @@ def main(argv=None) -> int:
         print("no scenario files found", file=sys.stderr)
         return 2
 
-    summary = [run_one(Path(p), args) for p in paths]
+    try:
+        summary = [run_one(Path(p), args) for p in paths]
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     (args.out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"\nwrote {len(summary)} reports under {args.out}/ (+ summary.json)")
     return 0

@@ -75,6 +75,8 @@ def _positive_float_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values or any(v <= 0 for v in values):
         raise argparse.ArgumentTypeError("eps values must be > 0")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"duplicate eps values in {text!r}")
     return values
 
 

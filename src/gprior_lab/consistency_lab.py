@@ -394,7 +394,9 @@ def run_experiment(
     scenario.validate_grid(n_grid)
     opts = ball_options or BallOptions()
 
-    tasks = [(n, rep) for n in n_grid for rep in range(reps)]
+    # largest n (the costliest cells) first, so no thread is left with one
+    # long cell at the end; each cell has its own stream, so order is moot
+    tasks = [(n, rep) for n in reversed(n_grid) for rep in range(reps)]
     if threads == 1:
         results = [
             _run_cell(scenario, n, rep, master_seed, eps_grid, opts, mode, grid_size)

@@ -46,6 +46,12 @@ __all__ = [
 # contribute nothing at double precision and are skipped in the exact route
 _ACTIVE_SET_SIGMAS = 8.5
 
+# (g-node, radius) pairs whose weighted P(inside) is bounded below
+# _SKIP_MASS / nodes are left out of the exact route: at any radius they
+# hold at most 2**-60 ~ 8.7e-19 of P(inside) together, far below the
+# ~1e-16 rounding of the log-space sum
+_SKIP_MASS = 2.0**-60
+
 # elements of one (draws x p) Monte Carlo batch array: 2**22 float64s is
 # 32 MB whatever p is, and the batch size depends on p alone, so the draws
 # (and the estimates) do not depend on the thread count or the eps grid
@@ -147,7 +153,16 @@ def _exact_ball_probabilities(
     eps: np.ndarray,
     opts: BallOptions,
 ) -> np.ndarray:
-    """Exceedance at every radius eps[j] in one pass over the g-nodes."""
+    """Exceedance at every radius eps[j] in one pass over the g-nodes.
+
+    Each node visits its radii from largest to smallest and carries a bound
+    on its share of P(inside): log w_k at first, then log w_k plus the log
+    P(inside | g_k) just computed, which bounds every smaller radius too.
+    Once the bound falls below log(_SKIP_MASS / nodes), the node's remaining
+    radii are left out (log P(inside | g_k) = -inf) without running the
+    kernel; all pairs left out in one call hold at most _SKIP_MASS of
+    P(inside) at each radius.  Zero-weight nodes are left out altogether.
+    """
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
     shape = 0.5 * (stats.n + post.a - 2.0)
@@ -156,12 +171,19 @@ def _exact_ball_probabilities(
     log_sig_w = np.log(sig_w)
     inv_e = 1.0 / stats.gram.eigenvalues
     g_nodes, g_weights = _g_nodes_and_weights(post, opts.g_quad)
+    with np.errstate(divide="ignore"):
+        log_g_w = np.log(g_weights)
+    skip_below = math.log(_SKIP_MASS / g_nodes.size)
+    descending = np.argsort(-eps, kind="stable")
     # log P(inside | g-node) per radius; a node with no active coordinate is 0
     log_total = np.zeros((eps.size, g_nodes.size))
     # hi, lo and the kernel's scratch (two tails, result), reused throughout;
     # the result slot holds tau until the kernel overwrites it
     buffers = np.empty((5, opts.sigma_grid * stats.p))
     for k, g in enumerate(g_nodes):
+        if log_g_w[k] < skip_below:
+            log_total[:, k] = -np.inf
+            continue
         gg = g / (g + 1.0)
         mean = gg * stats.beta_hat + (1.0 - gg) * gamma
         delta = mean - center
@@ -172,7 +194,8 @@ def _exact_ball_probabilities(
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = scale * base_nodes
         reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg * sigma2[-1] * inv_e)
-        for j, epsilon in enumerate(eps):
+        for i, j in enumerate(descending):
+            epsilon = eps[j]
             active = (epsilon - abs_delta) < reach
             m = np.count_nonzero(active)
             if m == 0:
@@ -186,8 +209,9 @@ def _exact_ball_probabilities(
             np.divide(-epsilon - d, tau, out=lo)
             log_rows = np.sum(_log_interval_prob(hi, lo, work[2:]), axis=1)
             log_total[j, k] = log_sum_exp(log_sig_w + log_rows)
-    with np.errstate(divide="ignore"):
-        log_g_w = np.log(g_weights)
+            if log_g_w[k] + log_total[j, k] < skip_below:
+                log_total[descending[i + 1 :], k] = -np.inf
+                break
     # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1
     log_inside = [min(log_sum_exp(log_g_w + row), 0.0) for row in log_total]
     return np.array([max(0.0, -math.expm1(x)) for x in log_inside])

@@ -265,12 +265,15 @@ class TestArgumentParsing:
             ("experiment", "--grid-size", "4"),
             ("lemmas", "--reps", "0"),
             ("simulate", "--reps", "0"),
+            ("experiment", "--eps-grid", "0.1,0.1"),
         ],
     )
     def test_bad_numeric_flag_is_systemexit_2(self, eb_path, tmp_path, capsys, command, flag, value):
         argv = [command, "--scenario", eb_path, "--n-grid", "50,100", flag, value]
         if command == "experiment":
-            argv += ["--eps-grid", "0.5", "--out", str(tmp_path / "out")]
+            argv += ["--out", str(tmp_path / "out")]
+            if flag != "--eps-grid":
+                argv += ["--eps-grid", "0.5"]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -310,11 +313,16 @@ class TestArgumentParsing:
 
 
 class TestRegimeSuiteScript:
-    def test_runs_one_shipped_scenario(self, tmp_path, capsys):
+    @staticmethod
+    def _script():
         path = REPO_ROOT / "scripts" / "run_regime_suite.py"
         spec = importlib.util.spec_from_file_location("run_regime_suite", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_runs_one_shipped_scenario(self, tmp_path, capsys):
+        script = self._script()
         rc = script.main([
             "--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
             "--n-grid", "50,100", "--reps", "1", "--threads", "1", "--out", str(tmp_path),
@@ -340,3 +348,18 @@ class TestRegimeSuiteScript:
         assert lines[0] == "scenario,regime,n,p,rep,eps,prob,se,seed"
         assert len(lines) == 1 + 2 * 1 * 2
         assert all(line.startswith("eb_fixed_offset_alpha05,eb,") for line in lines[1:])
+
+    @pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--threads", "0"), ("--n-grid", "100,50")])
+    def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value):
+        # counts and radii fail in argparse, a decreasing n grid as a
+        # scenario error: either way a one-line error, not a traceback
+        argv = ["--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
+                "--out", str(tmp_path), flag, value]
+        try:
+            rc = self._script().main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()

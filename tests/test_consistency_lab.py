@@ -25,6 +25,7 @@ from gprior_lab.model_core import (
 )
 from gprior_lab.g_regimes import build_g_posterior
 from gprior_lab.posterior_engine import BallOptions
+import gprior_lab.consistency_lab as consistency_lab
 from gprior_lab.consistency_lab import (
     FLOOR_THRESHOLD,
     REPORT_SCHEMA_VERSION,
@@ -219,6 +220,21 @@ class TestRunExperiment:
     def test_thread_count_does_not_change_payload(self, report_pair):
         r1, r8 = report_pair
         assert r1.canonical_json() == r8.canonical_json()
+
+    def test_cells_are_handed_out_largest_n_first(self, monkeypatch):
+        # the costliest cells start first, so no thread is left with one
+        # long cell at the end of the pool
+        order = []
+        run_cell = consistency_lab._run_cell
+
+        def recording(scenario, n, rep, *rest):
+            order.append((n, rep))
+            return run_cell(scenario, n, rep, *rest)
+
+        monkeypatch.setattr(consistency_lab, "_run_cell", recording)
+        report = run_experiment(make_scenario(name="order"), (50, 100, 200), (0.5,), reps=2, threads=1)
+        assert order == [(200, 0), (200, 1), (100, 0), (100, 1), (50, 0), (50, 1)]
+        assert [(c["n"], c["rep"]) for c in report.cells] == sorted(order)
 
     def test_canonical_json_excludes_wall_time(self, report_pair):
         r1, _ = report_pair

@@ -6,8 +6,10 @@ point, the Monte Carlo route at 3 standard errors, and a triangle-inequality
 sandwich that needs no distributional knowledge at all.
 """
 
+import functools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from gprior_lab.model_core import (
     PriorConstants,
     SufficientStats,
     diagnostics,
+    load_scenario,
 )
 from gprior_lab.g_regimes import build_g_posterior
 from gprior_lab.numerics import RngStream
@@ -441,6 +444,65 @@ class TestRadiusGrid:
         p = np.linspace(0.05, 0.95, 91)
         binomial = np.sqrt(p * (1.0 - p) / draws)
         assert np.max(np.abs(_wilson_std_error(p, draws) / binomial - 1.0)) < 0.01
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+CLI_RADII = np.array([0.05, 0.1, 0.2, 0.5])
+
+
+@functools.cache
+def _cli_default_cell(name: str, n: int = 100):
+    """A shipped mixture scenario's cell as `gprior-lab experiment` builds
+    it at its defaults (512-node g-grid, sigma_grid 129), rep 0."""
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    stats = simulate_scenario_stats(scenario, n, 20260815)
+    gamma, beta0 = scenario.gamma_at(n), scenario.beta0_at(n)
+    quad_form = diagnostics(stats, gamma, scenario.prior).quad_form
+    post = build_g_posterior(scenario.regime, stats, quad_form, scenario.prior, grid_size=512)
+    return post, stats, gamma, beta0
+
+
+def _cli_exceedance(name: str, skip_mass=None) -> np.ndarray:
+    with pytest.MonkeyPatch.context() as mp:
+        if skip_mass is not None:
+            mp.setattr(posterior_engine, "_SKIP_MASS", skip_mass)
+        return sup_ball_probability(*_cli_default_cell(name), CLI_RADII, BallOptions(method="exact")).value
+
+
+@functools.cache
+def _cli_unskipped(name: str) -> np.ndarray:
+    # 1e-300 leaves out only pairs far below double resolution, so this is
+    # the value of evaluating every (g-node, radius) pair
+    return _cli_exceedance(name, 1e-300)
+
+
+class TestSkipRule:
+    @pytest.mark.parametrize("name", ["hyperg_fixed_offset_alpha05", "zs_fixed_offset_alpha05"])
+    def test_skipped_pairs_do_not_change_a_bit(self, name):
+        value = _cli_exceedance(name)
+        assert value.tobytes() == _cli_unskipped(name).tobytes()
+        assert np.all(np.diff(value) <= 0.0) and 0.0 < value[-1] < value[0]
+
+    def test_kernel_skips_pairs_on_zellner_siow(self, monkeypatch):
+        # zero-weight nodes and radii bounded by a larger one never reach the kernel
+        calls = []
+        kernel = posterior_engine._log_interval_prob
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(posterior_engine, "_log_interval_prob", counting)
+        name = "zs_fixed_offset_alpha05"
+        _cli_exceedance(name)
+        nodes = _cli_default_cell(name)[0].quadrature()[0].size
+        assert 0 < len(calls) < nodes * CLI_RADII.size
+
+    def test_a_loose_threshold_is_caught(self):
+        # the bitwise check above has teeth: leaving out up to 1e-6 of
+        # P(inside) moves the Zellner-Siow exceedance
+        name = "zs_fixed_offset_alpha05"
+        assert _cli_exceedance(name, 1e-6).tobytes() != _cli_unskipped(name).tobytes()
 
 
 class TestDispatchAndValidation:
