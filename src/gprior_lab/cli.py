@@ -26,6 +26,7 @@ from pathlib import Path
 from .numerics import RngStream
 from .model_core import (
     ScenarioError,
+    _finite,
     diagnostics,
     load_scenario,
     mle_sup_error,
@@ -277,10 +278,18 @@ def _cmd_plot(args) -> int:
     if not cells or not aggregates:
         print("error: report contains no cells to plot", file=sys.stderr)
         return 3
+    scenario, verdict = doc.get("scenario", {}), doc.get("verdict", {})
+    if not (isinstance(scenario, dict) and isinstance(verdict, dict) and all(map(_plottable, aggregates))):
+        print(
+            "error: malformed report: 'scenario' and 'verdict' must be objects, and each aggregate "
+            "needs a numeric eps and an n_grid with prob_median, prob_q25 and prob_q75 of its length",
+            file=sys.stderr,
+        )
+        return 3
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    name = doc.get("scenario", {}).get("name", "scenario")
-    display = doc.get("verdict", {}).get("display", "")
+    name = scenario.get("name", "scenario")
+    display = verdict.get("display", "")
     for agg in aggregates:
         svg = _render_svg(name, display, agg)
         path = out / f"ball_prob_eps_{agg['eps']}.svg"
@@ -291,6 +300,19 @@ def _cmd_plot(args) -> int:
 
 # ---------------------------------------------------------------------------
 # deterministic SVG rendering (median line with interquartile band, log-x)
+
+
+def _plottable(agg) -> bool:
+    """Whether an aggregate holds all _render_svg reads: a numeric eps and a
+    nonempty n_grid of positive numbers with the three prob_* lists of
+    numbers at its length."""
+    if not isinstance(agg, dict) or not _finite(agg.get("eps")):
+        return False
+    cols = [agg.get(k) for k in ("n_grid", "prob_median", "prob_q25", "prob_q75")]
+    if not all(isinstance(c, list) and len(c) == len(cols[0]) > 0 for c in cols):
+        return False
+    return all(_finite(x) for c in cols for x in c) and min(cols[0]) > 0
+
 
 _W, _H = 640, 420
 _L, _R, _T, _B = 70, 620, 40, 370

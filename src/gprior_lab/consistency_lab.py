@@ -25,7 +25,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaincc
@@ -52,8 +52,6 @@ __all__ = [
     "VANISH_THRESHOLD",
     "FLOOR_THRESHOLD",
     "classify_trend",
-    "classify_limit",
-    "limit_profile",
     "TheoremVerdict",
     "evaluate_theorem1",
     "evaluate_theorem_subsequence_condition",
@@ -108,20 +106,10 @@ def _extended_grid(n_grid) -> list:
     return ns
 
 
-def limit_profile(fn: Callable[[int], float], n_grid) -> tuple:
-    """Evaluate a deterministic sequence on the extended grid."""
-    ns = _extended_grid(n_grid)
-    return ns, [float(fn(n)) for n in ns]
-
-
-def classify_limit(fn: Callable[[int], float], n_grid) -> str:
-    """Classify the limit of a deterministic nonnegative sequence as
-    'zero', 'positive', 'diverging', or 'unknown'."""
-    return _classify_profile(limit_profile(fn, n_grid)[1])
-
-
 def _classify_profile(v: list) -> str:
-    """classify_limit's rule applied to the values of a limit_profile."""
+    """Classify the limit of a deterministic nonnegative sequence, given
+    its values on the extended grid, as 'zero', 'positive', 'diverging',
+    or 'unknown'."""
     ref = 1.0 + abs(v[0])
     tail_nonincreasing = v[-2] <= v[-3] + 1e-12 and v[-1] <= v[-2] + 1e-12
     if v[-1] < 1e-3 * ref and tail_nonincreasing:
@@ -336,9 +324,9 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_cell(scenario, n, rep, master_seed, eps_grid, opts, mode, grid_size):
+def _run_cell(scenario, n, rep, master_seed, eps_grid, opts, grid_size):
     cell = RngStream(master_seed, (scenario.name, n, rep))
-    stats = simulate_stats(scenario, n, cell.child("sim"), mode=mode)
+    stats = simulate_stats(scenario, n, cell.child("sim"))
     ball_rng = cell.child("ball")
     gamma = scenario.gamma_at(n)
     beta0 = scenario.beta0_at(n)
@@ -369,7 +357,6 @@ def run_experiment(
     master_seed: int = 0,
     threads: int = 1,
     ball_options: Optional[BallOptions] = None,
-    mode: str = "direct",
     grid_size: int = 512,
     include_lemmas: bool = False,
 ) -> ExperimentReport:
@@ -399,7 +386,7 @@ def run_experiment(
     tasks = [(n, rep) for n in reversed(n_grid) for rep in range(reps)]
     if threads == 1:
         results = [
-            _run_cell(scenario, n, rep, master_seed, eps_grid, opts, mode, grid_size)
+            _run_cell(scenario, n, rep, master_seed, eps_grid, opts, grid_size)
             for n, rep in tasks
         ]
     else:
@@ -407,7 +394,7 @@ def run_experiment(
             results = list(
                 pool.map(
                     lambda t: _run_cell(
-                        scenario, t[0], t[1], master_seed, eps_grid, opts, mode, grid_size
+                        scenario, t[0], t[1], master_seed, eps_grid, opts, grid_size
                     ),
                     tasks,
                 )
@@ -455,7 +442,7 @@ def run_experiment(
             agreement = None
 
     lemma_outcomes = (
-        verify_lemmas(scenario, n_grid, reps, master_seed=master_seed, mode=mode)
+        verify_lemmas(scenario, n_grid, reps, master_seed=master_seed)
         if include_lemmas
         else []
     )
@@ -495,7 +482,6 @@ def verify_lemmas(
     n_grid,
     reps: int,
     master_seed: int = 0,
-    mode: str = "direct",
 ) -> list:
     """Check the concentration properties underpinning the verdict logic.
 
@@ -528,7 +514,7 @@ def verify_lemmas(
         truth = scenario.truth_at(n)
         for rep in range(reps):
             rng = RngStream(master_seed, (scenario.name, n, rep)).child("sim")
-            stats = simulate_stats(scenario, n, rng, mode=mode)
+            stats = simulate_stats(scenario, n, rng)
             diag = diagnostics(stats, gamma, prior, truth)
             rec["mle_err"].append(mle_sup_error(stats, truth.beta0))
             rec["resid_ratio"].append(stats.resid_ss / ((n - stats.p) * truth.sigma0_sq))

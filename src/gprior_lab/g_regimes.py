@@ -24,7 +24,6 @@ Regimes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -55,7 +54,7 @@ __all__ = [
 class FixedG:
     """Deterministic g sequence: rule 'n' (unit information) or a constant."""
 
-    rule: Union[str, float] = "n"
+    rule: Union[float, str]
 
     def __post_init__(self):
         if self.rule != "n":
@@ -168,8 +167,7 @@ class GPosterior:
     kind 'point' (fixed or empirical-Bayes g) stores g_star; the continuous
     kinds ('hyper_g', 'zellner_siow') store u_nodes with normalized node
     weights (for expectations) and a normalized piecewise-linear cdf (for
-    quantiles and inverse-cdf sampling).  log_norm is the log of the raw
-    trapezoid mass before normalization, useful for diagnosing underflow.
+    quantiles and inverse-cdf sampling).
     """
 
     kind: str
@@ -181,7 +179,6 @@ class GPosterior:
     u_nodes: Optional[np.ndarray] = None
     node_weights: Optional[np.ndarray] = None
     cdf: Optional[np.ndarray] = None
-    log_norm: Optional[float] = None
 
     @property
     def is_point(self) -> bool:
@@ -249,7 +246,6 @@ def _grid_posterior(kind, u_nodes, log_density, a, u_floor, resid_plus_b, quad_f
         u_nodes=u_nodes,
         node_weights=weights,
         cdf=cdf,
-        log_norm=float(log_norm),
     )
 
 
@@ -312,7 +308,6 @@ def _beta_mass_posterior(kind, u_nodes, shape1, shape2, a, u_floor, resid_plus_b
         u_nodes=u_nodes,
         node_weights=weights,
         cdf=cdf,
-        log_norm=math.log(total),
     )
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -111,14 +112,6 @@ class DesignSpec:
         elif self.spectrum is not None:
             raise ScenarioError("orthogonal design takes no spectrum")
 
-    @classmethod
-    def orthogonal(cls) -> "DesignSpec":
-        return cls(kind="orthogonal")
-
-    @classmethod
-    def diagonal(cls, spectrum, lambda_min: float, lambda_max: float) -> "DesignSpec":
-        return cls(kind="diagonal", spectrum=tuple(spectrum), lambda_min=lambda_min, lambda_max=lambda_max)
-
 
 @dataclass(frozen=True)
 class GramSpectrum:
@@ -160,25 +153,16 @@ def _haar_orthonormal(p: int, rng: RngStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZerosRule:
-    kind: str = field(default="zeros", init=False)
-
     def values(self, n: int, p: int) -> np.ndarray:
         return np.zeros(p)
-
-    def to_json(self):
-        return {"kind": "zeros"}
 
 
 @dataclass(frozen=True)
 class ConstantRule:
     v: float
-    kind: str = field(default="constant", init=False)
 
     def values(self, n: int, p: int) -> np.ndarray:
         return np.full(p, float(self.v))
-
-    def to_json(self):
-        return {"kind": "constant", "v": self.v}
 
 
 @dataclass(frozen=True)
@@ -187,7 +171,6 @@ class FirstMRule:
 
     v: float
     m: int
-    kind: str = field(default="first_m", init=False)
 
     def __post_init__(self):
         if self.m < 0:
@@ -200,9 +183,6 @@ class FirstMRule:
         out[: self.m] = float(self.v)
         return out
 
-    def to_json(self):
-        return {"kind": "first_m", "v": self.v, "m": self.m}
-
 
 @dataclass(frozen=True)
 class ScaledNormRule:
@@ -210,7 +190,6 @@ class ScaledNormRule:
     a constant or 'sqrt_n' (target grows like sqrt(n))."""
 
     target_sq_norm: Union[float, str]
-    kind: str = field(default="scaled_norm", init=False)
 
     def __post_init__(self):
         if isinstance(self.target_sq_norm, str):
@@ -229,9 +208,6 @@ class ScaledNormRule:
     def values(self, n: int, p: int) -> np.ndarray:
         return np.full(p, math.sqrt(self._target(n) / p))
 
-    def to_json(self):
-        return {"kind": "scaled_norm", "target_sq_norm": self.target_sq_norm}
-
 
 @dataclass(frozen=True)
 class DecayingRule:
@@ -239,35 +215,9 @@ class DecayingRule:
 
     c: float
     rate: float
-    kind: str = field(default="decaying", init=False)
 
     def values(self, n: int, p: int) -> np.ndarray:
         return float(self.c) * np.arange(1, p + 1, dtype=float) ** (-float(self.rate))
-
-    def to_json(self):
-        return {"kind": "decaying", "c": self.c, "rate": self.rate}
-
-
-_COEFF_RULES = {
-    "zeros": ZerosRule,
-    "constant": ConstantRule,
-    "first_m": FirstMRule,
-    "scaled_norm": ScaledNormRule,
-    "decaying": DecayingRule,
-}
-
-
-def _coeff_rule_from_json(doc, where: str):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ScenarioError(f"{where}: expected an object with a 'kind' key")
-    kind = doc["kind"]
-    if kind not in _COEFF_RULES:
-        raise ScenarioError(f"{where}: unknown rule kind {kind!r}")
-    args = {k: v for k, v in doc.items() if k != "kind"}
-    try:
-        return _COEFF_RULES[kind](**args)
-    except TypeError as exc:
-        raise ScenarioError(f"{where}: bad arguments for {kind!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +228,16 @@ def _coeff_rule_from_json(doc, where: str):
 class LinearDimension:
     """p_n = max(1, floor(alpha * n)), capped at n - 1."""
 
-    kind: str = field(default="linear", init=False)
-
     def p_at(self, n: int, alpha: float) -> int:
         return min(n - 1, max(1, int(math.floor(alpha * n))))
-
-    def to_json(self):
-        return "linear"
 
 
 @dataclass(frozen=True)
 class SqrtDimension:
     """p_n = ceil(sqrt(n)), capped at n - 1 (an alpha = 0 rule)."""
 
-    kind: str = field(default="sqrt", init=False)
-
     def p_at(self, n: int, alpha: float) -> int:
         return min(n - 1, max(1, int(math.ceil(math.sqrt(n)))))
-
-    def to_json(self):
-        return "sqrt"
 
 
 @dataclass(frozen=True)
@@ -305,7 +245,6 @@ class FixedDimension:
     """Constant p_n = m (a fixed-dimension embedding; alpha = 0)."""
 
     m: int
-    kind: str = field(default="fixed", init=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -315,71 +254,6 @@ class FixedDimension:
         if self.m >= n:
             raise ScenarioError(f"fixed dimension m={self.m} needs n > m, got n={n}")
         return self.m
-
-    def to_json(self):
-        return {"kind": "fixed", "m": self.m}
-
-
-def _dim_rule_from_json(doc, where: str):
-    if doc in ("linear", {"kind": "linear"}):
-        return LinearDimension()
-    if doc in ("sqrt", {"kind": "sqrt"}):
-        return SqrtDimension()
-    if isinstance(doc, dict) and doc.get("kind") == "fixed":
-        extra = set(doc) - {"kind", "m"}
-        if extra:
-            raise ScenarioError(f"{where}: unknown keys {sorted(extra)}")
-        if "m" not in doc:
-            raise ScenarioError(f"{where}: fixed dimension rule needs 'm'")
-        return FixedDimension(m=int(doc["m"]))
-    raise ScenarioError(f"{where}: unknown dimension rule {doc!r}")
-
-
-# ---------------------------------------------------------------------------
-# regime JSON (the regime classes themselves live in g_regimes)
-
-
-def _regime_from_json(doc, where: str):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ScenarioError(f"{where}: expected an object with a 'kind' key")
-    kind = doc["kind"]
-    extra = set(doc) - {"kind", "rule", "c"}
-    if extra:
-        raise ScenarioError(f"{where}: unknown keys {sorted(extra)}")
-    if kind == "fixed":
-        if "rule" not in doc:
-            raise ScenarioError(f"{where}: fixed regime needs a 'rule' ('n' or a number)")
-        rule = doc["rule"]
-        if rule == "n":
-            return FixedG(rule="n")
-        if isinstance(rule, (int, float)) and not isinstance(rule, bool):
-            return FixedG(rule=float(rule))
-        raise ScenarioError(f"{where}: fixed g rule must be 'n' or a number, got {rule!r}")
-    if kind == "eb":
-        if "rule" in doc or "c" in doc:
-            raise ScenarioError(f"{where}: eb regime takes no parameters")
-        return EmpiricalBayesG()
-    if kind == "hyper_g":
-        if "rule" in doc:
-            raise ScenarioError(f"{where}: hyper_g regime takes no 'rule'")
-        return HyperG(c=float(doc.get("c", 3.0)))
-    if kind == "zs":
-        if "rule" in doc or "c" in doc:
-            raise ScenarioError(f"{where}: zs regime takes no parameters")
-        return ZellnerSiowG()
-    raise ScenarioError(f"{where}: unknown regime kind {kind!r}")
-
-
-def _regime_to_json(regime):
-    if isinstance(regime, FixedG):
-        return {"kind": "fixed", "rule": regime.rule}
-    if isinstance(regime, EmpiricalBayesG):
-        return {"kind": "eb"}
-    if isinstance(regime, HyperG):
-        return {"kind": "hyper_g", "c": regime.c}
-    if isinstance(regime, ZellnerSiowG):
-        return {"kind": "zs"}
-    raise ScenarioError(f"cannot serialize regime {regime!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +304,12 @@ class Scenario:
         return Truth(beta0=self.beta0_at(n), sigma0_sq=self.sigma0_sq)
 
     def validate_grid(self, n_grid) -> None:
-        """Grid-wide checks: p nondecreasing, p < n, and regime propriety
-        constraints at every evaluated n."""
+        """Grid-wide checks: n strictly increasing, p nondecreasing, p < n,
+        and regime propriety constraints at every evaluated n."""
         if len(n_grid) == 0:
             raise ScenarioError("empty n grid")
-        if sorted(n_grid) != list(n_grid):
-            raise ScenarioError("n grid must be increasing")
+        if any(m >= n for m, n in zip(n_grid, n_grid[1:])):
+            raise ScenarioError(f"n grid must be increasing, got {list(n_grid)}")
         prev_p = 0
         a = self.prior.a
         for n in n_grid:
@@ -552,8 +426,6 @@ class Diagnostics:
     expected values under the truth) are None unless a Truth was supplied.
     """
 
-    n: int
-    p: int
     quad_form: float
     resid_plus_b: float
     u_floor: float
@@ -607,8 +479,6 @@ def diagnostics(
     u_floor = resid_plus_b / (resid_plus_b + quad_form) if resid_plus_b + quad_form > 0 else 0.0
     if truth is None:
         return Diagnostics(
-            n=stats.n,
-            p=stats.p,
             quad_form=quad_form,
             resid_plus_b=resid_plus_b,
             u_floor=u_floor,
@@ -618,8 +488,6 @@ def diagnostics(
     offset_quad = _gram_quadform(stats.gram, diff)
     expected_quadform = stats.p * truth.sigma0_sq + offset_quad
     return Diagnostics(
-        n=stats.n,
-        p=stats.p,
         quad_form=quad_form,
         resid_plus_b=resid_plus_b,
         u_floor=u_floor,
@@ -630,93 +498,124 @@ def diagnostics(
 
 
 # ---------------------------------------------------------------------------
-# JSON schema (versioned, fail-closed)
+# JSON schema (versioned, fail-closed): one kind table, one reader, one writer
 
-_SCENARIO_KEYS = {
-    "schema_version",
-    "name",
-    "alpha",
-    "design",
-    "beta0_rule",
-    "gamma_rule",
-    "sigma0_sq",
-    "prior",
-    "regime",
-    "p_rule",
+_COEFFICIENT_RULES = {
+    "zeros": ZerosRule,
+    "constant": ConstantRule,
+    "first_m": FirstMRule,
+    "scaled_norm": ScaledNormRule,
+    "decaying": DecayingRule,
 }
+# slot -> kind -> class; the prior slot has no kinds, only its class
+_KINDS = {
+    "beta0_rule": _COEFFICIENT_RULES,
+    "gamma_rule": _COEFFICIENT_RULES,
+    "p_rule": {"linear": LinearDimension, "sqrt": SqrtDimension, "fixed": FixedDimension},
+    "regime": {"fixed": FixedG, "eb": EmpiricalBayesG, "hyper_g": HyperG, "zs": ZellnerSiowG},
+    "design": {"orthogonal": DesignSpec, "diagonal": DesignSpec},
+    "prior": PriorConstants,
+}
+# class -> kind for the writer; DesignSpec carries its kind as a field
+_KIND_NAMES = {
+    cls: kind for slot in ("beta0_rule", "p_rule", "regime") for kind, cls in _KINDS[slot].items()
+}
+
+
+def _finite(value) -> bool:
+    """A number that is no boolean, NaN or infinity, and no integer too
+    large for a float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+# declared field type -> (the JSON value it takes, its check)
+_JSON_TYPES = {
+    "float": ("a finite number", _finite),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "Union[float, str]": ("a string or a finite number", lambda v: isinstance(v, str) or _finite(v)),
+    "Optional[tuple]": ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_finite, v))),
+}
+
+
+def _checked(value, ftype: str, where: str):
+    """``value`` if it is a JSON value of a field declared ``ftype`` (as a
+    float for float fields), else a ScenarioError naming ``where``."""
+    expected, check = _JSON_TYPES[ftype]
+    if not check(value):
+        raise ScenarioError(f"{where} must be {expected}, got {value!r}")
+    return float(value) if ftype == "float" else value
+
+
+def _from_json(doc, slot: str):
+    """The object in scenario slot ``slot`` read from its JSON form: an
+    object with a known 'kind' (a bare "linear"/"sqrt" for p_rule) whose
+    other keys are init fields of the kind's class, each of its declared
+    type."""
+    if slot == "p_rule" and doc in ("linear", "sqrt"):
+        doc = {"kind": doc}
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{slot}: expected a JSON object, got {doc!r}")
+    args, cls = dict(doc), _KINDS[slot]
+    if isinstance(cls, dict):
+        kind = args.pop("kind", None)
+        if not isinstance(kind, str) or kind not in cls:
+            raise ScenarioError(f"{slot}: 'kind' must be one of {sorted(cls)}, got {kind!r}")
+        cls = cls[kind]
+    types = {f.name: f.type for f in fields(cls) if f.init}
+    if "kind" in types:
+        args["kind"] = kind
+    unknown = sorted(set(args) - set(types))
+    if unknown:
+        raise ScenarioError(f"{slot}: unknown keys {unknown}")
+    args = {k: _checked(v, types[k], f"{slot}.{k}") for k, v in args.items()}
+    try:
+        return cls(**args)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{slot}: {exc}") from None
+
+
+def _to_json(obj):
+    """The JSON form of a scenario part: {"kind": kind, **init fields}, a
+    bare "linear"/"sqrt" for those dimension rules, and {"kind":
+    "orthogonal"} for the orthogonal design."""
+    if not is_dataclass(obj):
+        return list(obj) if isinstance(obj, tuple) else obj
+    kind = _KIND_NAMES.get(type(obj))
+    if kind in ("linear", "sqrt"):
+        return kind
+    if isinstance(obj, DesignSpec) and obj.kind == "orthogonal":
+        return {"kind": "orthogonal"}
+    body = {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj) if f.init}
+    return body if kind is None else {"kind": kind, **body}
 
 
 def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    extra = set(doc) - _SCENARIO_KEYS
+    types = {f.name: f.type for f in fields(Scenario)}
+    extra = set(doc) - set(types) - {"schema_version"}
     if extra:
         raise ScenarioError(f"unknown scenario keys {sorted(extra)}")
     missing = {"schema_version", "alpha", "design", "beta0_rule", "gamma_rule", "sigma0_sq", "prior", "regime"} - set(doc)
     if missing:
         raise ScenarioError(f"missing scenario keys {sorted(missing)}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if _checked(doc["schema_version"], "int", "schema_version") != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported schema_version {doc['schema_version']!r}; this build reads version {SCHEMA_VERSION}"
         )
-    design_doc = doc["design"]
-    if not isinstance(design_doc, dict) or "kind" not in design_doc:
-        raise ScenarioError("design: expected an object with a 'kind' key")
-    extra = set(design_doc) - {"kind", "spectrum", "lambda_min", "lambda_max"}
-    if extra:
-        raise ScenarioError(f"design: unknown keys {sorted(extra)}")
-    if design_doc["kind"] == "orthogonal":
-        given = sorted(set(design_doc) - {"kind"})
-        if given:
-            raise ScenarioError(f"design: an orthogonal design takes no {given}")
-        design = DesignSpec.orthogonal()
-    else:
-        design = DesignSpec(
-            kind=design_doc.get("kind", ""),
-            spectrum=tuple(design_doc.get("spectrum", ())) or None,
-            lambda_min=float(design_doc.get("lambda_min", 1.0)),
-            lambda_max=float(design_doc.get("lambda_max", 1.0)),
-        )
-    prior_doc = doc["prior"]
-    if not isinstance(prior_doc, dict) or set(prior_doc) - {"a", "b"}:
-        raise ScenarioError("prior: expected an object with keys 'a' and 'b' only")
-    prior = PriorConstants(a=float(prior_doc.get("a", 0.0)), b=float(prior_doc.get("b", 0.0)))
-    alpha = doc["alpha"]
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-        raise ScenarioError(f"alpha must be a number, got {alpha!r}")
+    design = doc["design"]
+    if isinstance(design, dict) and design.get("kind") == "orthogonal" and len(design) > 1:
+        raise ScenarioError(f"design: an orthogonal design takes no {sorted(set(design) - {'kind'})}")
+    args = {"name": default_name, **doc}
+    del args["schema_version"]
     return Scenario(
-        name=str(doc.get("name", default_name)),
-        alpha=float(alpha),
-        design=design,
-        beta0_rule=_coeff_rule_from_json(doc["beta0_rule"], "beta0_rule"),
-        gamma_rule=_coeff_rule_from_json(doc["gamma_rule"], "gamma_rule"),
-        sigma0_sq=float(doc["sigma0_sq"]),
-        prior=prior,
-        regime=_regime_from_json(doc["regime"], "regime"),
-        p_rule=_dim_rule_from_json(doc.get("p_rule", "linear"), "p_rule"),
+        **{k: _from_json(v, k) if k in _KINDS else _checked(v, types[k], k) for k, v in args.items()}
     )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    design: dict = {"kind": scenario.design.kind}
-    if scenario.design.kind == "diagonal":
-        design.update(
-            spectrum=list(scenario.design.spectrum),
-            lambda_min=scenario.design.lambda_min,
-            lambda_max=scenario.design.lambda_max,
-        )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": scenario.name,
-        "alpha": scenario.alpha,
-        "design": design,
-        "beta0_rule": scenario.beta0_rule.to_json(),
-        "gamma_rule": scenario.gamma_rule.to_json(),
-        "sigma0_sq": scenario.sigma0_sq,
-        "prior": {"a": scenario.prior.a, "b": scenario.prior.b},
-        "regime": _regime_to_json(scenario.regime),
-        "p_rule": scenario.p_rule.to_json(),
-    }
+    return {"schema_version": SCHEMA_VERSION, **_to_json(scenario)}
 
 
 def load_scenario(path) -> Scenario:

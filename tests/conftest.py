@@ -35,7 +35,7 @@ def make_scenario(**overrides) -> Scenario:
     base = dict(
         name="unit",
         alpha=0.5,
-        design=DesignSpec.orthogonal(),
+        design=DesignSpec(),
         beta0_rule=FirstMRule(1.0, 3),
         gamma_rule=ZerosRule(),
         sigma0_sq=1.0,

@@ -69,7 +69,7 @@ def _report(tag: str, ok: bool, detail: str) -> None:
 
 def _scenario(name, regime, **kw):
     args = dict(
-        name=name, alpha=0.5, design=DesignSpec.orthogonal(),
+        name=name, alpha=0.5, design=DesignSpec(),
         beta0_rule=FirstMRule(1.0, 3), gamma_rule=ZerosRule(),
         sigma0_sq=1.0, prior=PRIOR, regime=regime,
     )

@@ -72,6 +72,31 @@ class TestScenarioValidation:
         assert "(A2)" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sigma0_sq", float("inf")),
+            ("beta0_rule", {"kind": "first_m", "v": 1.0, "m": 2.5}),
+            ("regime", {"kind": "hyper_g", "c": 1}),
+        ],
+        ids=["sigma0_sq_infinity", "first_m_fractional_m", "hyper_g_c_1"],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, key, value):
+        doc = scenario_to_dict(make_scenario(name="malformed"))
+        doc[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert _run_experiment(str(path), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}")
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_n_exits_2(self, eb_path, tmp_path, capsys):
+        rc = main(["experiment", "--scenario", eb_path, "--n-grid", "100,100",
+                   "--eps-grid", "0.5", "--reps", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "increasing" in capsys.readouterr().err
+
+
 class TestExperimentCommand:
     def test_writes_report_and_csv(self, eb_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -223,6 +248,28 @@ class TestPlotCommand:
         rc = main(["plot", "--report", str(doc), "--out", str(tmp_path / "p")])
         assert rc == 3
         assert "no cells" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc["aggregates"][0].pop("n_grid"),
+            lambda doc: doc.update(scenario="x"),
+            lambda doc: doc["aggregates"][0]["prob_q25"].pop(),
+            lambda doc: doc["aggregates"][0].update(n_grid=["50", "100"]),
+            lambda doc: doc.update(verdict="x"),
+        ],
+        ids=["aggregate_without_n_grid", "scenario_string", "short_quartile_list", "n_grid_strings", "verdict_string"],
+    )
+    def test_malformed_aggregate_or_scenario_exits_3(self, report_dir, tmp_path, capsys, damage):
+        doc = json.loads((report_dir / "report.json").read_text())
+        damage(doc)
+        bad = tmp_path / "damaged.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["plot", "--report", str(bad), "--out", str(tmp_path / "p")])
+        assert rc == 3
+        assert "malformed report" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
 
 class TestSimulateCommand:

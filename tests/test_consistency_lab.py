@@ -30,11 +30,11 @@ from gprior_lab.consistency_lab import (
     FLOOR_THRESHOLD,
     REPORT_SCHEMA_VERSION,
     VANISH_THRESHOLD,
-    classify_limit,
+    _classify_profile,
+    _extended_grid,
     classify_trend,
     evaluate_theorem1,
     evaluate_theorem_subsequence_condition,
-    limit_profile,
     predict_verdict,
     run_experiment,
     verify_lemmas,
@@ -72,6 +72,12 @@ class TestTrendClassification:
         assert classify_trend([0.0, 0.0, 0.0]) == "vanishing"
 
 
+def classify_limit(fn, n_grid) -> str:
+    """The limit class of a deterministic sequence, evaluated on the
+    extended grid as the verdicts evaluate their offset traces."""
+    return _classify_profile([float(fn(n)) for n in _extended_grid(n_grid)])
+
+
 class TestLimitClassification:
     def test_square_root_diverges(self):
         assert classify_limit(lambda n: math.sqrt(n), GRID) == "diverging"
@@ -92,13 +98,11 @@ class TestLimitClassification:
         assert classify_limit(osc, (100,)) == "unknown"
 
     def test_profile_extends_geometrically_to_eight_points(self):
-        ns, values = limit_profile(lambda n: float(n), GRID)
-        assert ns == [200, 800, 3200, 12800, 51200, 204800, 819200, 3276800]
-        assert values == [float(n) for n in ns]
+        assert _extended_grid(GRID) == [200, 800, 3200, 12800, 51200, 204800, 819200, 3276800]
 
     def test_profile_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty n grid"):
-            limit_profile(lambda n: 1.0, ())
+            _extended_grid(())
 
 
 class _CountingRule:
@@ -119,7 +123,7 @@ class TestVerdicts:
         beta0, gamma = _CountingRule(FirstMRule(1.0, 3)), _CountingRule(ZerosRule())
         sc = make_scenario(regime=regime, beta0_rule=beta0, gamma_rule=gamma)
         predict_verdict(sc, GRID)
-        extended = limit_profile(lambda n: 0.0, GRID)[0]
+        extended = _extended_grid(GRID)
         assert beta0.calls == extended
         assert gamma.calls == extended
 
@@ -321,7 +325,7 @@ class TestRunExperiment:
         # the grid leaves an existing radius's estimate as it was
         sc = make_scenario(
             name="rot_grid",
-            design=DesignSpec.diagonal((0.5, 1.0), 1.0, 2.0),
+            design=DesignSpec("diagonal", (0.5, 1.0), 1.0, 2.0),
             gamma_rule=FirstMRule(1.0, 3),
         )
         opts = BallOptions(mc_draws=2000)

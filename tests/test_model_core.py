@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from gprior_lab.numerics import RngStream
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
 
 PRIOR = PriorConstants()
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +62,19 @@ class TestPriorConstants:
 
 class TestDesignSpec:
     def test_orthogonal_eigenvalues(self):
-        gram = build_design(DesignSpec.orthogonal(), 10, 3, RngStream(0, ("d",)))
+        gram = build_design(DesignSpec(), 10, 3, RngStream(0, ("d",)))
         assert gram.q is None
         assert np.array_equal(gram.eigenvalues, np.full(3, 10.0))
 
     def test_diagonal_eigenvalues_tile(self):
-        spec = DesignSpec.diagonal((0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
+        spec = DesignSpec("diagonal", (0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
         gram = build_design(spec, 4, 2, RngStream(0, ("d",)))
         assert np.allclose(sorted(gram.eigenvalues), [2.0, 4.0])
         assert gram.q is not None and gram.q.shape == (2, 2)
 
     def test_diagonal_spectrum_outside_band(self):
         with pytest.raises(ScenarioError):
-            DesignSpec.diagonal((2.0,), lambda_min=1.0, lambda_max=1.0)
+            DesignSpec("diagonal", (2.0,), lambda_min=1.0, lambda_max=1.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError):
@@ -80,19 +82,19 @@ class TestDesignSpec:
 
     def test_band_ordering(self):
         with pytest.raises(ScenarioError):
-            DesignSpec.diagonal((1.0,), lambda_min=2.0, lambda_max=1.0)
+            DesignSpec("diagonal", (1.0,), lambda_min=2.0, lambda_max=1.0)
 
     def test_p_must_be_below_n(self):
         with pytest.raises(ScenarioError, match="p < n"):
-            build_design(DesignSpec.orthogonal(), 5, 5, RngStream(0, ("d",)))
+            build_design(DesignSpec(), 5, 5, RngStream(0, ("d",)))
 
     def test_rotation_is_orthonormal(self):
-        spec = DesignSpec.diagonal((0.5, 0.8, 1.0), lambda_min=0.5, lambda_max=2.0)
+        spec = DesignSpec("diagonal", (0.5, 0.8, 1.0), lambda_min=0.5, lambda_max=2.0)
         gram = build_design(spec, 30, 6, RngStream(3, ("d",)))
         assert np.allclose(gram.q @ gram.q.T, np.eye(6), atol=1e-12)
 
     def test_rotation_deterministic_in_stream(self):
-        spec = DesignSpec.diagonal((0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
+        spec = DesignSpec("diagonal", (0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
         g1 = build_design(spec, 8, 4, RngStream(9, ("d",)))
         g2 = build_design(spec, 8, 4, RngStream(9, ("d",)))
         assert np.array_equal(g1.q, g2.q)
@@ -169,6 +171,14 @@ class TestScenario:
         sc = make_scenario()
         with pytest.raises(ScenarioError):
             sc.validate_grid((400, 200))
+
+    def test_validate_grid_rejects_repeated_n(self):
+        # a repeated n would compute the same cells twice and blur the trend
+        sc = make_scenario()
+        with pytest.raises(ScenarioError, match="increasing"):
+            sc.validate_grid((100, 100))
+        with pytest.raises(ScenarioError, match="increasing"):
+            sc.validate_grid((100, 200, 200))
 
     def test_validate_grid_empty(self):
         sc = make_scenario()
@@ -247,7 +257,7 @@ class TestSimulateStats:
         assert st.ks_2samp(sd, sf).statistic < 0.05
 
     def test_full_mode_rotated_design(self):
-        spec = DesignSpec.diagonal((0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
+        spec = DesignSpec("diagonal", (0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
         sc = make_scenario(design=spec, alpha=0.25)
         stats = simulate_scenario_stats(sc, 16, 3, mode="full")
         assert stats.gram.q is not None
@@ -369,6 +379,39 @@ class TestDiagnostics:
 # scenario (de)serialization
 
 
+_DIAGONAL = {"kind": "diagonal", "spectrum": [0.5, 1.0], "lambda_min": 0.5, "lambda_max": 2.0}
+# (id, path into the scenario document, value): each is a malformed
+# document that must be refused as a scenario problem, not run
+MALFORMED = [
+    ("sigma0_sq_infinity", ("sigma0_sq",), math.inf),
+    ("sigma0_sq_nan", ("sigma0_sq",), math.nan),
+    ("sigma0_sq_true", ("sigma0_sq",), True),
+    ("sigma0_sq_string", ("sigma0_sq",), "x"),
+    ("gamma_v_infinity", ("gamma_rule",), {"kind": "constant", "v": math.inf}),
+    ("p_rule_m_fraction", ("p_rule",), {"kind": "fixed", "m": 3.7}),
+    ("p_rule_m_string", ("p_rule",), {"kind": "fixed", "m": "3"}),
+    ("name_number", ("name",), 5),
+    ("hyper_g_c_1", ("regime",), {"kind": "hyper_g", "c": 1}),
+    ("hyper_g_c_string", ("regime",), {"kind": "hyper_g", "c": "abc"}),
+    ("hyper_g_c_true", ("regime",), {"kind": "hyper_g", "c": True}),
+    ("hyper_g_c_infinity", ("regime",), {"kind": "hyper_g", "c": math.inf}),
+    ("fixed_rule_negative", ("regime",), {"kind": "fixed", "rule": -1}),
+    ("fixed_rule_infinity", ("regime",), {"kind": "fixed", "rule": math.inf}),
+    ("prior_a_string", ("prior", "a"), "x"),
+    ("prior_b_string", ("prior", "b"), "x"),
+    ("prior_a_infinity", ("prior", "a"), math.inf),
+    ("lambda_min_string", ("design",), dict(_DIAGONAL, lambda_min="x")),
+    ("spectrum_entry_string", ("design",), dict(_DIAGONAL, spectrum=["a"])),
+    ("spectrum_number", ("design",), dict(_DIAGONAL, spectrum=5)),
+    ("first_m_v_string", ("beta0_rule", "v"), "x"),
+    ("first_m_m_fraction", ("beta0_rule", "m"), 2.5),
+    ("first_m_m_true", ("beta0_rule", "m"), True),
+    ("decaying_rate_string", ("beta0_rule",), {"kind": "decaying", "c": 1.0, "rate": "x"}),
+    ("kind_list", ("beta0_rule", "kind"), [1]),
+    ("schema_version_true", ("schema_version",), True),
+]
+
+
 class TestScenarioJson:
     def test_round_trip(self, tmp_path):
         sc = make_scenario(
@@ -432,6 +475,30 @@ class TestScenarioJson:
         doc["beta0_rule"] = {"kind": "mystery"}
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("path, value", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+    def test_malformed_value_is_a_scenario_error(self, path, value):
+        doc = scenario_to_dict(make_scenario())
+        *parents, key = path
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[key] = value
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(doc)
+
+    def test_fixed_regime_needs_a_rule(self):
+        doc = scenario_to_dict(make_scenario(regime=FixedG(rule="n")))
+        doc["regime"] = {"kind": "fixed"}
+        with pytest.raises(ScenarioError, match="rule"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path", sorted(REPO_ROOT.glob("scenarios/*.json")) + sorted(REPO_ROOT.glob("perfbench/scenarios/*.json")),
+        ids=lambda path: path.name,
+    )
+    def test_shipped_file_round_trips(self, path):
+        assert scenario_to_dict(load_scenario(path)) == json.loads(path.read_text())
 
     def test_dict_is_json_serializable(self):
         doc = scenario_to_dict(make_scenario(regime=ZellnerSiowG()))

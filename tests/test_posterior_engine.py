@@ -373,7 +373,7 @@ class TestBallProbabilityBehavior:
 
 
 def _rotated_instance():
-    sc = make_scenario(name="rot", design=DesignSpec.diagonal((0.5, 1.0), 1.0, 2.0))
+    sc = make_scenario(name="rot", design=DesignSpec("diagonal", (0.5, 1.0), 1.0, 2.0))
     stats = simulate_scenario_stats(sc, 40, 5, mode="full")
     gamma = sc.gamma_at(40)
     diag = diagnostics(stats, gamma, PRIOR)
