@@ -52,7 +52,7 @@ def run_one(path: Path, args: argparse.Namespace) -> dict:
 
     out_dir = args.out / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    (out_dir / "report.json").write_text(report.to_json())
     (out_dir / "cells.csv").write_text(report.to_csv())
 
     print(f"== {scenario.name} ({report.regime_name}, alpha={scenario.alpha})")

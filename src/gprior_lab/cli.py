@@ -201,7 +201,7 @@ def _cmd_experiment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
         path = out / "report.json"
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        path.write_text(report.to_json())
         print(f"wrote {path}")
     if args.format in ("csv", "both"):
         path = out / "cells.csv"
@@ -216,6 +216,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_theorem(args) -> int:
     scenario = load_scenario(args.scenario)
+    scenario.validate_grid(args.n_grid)
     verdict = predict_verdict(scenario, args.n_grid)
     doc = verdict.to_dict()
     if args.json:

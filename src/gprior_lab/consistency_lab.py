@@ -20,6 +20,8 @@ reports are bitwise reproducible regardless of thread count.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -312,28 +314,40 @@ class ExperimentReport:
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(include_timing=False), sort_keys=True, separators=(",", ":"))
 
+    def to_json(self) -> str:
+        """The text of report.json."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def to_csv(self) -> str:
-        lines = ["scenario,regime,n,p,rep,eps,prob,se,seed"]
-        name = self.scenario_name
-        regime = self.regime_name
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["scenario", "regime", "n", "p", "rep", "eps", "prob", "se", "seed"])
+        name, regime = self.scenario_name, self.regime_name
         for c in self.cells:
-            se = "" if c["se"] is None else repr(c["se"])
-            lines.append(
-                f"{name},{regime},{c['n']},{c['p']},{c['rep']},{c['eps']!r},{c['prob']!r},{se},{c['seed']}"
+            writer.writerow(
+                [name, regime, c["n"], c["p"], c["rep"], c["eps"], c["prob"], c["se"], c["seed"]]
             )
-        return "\n".join(lines) + "\n"
+        return out.getvalue()
 
 
-def _run_cell(scenario, n, rep, master_seed, eps_grid, opts, grid_size):
+def _dataset(scenario, n, rep, master_seed):
+    """Dataset (n, rep) drawn from its keyed stream: the stream, the
+    sufficient statistics and their diagnostics under the truth."""
     cell = RngStream(master_seed, (scenario.name, n, rep))
     stats = simulate_stats(scenario, n, cell.child("sim"))
-    ball_rng = cell.child("ball")
-    gamma = scenario.gamma_at(n)
-    beta0 = scenario.beta0_at(n)
-    diag = diagnostics(stats, gamma, scenario.prior)
+    diag = diagnostics(stats, scenario.gamma_at(n), scenario.prior, scenario.truth_at(n))
+    return cell, stats, diag
+
+
+def _run_cell(scenario, n, rep, master_seed, eps_grid, opts, grid_size, lemmas):
+    """The cell's rows, one per radius, and with ``lemmas`` its lemma
+    record (else None), both from one draw of the dataset."""
+    cell, stats, diag = _dataset(scenario, n, rep, master_seed)
     post = build_g_posterior(scenario.regime, stats, diag.quad_form, scenario.prior, grid_size=grid_size)
-    bp = sup_ball_probability(post, stats, gamma, beta0, eps_grid, opts, ball_rng)
-    return [
+    bp = sup_ball_probability(
+        post, stats, scenario.gamma_at(n), scenario.beta0_at(n), eps_grid, opts, cell.child("ball")
+    )
+    rows = [
         {
             "n": int(n),
             "p": int(stats.p),
@@ -347,6 +361,7 @@ def _run_cell(scenario, n, rep, master_seed, eps_grid, opts, grid_size):
         }
         for k, eps in enumerate(eps_grid)
     ]
+    return rows, _lemma_record(scenario, n, stats, diag) if lemmas else None
 
 
 def run_experiment(
@@ -363,8 +378,8 @@ def run_experiment(
     """Simulate ``reps`` datasets at each n, evaluate the posterior
     probability of leaving each eps-ball around the truth, and assemble
     the report with trend classes, the theorem verdict, and their
-    agreement.  With include_lemmas the concentration checks run on the
-    same grid and are embedded in the report."""
+    agreement.  With include_lemmas the concentration checks judge the
+    same datasets and are embedded in the report."""
     t0 = time.perf_counter()
     n_grid = tuple(int(n) for n in n_grid)
     eps_grid = tuple(sorted(float(e) for e in eps_grid))
@@ -384,22 +399,16 @@ def run_experiment(
     # largest n (the costliest cells) first, so no thread is left with one
     # long cell at the end; each cell has its own stream, so order is moot
     tasks = [(n, rep) for n in reversed(n_grid) for rep in range(reps)]
-    if threads == 1:
-        results = [
-            _run_cell(scenario, n, rep, master_seed, eps_grid, opts, grid_size)
-            for n, rep in tasks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda t: _run_cell(
-                        scenario, t[0], t[1], master_seed, eps_grid, opts, grid_size
-                    ),
-                    tasks,
-                )
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(
+            pool.map(
+                lambda t: _run_cell(
+                    scenario, t[0], t[1], master_seed, eps_grid, opts, grid_size, include_lemmas
+                ),
+                tasks,
             )
-    cells = [row for rows in results for row in rows]
+        )
+    cells = [row for rows, _ in results for row in rows]
     cells.sort(key=lambda c: (c["n"], c["rep"], c["eps"]))
 
     aggregates = []
@@ -442,7 +451,7 @@ def run_experiment(
             agreement = None
 
     lemma_outcomes = (
-        verify_lemmas(scenario, n_grid, reps, master_seed=master_seed)
+        _judge_lemmas(scenario, n_grid, [record for _, record in results])
         if include_lemmas
         else []
     )
@@ -477,126 +486,87 @@ class LemmaOutcome:
     details: dict = field(default_factory=dict)
 
 
-def verify_lemmas(
-    scenario: Scenario,
-    n_grid,
-    reps: int,
-    master_seed: int = 0,
-) -> list:
-    """Check the concentration properties underpinning the verdict logic.
+def _lemma_record(scenario: Scenario, n: int, stats, diag) -> dict:
+    """The statistics of one dataset that the lemma checks summarise;
+    entries a check cannot use for this scenario or n are None."""
+    prior, truth = scenario.prior, scenario.truth_at(n)
+    record = {
+        "n": n,
+        "mle_err": mle_sup_error(stats, truth.beta0),
+        "resid_ratio": stats.resid_ss / ((n - stats.p) * truth.sigma0_sq),
+        "quad_ratio": diag.quad_form / diag.expected_quadform,
+        "u_floor": diag.u_floor,
+        "u_cutoff": diag.u_cutoff(0.1) if diag.offset_sup > 0 else diag.u_floor,
+        "eb_ghat": None,
+        "scale_ratio": None,
+        "sigma2_cover": None,
+    }
+    if n - stats.p + prior.a - 2 > 0:
+        record["eb_ghat"] = eb_ghat(n, stats.p, prior.a, diag.resid_plus_b, diag.quad_form)
+    if isinstance(scenario.regime, FixedG):
+        g = scenario.regime.g_at(n)
+        expected = diag.expected_scale_total(g)
+        record["scale_ratio"] = diag.scale_total(g) / expected
+        # P(lo <= sigma^2 <= hi) under sigma^2 | g ~ InverseGamma(shape, scale),
+        # whose cdf at x is gammaincc(shape, scale / x)
+        shape, scale = 0.5 * (n + prior.a - 2.0), 0.5 * diag.scale_total(g)
+        lo, hi = expected / (2.0 * n), 2.0 * expected / n
+        record["sigma2_cover"] = float(gammaincc(shape, scale / hi) - gammaincc(shape, scale / lo))
+    return record
 
-    Each check states its hypothesis; when the scenario does not satisfy
-    it, the check is skipped with the reason recorded.  Simulation draws
-    reuse the same per-(scenario, n, rep) streams as run_experiment.
-    """
-    n_grid = tuple(int(n) for n in n_grid)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    scenario.validate_grid(n_grid)
-    prior = scenario.prior
+
+def _skipped(name: str, reason: str) -> LemmaOutcome:
+    return LemmaOutcome(name=name, passed=None, skipped=True, reason=reason)
+
+
+def _near_one(name: str, ratio: float) -> LemmaOutcome:
+    """A ratio check: the final median lies within 0.1 of 1."""
+    return LemmaOutcome(
+        name=name,
+        passed=bool(abs(ratio - 1.0) < 0.1),
+        details={"final_median": ratio, "tolerance": 0.1},
+    )
+
+
+def _judge_lemmas(scenario: Scenario, n_grid: tuple, records: list) -> list:
+    """The LemmaOutcome of each check, judged on the lemma records of the
+    datasets at every n of the grid."""
     _, _, sq = _offset_norms(scenario, n_grid)
     sq_class = _classify_profile(sq)
-    is_fixed = isinstance(scenario.regime, FixedG)
+    final = n_grid[-1]
 
-    per_n = {}
-    for n in n_grid:
-        rec = {
-            "mle_err": [],
-            "resid_ratio": [],
-            "quad_ratio": [],
-            "scale_ratio": [],
-            "sigma2_cover": [],
-            "eb_ghat": [],
-            "u_floor": [],
-            "u_cutoff": [],
-        }
-        gamma = scenario.gamma_at(n)
-        truth = scenario.truth_at(n)
-        for rep in range(reps):
-            rng = RngStream(master_seed, (scenario.name, n, rep)).child("sim")
-            stats = simulate_stats(scenario, n, rng)
-            diag = diagnostics(stats, gamma, prior, truth)
-            rec["mle_err"].append(mle_sup_error(stats, truth.beta0))
-            rec["resid_ratio"].append(stats.resid_ss / ((n - stats.p) * truth.sigma0_sq))
-            rec["quad_ratio"].append(diag.quad_form / diag.expected_quadform)
-            rec["u_floor"].append(diag.u_floor)
-            rec["u_cutoff"].append(diag.u_cutoff(0.1) if diag.offset_sup > 0 else diag.u_floor)
-            if n - stats.p + prior.a - 2 > 0:
-                rec["eb_ghat"].append(
-                    eb_ghat(n, stats.p, prior.a, diag.resid_plus_b, diag.quad_form)
-                )
-            if is_fixed:
-                g = scenario.regime.g_at(n)
-                expected = diag.expected_scale_total(g)
-                rec["scale_ratio"].append(diag.scale_total(g) / expected)
-                # P(lo <= sigma^2 <= hi) under sigma^2 | g ~ InverseGamma(shape, scale),
-                # whose cdf at x is gammaincc(shape, scale / x)
-                shape, scale = 0.5 * (n + prior.a - 2.0), 0.5 * diag.scale_total(g)
-                lo, hi = expected / (2.0 * n), 2.0 * expected / n
-                rec["sigma2_cover"].append(
-                    float(gammaincc(shape, scale / hi) - gammaincc(shape, scale / lo))
-                )
-        per_n[n] = rec
+    def values(key, n):
+        return [r[key] for r in records if r["n"] == n and r[key] is not None]
 
     def med(key, n):
-        return float(np.median(per_n[n][key]))
-
-    final = n_grid[-1]
-    outcomes = []
+        return float(np.median(values(key, n)))
 
     # sup-norm error of the least-squares estimate vanishes
     meds = [med("mle_err", n) for n in n_grid]
     slack = 0.01 * (1.0 + meds[0])
     ok = all(meds[i + 1] <= meds[i] + slack for i in range(len(meds) - 1)) and meds[-1] < 0.15
-    outcomes.append(
+    outcomes = [
         LemmaOutcome(
             name="mle_sup_error_vanishes",
             passed=bool(ok),
             details={"medians": meds, "final_threshold": 0.15},
-        )
-    )
-
-    # S / ((n - p) sigma0^2) concentrates at 1
-    ratio = med("resid_ratio", final)
-    outcomes.append(
-        LemmaOutcome(
-            name="resid_ratio_concentrates",
-            passed=bool(abs(ratio - 1.0) < 0.1),
-            details={"final_median": ratio, "tolerance": 0.1},
-        )
-    )
+        ),
+        # S / ((n - p) sigma0^2) concentrates at 1
+        _near_one("resid_ratio_concentrates", med("resid_ratio", final)),
+    ]
 
     # quad_form / E0(quad_form) concentrates at 1 (needs alpha > 0 or a
     # nonvanishing offset so the expectation grows)
+    name = "quad_form_ratio_concentrates"
     if scenario.alpha > 0 or sq_class in ("positive", "diverging"):
-        ratio = med("quad_ratio", final)
-        outcomes.append(
-            LemmaOutcome(
-                name="quad_form_ratio_concentrates",
-                passed=bool(abs(ratio - 1.0) < 0.1),
-                details={"final_median": ratio, "tolerance": 0.1},
-            )
-        )
+        outcomes.append(_near_one(name, med("quad_ratio", final)))
     else:
-        outcomes.append(
-            LemmaOutcome(
-                name="quad_form_ratio_concentrates",
-                passed=None,
-                skipped=True,
-                reason="needs alpha > 0 or a nonvanishing squared offset",
-            )
-        )
+        outcomes.append(_skipped(name, "needs alpha > 0 or a nonvanishing squared offset"))
 
-    # scale_total(g_n) / E0(scale_total(g_n)) concentrates at 1 (fixed g)
-    if is_fixed:
-        ratio = med("scale_ratio", final)
-        outcomes.append(
-            LemmaOutcome(
-                name="scale_total_ratio_concentrates",
-                passed=bool(abs(ratio - 1.0) < 0.1),
-                details={"final_median": ratio, "tolerance": 0.1},
-            )
-        )
+    # scale_total(g_n) / E0(scale_total(g_n)) concentrates at 1, and the
+    # variance posterior covers [E/(2n), 2E/n] (fixed g)
+    if isinstance(scenario.regime, FixedG):
+        outcomes.append(_near_one("scale_total_ratio_concentrates", med("scale_ratio", final)))
         cover = med("sigma2_cover", final)
         outcomes.append(
             LemmaOutcome(
@@ -607,76 +577,74 @@ def verify_lemmas(
         )
     else:
         for name in ("scale_total_ratio_concentrates", "sigma2_interval_mass"):
-            outcomes.append(
-                LemmaOutcome(
-                    name=name, passed=None, skipped=True, reason="defined for the fixed-g regime"
-                )
-            )
+            outcomes.append(_skipped(name, "defined for the fixed-g regime"))
 
     # the marginal-likelihood maximizer stays away from zero when the
     # squared offset has a positive liminf
-    if sq_class in ("positive", "diverging") and per_n[final]["eb_ghat"]:
-        low = float(np.min(per_n[final]["eb_ghat"]))
-        outcomes.append(
-            LemmaOutcome(
-                name="eb_ghat_stays_positive",
-                passed=bool(low > 0.0),
-                details={"final_min": low},
-            )
-        )
+    name = "eb_ghat_stays_positive"
+    ghats = values("eb_ghat", final)
+    if sq_class in ("positive", "diverging") and ghats:
+        low = float(np.min(ghats))
+        outcomes.append(LemmaOutcome(name=name, passed=bool(low > 0.0), details={"final_min": low}))
     else:
-        outcomes.append(
-            LemmaOutcome(
-                name="eb_ghat_stays_positive",
-                passed=None,
-                skipped=True,
-                reason="needs a positive liminf of the squared offset",
-            )
-        )
+        outcomes.append(_skipped(name, "needs a positive liminf of the squared offset"))
 
     # u_floor is asymptotically below (1 - alpha) lambda_max sigma0^2 /
     # (delta + lambda_max sigma0^2) when the squared offset settles at
     # delta > 0
+    name = "u_floor_bounded"
     if sq_class == "positive":
         delta = sq[-1]
         lam = scenario.design.lambda_max
         bound = (1.0 - scenario.alpha) * lam * scenario.sigma0_sq / (delta + lam * scenario.sigma0_sq)
-        worst = float(np.max(per_n[final]["u_floor"]))
+        worst = float(np.max(values("u_floor", final)))
         outcomes.append(
             LemmaOutcome(
-                name="u_floor_bounded",
+                name=name,
                 passed=bool(worst <= bound + 0.05),
                 details={"final_max": worst, "bound": bound, "slack": 0.05, "delta": delta},
             )
         )
     else:
-        outcomes.append(
-            LemmaOutcome(
-                name="u_floor_bounded",
-                passed=None,
-                skipped=True,
-                reason="needs the squared offset to settle at a finite positive limit",
-            )
-        )
+        outcomes.append(_skipped(name, "needs the squared offset to settle at a finite positive limit"))
 
     # u_floor and the eps-cutoff both vanish when the squared offset diverges
+    name = "u_floor_and_cutoff_vanish"
     if sq_class == "diverging":
         w_med = med("u_floor", final)
         l_med = med("u_cutoff", final)
         outcomes.append(
             LemmaOutcome(
-                name="u_floor_and_cutoff_vanish",
+                name=name,
                 passed=bool(w_med < VANISH_THRESHOLD and l_med < VANISH_THRESHOLD),
                 details={"u_floor_median": w_med, "u_cutoff_median": l_med, "eps": 0.1},
             )
         )
     else:
-        outcomes.append(
-            LemmaOutcome(
-                name="u_floor_and_cutoff_vanish",
-                passed=None,
-                skipped=True,
-                reason="needs a diverging squared offset",
-            )
-        )
+        outcomes.append(_skipped(name, "needs a diverging squared offset"))
     return outcomes
+
+
+def verify_lemmas(
+    scenario: Scenario,
+    n_grid,
+    reps: int,
+    master_seed: int = 0,
+) -> list:
+    """Check the concentration properties underpinning the verdict logic.
+
+    Each check states its hypothesis; when the scenario does not satisfy
+    it, the check is skipped with the reason recorded.  The datasets are
+    those of run_experiment, drawn from the same per-(scenario, n, rep)
+    streams, and judged exactly as its include_lemmas judges them.
+    """
+    n_grid = tuple(int(n) for n in n_grid)
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    scenario.validate_grid(n_grid)
+    records = [
+        _lemma_record(scenario, n, *_dataset(scenario, n, rep, master_seed)[1:])
+        for n in n_grid
+        for rep in range(reps)
+    ]
+    return _judge_lemmas(scenario, n_grid, records)

@@ -192,23 +192,19 @@ class GPosterior:
         return g, self.node_weights
 
     def quantile_u(self, q):
+        """u-quantiles of a continuous posterior at levels q in [0, 1]."""
         q = np.asarray(q, dtype=float)
         if np.any((q < 0) | (q > 1)):
             raise ValueError("quantile levels must lie in [0, 1]")
-        if self.is_point:
-            out = np.full(q.shape, u_from_g(self.g_star, self.u_floor))
-        else:
-            out = np.interp(q, self.cdf, self.u_nodes)
-        return out if out.ndim else float(out)
+        return np.interp(q, self.cdf, self.u_nodes)
 
-    def sample_u(self, rng, size: int) -> np.ndarray:
+    def sample_u(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.is_point:
             return np.full(size, u_from_g(self.g_star, self.u_floor))
-        return np.interp(rng.uniform(size=size), self.cdf, self.u_nodes)
+        return np.interp(rng.random(size), self.cdf, self.u_nodes)
 
-    def sample_g(self, rng, size: int) -> np.ndarray:
-        u = self.sample_u(rng, size)
-        return np.asarray(g_from_u(u, self.u_floor))
+    def sample_g(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return g_from_u(self.sample_u(rng, size), self.u_floor)
 
 
 def _grid_posterior(kind, u_nodes, log_density, a, u_floor, resid_plus_b, quad_form):

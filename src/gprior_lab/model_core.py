@@ -140,7 +140,7 @@ def build_design(spec: DesignSpec, n: int, p: int, rng: RngStream) -> GramSpectr
 
 
 def _haar_orthonormal(p: int, rng: RngStream) -> np.ndarray:
-    z = rng.standard_normal((p, p))
+    z = rng.generator.standard_normal((p, p))
     q, r = np.linalg.qr(z)
     # fix signs so the factorization (hence the basis) is unique
     q = q * np.sign(np.diag(r))
@@ -381,18 +381,18 @@ def simulate_stats(scenario: Scenario, n: int, rng: RngStream, mode: str = "dire
     beta0 = scenario.beta0_at(n)
     sigma0 = math.sqrt(scenario.sigma0_sq)
     if mode == "direct":
-        z = rng.standard_normal(p)
+        z = rng.generator.standard_normal(p)
         scaled = z / np.sqrt(gram.eigenvalues)
         beta_hat = beta0 + sigma0 * (scaled if gram.q is None else gram.q @ scaled)
         resid = scenario.sigma0_sq * rng.chi_square(n - p)
         return SufficientStats(n=n, p=p, beta_hat=beta_hat, resid_ss=float(resid), gram=gram)
     if mode == "full":
         basis_rng = design_rng.child("basis")
-        u, r = np.linalg.qr(basis_rng.standard_normal((n, p)))
+        u, r = np.linalg.qr(basis_rng.generator.standard_normal((n, p)))
         u = u * np.sign(np.diag(r))
         root = np.sqrt(gram.eigenvalues)
         x = u * root if gram.q is None else (u * root) @ gram.q.T
-        y = x @ beta0 + sigma0 * rng.standard_normal(n)
+        y = x @ beta0 + sigma0 * rng.generator.standard_normal(n)
         uty = u.T @ y
         coef = uty / root
         beta_hat = coef if gram.q is None else gram.q @ coef

@@ -56,12 +56,6 @@ class RngStream:
 
     # -- samplers ----------------------------------------------------------
 
-    def uniform(self, size=None):
-        return self.generator.random(size)
-
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
-
     def chi_square(self, df: float, size=None):
         """Chi-square via gamma: 2 * Gamma(df/2, 1)."""
         if df < 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -91,16 +91,13 @@ class BallOptions:
 
 @dataclass(frozen=True)
 class BallProbability:
-    """Evaluated ball-exceedance probabilities P(sup distance > eps).
+    """Evaluated ball-exceedance probabilities P(sup distance > eps), one
+    per radius of the call.  std_error is None for the exact route and the
+    Wilson-score standard error for the mc route."""
 
-    epsilon, value and std_error are floats for a scalar radius and 1-D
-    arrays of one length for a grid of radii.  std_error is None for the
-    exact route and the Wilson-score standard error for the mc route."""
-
-    epsilon: Union[float, np.ndarray]
-    value: Union[float, np.ndarray]
+    value: np.ndarray
     method: str
-    std_error: Union[float, np.ndarray, None] = None
+    std_error: Optional[np.ndarray] = None
 
 
 def _g_nodes_and_weights(post: GPosterior, g_quad: Optional[int]):
@@ -118,14 +115,12 @@ def _sigma_grid_weights(m: int):
     return probs, np.full(m, 1.0 / m)
 
 
-def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch=None) -> np.ndarray:
+def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """log(Phi(hi) - Phi(lo)) elementwise, stable in both tails.
 
-    ``scratch``, if given, is an array of shape (3,) + hi.shape that takes
-    the two tail masses and the result, so a caller looping over blocks of
-    one shape allocates nothing; the result is a view of it."""
-    if scratch is None:
-        scratch = np.empty((3,) + np.shape(hi))
+    ``scratch`` is an array of shape (3,) + hi.shape that takes the two
+    tail masses and the result, so a caller looping over blocks of one
+    shape allocates nothing; the result is a view of it."""
     below, above, out = scratch[0, ...], scratch[1, ...], scratch[2, ...]
     ndtr(lo, out=below)
     ndtr(np.negative(hi, out=above), out=above)
@@ -241,7 +236,7 @@ def _mc_exceedances(
     exceed = np.zeros(eps.shape, dtype=np.int64)
     for done in range(0, total, batch):
         m = min(batch, total - done)
-        g = np.asarray(post.sample_g(rng, m))
+        g = post.sample_g(rng.generator, m)
         gg = g / (g + 1.0)
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = rng.inverse_gamma(shape, scale, m)
@@ -272,30 +267,29 @@ def sup_ball_probability(
     stats: SufficientStats,
     gamma: np.ndarray,
     center: np.ndarray,
-    epsilon,
+    epsilon: np.ndarray,
     options: Optional[BallOptions] = None,
     rng: Optional[RngStream] = None,
 ) -> BallProbability:
-    """Posterior probability that max_i |beta_i - center_i| > epsilon.
+    """Posterior probability that max_i |beta_i - center_i| > eps, at
+    every radius eps of the 1-D array ``epsilon``.
 
-    This is the complement of the closed sup-norm ball of radius epsilon
-    around ``center``: nonincreasing in epsilon, equal to 1 at epsilon = 0
+    This is the complement of the closed sup-norm ball of radius eps
+    around ``center``: nonincreasing in eps, equal to 1 at eps = 0
     whenever the posterior of beta is continuous.  Marginalizes beta over
     sigma^2 and over the g-posterior ``post``.  The 'exact' route needs an
     axis-aligned design; the 'mc' route needs an ``rng``.  'auto' picks
     exact when available.
 
-    ``epsilon`` is a float or a 1-D array of radii; for an array the
-    result holds arrays of the same length.  The mc route draws one
-    sample per call and scores every radius on it, so its estimates are
-    nonincreasing in epsilon and each one is the same whatever other
-    radii the call holds.
+    The result holds arrays of the length of ``epsilon``.  The mc route
+    draws one sample per call and scores every radius on it, so its
+    estimates are nonincreasing in eps and each one is the same whatever
+    other radii the call holds.
     """
     opts = options or BallOptions()
-    scalar = np.ndim(epsilon) == 0
-    eps = np.array(epsilon, dtype=float, ndmin=1)
+    eps = np.asarray(epsilon, dtype=float)
     if eps.ndim != 1:
-        raise ValueError("epsilon must be a float or a 1-D array")
+        raise ValueError("epsilon must be a 1-D array of radii")
     if np.any(eps < 0):
         raise ValueError("epsilon must be >= 0")
     gamma = np.asarray(gamma, dtype=float)
@@ -313,11 +307,4 @@ def sup_ball_probability(
             raise ValueError("the mc route requires an rng")
         value = _mc_exceedances(post, stats, gamma, center, eps, opts, rng) / opts.mc_draws
         se = _wilson_std_error(value, opts.mc_draws)
-    if scalar:
-        return BallProbability(
-            epsilon=float(eps[0]),
-            value=float(value[0]),
-            method=method,
-            std_error=None if se is None else float(se[0]),
-        )
-    return BallProbability(epsilon=eps, value=value, method=method, std_error=se)
+    return BallProbability(value=value, method=method, std_error=se)

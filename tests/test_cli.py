@@ -96,6 +96,13 @@ class TestScenarioValidation:
         assert rc == 2
         assert "increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["3200,800,200", "200,200,800"], ids=["decreasing", "repeated"])
+    def test_theorem_unordered_grid_exits_2(self, eb_path, capsys, grid):
+        rc = main(["theorem", "--scenario", eb_path, "--n-grid", grid])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "increasing" in captured.err and captured.out == ""
+
 
 class TestExperimentCommand:
     def test_writes_report_and_csv(self, eb_path, tmp_path, capsys):
@@ -381,14 +388,14 @@ class TestRegimeSuiteScript:
         assert (row["scenario"], row["regime"]) == ("eb_fixed_offset_alpha05", "eb")
         assert row["verdict"] == "Inconsistent (Theorem 2)"
         assert list(row["trends"]) == ["0.1", "0.5"]
-        # the script writes to_dict() without sort_keys, so key order is part
-        # of its output
-        report = json.loads((tmp_path / "eb_fixed_offset_alpha05" / "report.json").read_text())
-        assert list(report) == [
+        # the script writes report.json as `gprior-lab experiment` does
+        text = (tmp_path / "eb_fixed_offset_alpha05" / "report.json").read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert set(report) == {
             "schema_version", "scenario", "n_grid", "eps_grid", "reps", "master_seed",
             "cells", "aggregates", "verdict", "agreement", "lemmas", "wall_time_s",
-        ]
-        assert list(report["verdict"]) == ["theorem", "predicted", "sufficient_only", "display", "evidence"]
+        }
         assert report["n_grid"] == [50, 100] and report["eps_grid"] == [0.1, 0.5]
         assert report["verdict"]["display"] == row["verdict"]
         lines = (tmp_path / "eb_fixed_offset_alpha05" / "cells.csv").read_text().splitlines()

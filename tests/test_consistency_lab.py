@@ -1,6 +1,8 @@
 """Tests for trend/limit classification, theorem verdicts, the experiment
 runner, and the simulation-backed concentration checks."""
 
+import csv
+import io
 import json
 import math
 
@@ -288,6 +290,13 @@ class TestRunExperiment:
         assert first[0] == "smoke" and first[1] == "eb"
         assert int(first[2]) == 50 and first[7] == "" and int(first[8]) == 7
 
+    def test_csv_quotes_a_name_with_a_comma(self):
+        sc = make_scenario(name="eb,comma")
+        report = run_experiment(sc, (50, 100), (0.5,), reps=1, master_seed=2)
+        rows = list(csv.reader(io.StringIO(report.to_csv())))
+        assert [len(row) for row in rows] == [9, 9, 9]
+        assert [row[0] for row in rows[1:]] == ["eb,comma", "eb,comma"]
+
     def test_single_point_grid_is_indeterminate(self):
         sc = make_scenario(name="one")
         rep = run_experiment(sc, (60,), (0.5,), reps=1, master_seed=1)
@@ -306,6 +315,28 @@ class TestRunExperiment:
         for entry in doc["lemmas"]:
             assert set(entry) == {"name", "passed", "skipped", "reason", "details"}
         json.dumps(doc)  # report with lemmas stays serializable
+
+    def test_lemmas_draw_each_dataset_once(self, monkeypatch):
+        draws = []
+        simulate = consistency_lab.simulate_stats
+
+        def counting(scenario, n, rng, *rest):
+            draws.append(rng.path)
+            return simulate(scenario, n, rng, *rest)
+
+        monkeypatch.setattr(consistency_lab, "simulate_stats", counting)
+        run_experiment(make_scenario(name="once"), (50, 100), (0.5,), reps=3, include_lemmas=True)
+        assert sorted(draws) == sorted(("once", n, rep, "sim") for n in (50, 100) for rep in range(3))
+
+    @pytest.mark.parametrize("regime", [FixedG(rule="n"), EmpiricalBayesG()], ids=["fixed", "eb"])
+    def test_embedded_lemmas_equal_verify_lemmas(self, regime):
+        sc = make_scenario(name="samelem", regime=regime, gamma_rule=ConstantRule(0.2))
+        grid, reps, seed = (50, 100, 200), 4, 11
+        report = run_experiment(sc, grid, (0.5,), reps=reps, master_seed=seed, threads=2,
+                                include_lemmas=True)
+        assert report.lemma_outcomes == verify_lemmas(sc, grid, reps, master_seed=seed)
+        assert any(o.skipped for o in report.lemma_outcomes)
+        assert any(not o.skipped for o in report.lemma_outcomes)
 
     def test_grid_validation(self):
         sc = make_scenario(name="bad")

@@ -162,7 +162,7 @@ class TestHyperGDensity:
         w = 0.3
         post = _hyperg_posterior(100, 20, 3.0, w)
         assert np.all((post.u_nodes > w) & (post.u_nodes < 1.0))
-        draws = post.sample_u(RngStream(12, ("hg-support",)), 10_000)
+        draws = post.sample_u(RngStream(12, ("hg-support",)).generator, 10_000)
         assert np.all((draws > w) & (draws < 1.0))
 
     def test_flat_case(self):
@@ -244,7 +244,6 @@ class TestBuildPosterior:
         # samples round-trip through u, so equality holds only to rounding
         assert np.allclose(draws, 2.0, rtol=1e-12)
         assert np.all(draws == draws[0])
-        assert post.quantile_u(0.5) == pytest.approx(u_from_g(2.0, post.u_floor))
 
     def test_grid_size_floor(self):
         _, stats, diag = _instance()

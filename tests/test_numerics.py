@@ -161,27 +161,27 @@ class TestBetaCdf:
 
 class TestRngStream:
     def test_reproducible(self):
-        a = RngStream(5, ("scen", 100, 2)).uniform(8)
-        b = RngStream(5, ("scen", 100, 2)).uniform(8)
+        a = RngStream(5, ("scen", 100, 2)).generator.random(8)
+        b = RngStream(5, ("scen", 100, 2)).generator.random(8)
         assert np.array_equal(a, b)
 
     def test_child_paths_reproducible(self):
-        a = RngStream(5, ("scen",)).child("sim").standard_normal(4)
-        b = RngStream(5, ("scen",)).child("sim").standard_normal(4)
+        a = RngStream(5, ("scen",)).child("sim").generator.standard_normal(4)
+        b = RngStream(5, ("scen",)).child("sim").generator.standard_normal(4)
         assert np.array_equal(a, b)
 
     def test_distinct_paths_decorrelated(self):
         n = 100_000
         base = RngStream(11, ("root",))
-        u0 = base.child("a").uniform(n)
+        u0 = base.child("a").generator.random(n)
         for other in ("b", "sim", 3):
-            u1 = base.child(other).uniform(n)
+            u1 = base.child(other).generator.random(n)
             r = np.corrcoef(u0, u1)[0, 1]
             assert abs(r) < 0.01
 
     def test_seed_changes_stream(self):
-        a = RngStream(1, ("x",)).uniform(4)
-        b = RngStream(2, ("x",)).uniform(4)
+        a = RngStream(1, ("x",)).generator.random(4)
+        b = RngStream(2, ("x",)).generator.random(4)
         assert not np.array_equal(a, b)
 
     def test_bad_path_component_type(self):

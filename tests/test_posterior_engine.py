@@ -176,8 +176,9 @@ class TestIntervalKernel:
         x = np.linspace(-30.0, 30.0, 241)
         hi, lo = np.meshgrid(x, x)
         keep = hi >= lo
-        a = _log_interval_prob(hi[keep], lo[keep])
-        b = _log_interval_prob(-lo[keep], -hi[keep])
+        scratch = np.empty((3, np.count_nonzero(keep)))
+        a = _log_interval_prob(hi[keep], lo[keep], scratch).copy()
+        b = _log_interval_prob(-lo[keep], -hi[keep], scratch)
         assert not np.any(np.isnan(a))
         nonempty = ~(np.isneginf(a) & np.isneginf(b))
         assert np.max(np.abs(a[nonempty] - b[nonempty])) <= 1e-15
@@ -207,11 +208,9 @@ class TestIntervalKernel:
         want = both_branches(hi, lo)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _log_interval_prob(hi, lo)
             scratch = np.full((3,) + hi.shape, np.nan)
-            in_scratch = _log_interval_prob(hi, lo, scratch)
-        assert np.array_equal(got, want)
-        assert np.array_equal(in_scratch, want) and np.shares_memory(in_scratch, scratch)
+            got = _log_interval_prob(hi, lo, scratch)
+        assert np.array_equal(got, want) and np.shares_memory(got, scratch)
         assert np.isneginf(got[-1]).all() and np.isfinite(got[-2]).all()
 
     def test_upper_tail_matches_reflected_log_ndtr(self):
@@ -219,7 +218,7 @@ class TestIntervalKernel:
         for lo, hi, want in ((10.0, 11.0, -53.2313), (8.3, 8.6, -37.574)):
             log_a, log_b = sp.log_ndtr(-lo), sp.log_ndtr(-hi)
             ref = log_a + math.log1p(-math.exp(log_b - log_a))
-            got = float(_log_interval_prob(np.array(hi), np.array(lo)))
+            got = float(_log_interval_prob(np.array(hi), np.array(lo), np.empty(3)))
             assert got == pytest.approx(ref, rel=1e-12)
             assert got == pytest.approx(want, abs=1e-3)
 
@@ -243,8 +242,8 @@ class TestExactRouteOracles:
         tau = math.sqrt(g / (g + 1.0) * 2.0 / eigs[0])
         for eps in (0.5, 1.0, 1.5):
             got = sup_ball_probability(
-                post, stats, gamma, center, eps, BallOptions(method="exact")
-            ).value
+                post, stats, gamma, center, [eps], BallOptions(method="exact")
+            ).value[0]
             oracle = st.norm.sf((eps - m) / tau) + st.norm.cdf((-eps - m) / tau)
             assert got == pytest.approx(oracle, abs=1e-4)
 
@@ -253,8 +252,8 @@ class TestExactRouteOracles:
         rng = np.random.default_rng(8)
         center = rng.normal(size=stats.p)
         base = sup_ball_probability(
-            post, stats, gamma, center, 0.7, BallOptions(method="exact")
-        ).value
+            post, stats, gamma, center, [0.7], BallOptions(method="exact")
+        ).value[0]
         eigs = stats.gram.eigenvalues
         for _ in range(5):
             perm = rng.permutation(stats.p)
@@ -265,9 +264,9 @@ class TestExactRouteOracles:
             )
             post_p = build_g_posterior(HyperG(c=3.0), stats_p, post.quad_form, PRIOR)
             val = sup_ball_probability(
-                post_p, stats_p, gamma[perm], center[perm], 0.7,
+                post_p, stats_p, gamma[perm], center[perm], [0.7],
                 BallOptions(method="exact"),
-            ).value
+            ).value[0]
             assert abs(val - base) <= 1e-12
 
     def test_triangle_inequality_sandwich(self):
@@ -284,12 +283,12 @@ class TestExactRouteOracles:
             beta0 = sc.beta0_at(200)
             for eps in (0.2, 0.5, 1.0):
                 lhs = sup_ball_probability(
-                    post, stats, gamma, beta0, eps, BallOptions(method="exact")
-                ).value
+                    post, stats, gamma, beta0, [eps], BallOptions(method="exact")
+                ).value[0]
                 rhs = sup_ball_probability(
-                    post, stats, gamma, stats.beta_hat, eps / 2,
+                    post, stats, gamma, stats.beta_hat, [eps / 2],
                     BallOptions(method="exact"),
-                ).value
+                ).value[0]
                 if float(np.max(np.abs(stats.beta_hat - beta0))) > eps / 2:
                     rhs += 1.0
                 worst = max(worst, lhs - rhs)
@@ -300,15 +299,16 @@ class TestExactRouteOracles:
         center = beta_posterior_mean(stats, gamma, 3.0)
         for k, eps in enumerate((0.3, 0.5, 0.8, 1.2)):
             exact = sup_ball_probability(
-                post, stats, gamma, center, eps, BallOptions(method="exact")
-            ).value
+                post, stats, gamma, center, [eps], BallOptions(method="exact")
+            ).value[0]
             mc = sup_ball_probability(
-                post, stats, gamma, center, eps,
+                post, stats, gamma, center, [eps],
                 BallOptions(method="mc", mc_draws=50_000),
                 RngStream(123, ("mcx", k)),
             )
-            assert mc.std_error is not None and mc.std_error > 0
-            assert abs(mc.value - exact) <= 3.0 * mc.std_error
+            (value,), (se,) = mc.value, mc.std_error
+            assert se > 0
+            assert abs(value - exact) <= 3.0 * se
 
     def test_quadrature_caps_track_full_grid(self):
         # the capped quadrature used for large experiments stays within
@@ -318,9 +318,9 @@ class TestExactRouteOracles:
         capped = BallOptions(method="exact", g_quad=64, sigma_grid=65)
         for eps in (0.5, 0.8, 1.2):
             full_val = sup_ball_probability(
-                post, stats, gamma, center, eps, BallOptions(method="exact")
-            ).value
-            cap_val = sup_ball_probability(post, stats, gamma, center, eps, capped).value
+                post, stats, gamma, center, [eps], BallOptions(method="exact")
+            ).value[0]
+            cap_val = sup_ball_probability(post, stats, gamma, center, [eps], capped).value[0]
             assert cap_val == pytest.approx(full_val, abs=5e-4)
 
 
@@ -330,8 +330,8 @@ class TestBallProbabilityBehavior:
         center = beta_posterior_mean(stats, gamma, 3.0)
         grid = [0.05, 0.1, 0.3, 0.5, 0.8, 1.2, 2.0]
         vals = [
-            sup_ball_probability(post, stats, gamma, center, e,
-                                 BallOptions(method="exact")).value
+            sup_ball_probability(post, stats, gamma, center, [e],
+                                 BallOptions(method="exact")).value[0]
             for e in grid
         ]
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
@@ -340,24 +340,26 @@ class TestBallProbabilityBehavior:
 
     def test_zero_radius_is_certain_exceedance(self):
         stats, gamma, post = _hyper_g_instance()
-        res = sup_ball_probability(post, stats, gamma, np.zeros(stats.p), 0.0,
+        res = sup_ball_probability(post, stats, gamma, np.zeros(stats.p), [0.0],
                                    BallOptions(method="exact"))
-        assert res.value == 1.0
+        assert res.value.tolist() == [1.0]
 
     def test_huge_radius_is_negligible_exceedance(self):
         stats, gamma, post = _hyper_g_instance()
-        res = sup_ball_probability(post, stats, gamma, np.zeros(stats.p), 1e9,
+        res = sup_ball_probability(post, stats, gamma, np.zeros(stats.p), [1e9],
                                    BallOptions(method="exact"))
-        assert res.value < 1e-12
+        assert res.value[0] < 1e-12
 
     def test_negative_radius_rejected(self):
         stats, gamma, post = _hyper_g_instance()
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
-            sup_ball_probability(post, stats, gamma, np.zeros(stats.p), -0.1)
+            sup_ball_probability(post, stats, gamma, np.zeros(stats.p), [-0.1])
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
             sup_ball_probability(post, stats, gamma, np.zeros(stats.p), np.array([0.5, -0.1]))
         with pytest.raises(ValueError, match="1-D array"):
             sup_ball_probability(post, stats, gamma, np.zeros(stats.p), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="1-D array"):
+            sup_ball_probability(post, stats, gamma, np.zeros(stats.p), 0.5)
 
     def test_point_mass_at_zero_g_is_an_indicator(self):
         # g = 0 collapses beta onto gamma, so exceedance is a 0/1 indicator
@@ -367,9 +369,9 @@ class TestBallProbabilityBehavior:
                                  * (stats.beta_hat - gamma) ** 2))
         post = build_g_posterior(FixedG(rule=0.0), stats, quad_form, PRIOR)
         opts = BallOptions(method="exact")
-        assert sup_ball_probability(post, stats, gamma, gamma, 0.1, opts).value == 0.0
+        assert sup_ball_probability(post, stats, gamma, gamma, [0.1], opts).value.tolist() == [0.0]
         far = gamma + np.array([1.0, 0.0])
-        assert sup_ball_probability(post, stats, gamma, far, 0.5, opts).value == 1.0
+        assert sup_ball_probability(post, stats, gamma, far, [0.5], opts).value.tolist() == [1.0]
 
 
 def _rotated_instance():
@@ -384,7 +386,7 @@ def _rotated_instance():
 class TestRadiusGrid:
     GRID = np.array([0.05, 0.3, 0.5, 0.8, 1.2])
 
-    def test_exact_grid_equals_scalar_calls_bitwise(self):
+    def test_exact_grid_equals_single_radius_calls_bitwise(self):
         stats, gamma, post = _hyper_g_instance()
         center = beta_posterior_mean(stats, gamma, 3.0)
         opts = BallOptions(method="exact")
@@ -393,15 +395,14 @@ class TestRadiusGrid:
         radii = np.concatenate([[0.01], self.GRID, [8.0]])
         grid = sup_ball_probability(post, stats, gamma, center, radii, opts)
         assert grid.method == "exact" and grid.std_error is None
-        assert grid.epsilon.tolist() == radii.tolist()
-        for k, eps in enumerate(radii):
-            one = sup_ball_probability(post, stats, gamma, center, float(eps), opts)
-            assert isinstance(one.value, float)
-            assert grid.value[k] == one.value
+        assert grid.value.shape == radii.shape
+        for k in range(radii.size):
+            one = sup_ball_probability(post, stats, gamma, center, radii[k : k + 1], opts)
+            assert one.value.tolist() == [grid.value[k]]
         assert grid.value[0] > 0.99 and grid.value[-1] == 0.0
 
     @pytest.mark.parametrize("batch_draws", [None, 7])
-    def test_mc_grid_equals_fresh_scalar_calls(self, monkeypatch, batch_draws):
+    def test_mc_grid_equals_fresh_single_radius_calls(self, monkeypatch, batch_draws):
         # the rotated design takes the mc route; a 7-draw batch budget
         # splits 500 draws into 72 batches with a short last one
         stats, gamma, post, center = _rotated_instance()
@@ -412,12 +413,11 @@ class TestRadiusGrid:
             post, stats, gamma, center, self.GRID, opts, RngStream(4, ("grid",))
         )
         assert grid.method == "mc"
-        for k, eps in enumerate(self.GRID):
+        for k in range(self.GRID.size):
             one = sup_ball_probability(
-                post, stats, gamma, center, float(eps), opts, RngStream(4, ("grid",))
+                post, stats, gamma, center, self.GRID[k : k + 1], opts, RngStream(4, ("grid",))
             )
-            assert isinstance(one.value, float) and isinstance(one.std_error, float)
-            assert (grid.value[k], grid.std_error[k]) == (one.value, one.std_error)
+            assert (one.value.tolist(), one.std_error.tolist()) == ([grid.value[k]], [grid.std_error[k]])
 
     def test_mc_exceedance_nonincreasing_in_eps(self):
         stats, gamma, post, center = _rotated_instance()
@@ -508,39 +508,39 @@ class TestSkipRule:
 class TestDispatchAndValidation:
     def test_auto_picks_exact_for_axis_aligned(self):
         stats, gamma, post = _hyper_g_instance()
-        res = sup_ball_probability(post, stats, gamma, np.zeros(stats.p), 0.7)
+        res = sup_ball_probability(post, stats, gamma, np.zeros(stats.p), [0.7])
         assert res.method == "exact"
         assert res.std_error is None
 
     def test_auto_falls_back_to_mc_for_rotated_gram(self):
         stats, gamma, post, beta0 = _rotated_instance()
         assert stats.gram.q is not None
-        res = sup_ball_probability(post, stats, gamma, beta0, 0.5,
+        res = sup_ball_probability(post, stats, gamma, beta0, [0.5],
                                    rng=RngStream(4, ("auto",)))
         assert res.method == "mc"
-        assert 0.0 <= res.value <= 1.0 and res.std_error is not None
-        again = sup_ball_probability(post, stats, gamma, beta0, 0.5,
+        assert 0.0 <= res.value[0] <= 1.0 and res.std_error is not None
+        again = sup_ball_probability(post, stats, gamma, beta0, [0.5],
                                      rng=RngStream(4, ("auto",)))
-        assert again.value == res.value
+        assert again.value.tolist() == res.value.tolist()
 
     def test_exact_route_rejects_rotated_gram(self):
         stats, gamma, post, beta0 = _rotated_instance()
         with pytest.raises(ValueError, match="axis-aligned"):
-            sup_ball_probability(post, stats, gamma, beta0, 0.5,
+            sup_ball_probability(post, stats, gamma, beta0, [0.5],
                                  BallOptions(method="exact"))
 
     def test_mc_route_requires_rng(self):
         stats, gamma, post = _hyper_g_instance()
         with pytest.raises(ValueError, match="requires an rng"):
-            sup_ball_probability(post, stats, gamma, np.zeros(stats.p), 0.5,
+            sup_ball_probability(post, stats, gamma, np.zeros(stats.p), [0.5],
                                  BallOptions(method="mc"))
 
     def test_shape_mismatch_rejected(self):
         stats, gamma, post = _hyper_g_instance()
         with pytest.raises(ValueError, match=r"shape \(p,\)"):
-            sup_ball_probability(post, stats, gamma[:3], np.zeros(stats.p), 0.5)
+            sup_ball_probability(post, stats, gamma[:3], np.zeros(stats.p), [0.5])
         with pytest.raises(ValueError, match=r"shape \(p,\)"):
-            sup_ball_probability(post, stats, gamma, np.zeros(stats.p + 1), 0.5)
+            sup_ball_probability(post, stats, gamma, np.zeros(stats.p + 1), [0.5])
 
     def test_options_validation(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -553,6 +553,6 @@ class TestDispatchAndValidation:
             BallOptions(g_quad=0)
 
     def test_result_is_frozen_record(self):
-        res = BallProbability(epsilon=0.5, value=0.25, method="exact")
+        res = BallProbability(value=np.array([0.25]), method="exact")
         with pytest.raises(AttributeError):
-            res.value = 0.3
+            res.value = np.array([0.3])
