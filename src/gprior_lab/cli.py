@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,6 +75,8 @@ def _positive_float_list(text: str):
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"eps values must be finite, got {text!r}")
     if not values or any(v <= 0 for v in values):
         raise argparse.ArgumentTypeError("eps values must be > 0")
     if len(set(values)) != len(values):

@@ -385,6 +385,8 @@ def run_experiment(
     eps_grid = tuple(sorted(float(e) for e in eps_grid))
     if not eps_grid:
         raise ValueError("empty eps grid")
+    if not all(math.isfinite(e) for e in eps_grid):
+        raise ValueError("eps values must be finite")
     if any(e <= 0 for e in eps_grid):
         raise ValueError("eps values must be > 0")
     if len(set(eps_grid)) != len(eps_grid):

@@ -46,10 +46,12 @@ __all__ = [
 # contribute nothing at double precision and are skipped in the exact route
 _ACTIVE_SET_SIGMAS = 8.5
 
-# (g-node, radius) pairs whose weighted P(inside) is bounded below
-# _SKIP_MASS / nodes are left out of the exact route: at any radius they
-# hold at most 2**-60 ~ 8.7e-19 of P(inside) together, far below the
-# ~1e-16 rounding of the log-space sum
+# (g-node, radius) pairs whose weighted P(inside) a bound taken before the
+# kernel runs puts below _SKIP_MASS / nodes are left out of the exact
+# route: at any radius they hold less than 2**-60 ~ 8.7e-19 of P(inside)
+# together, far below the ~1e-16 rounding of the log-space sum.  On the
+# six rep-0 hyper-g/Zellner-Siow cells at CLI defaults (n 100/200/400,
+# radii 0.05/0.1/0.2/0.5) the kernel runs on 8,375 of 13,044 pairs
 _SKIP_MASS = 2.0**-60
 
 # elements of one (draws x p) Monte Carlo batch array: 2**22 float64s is
@@ -128,16 +130,40 @@ def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray) -> n
     # small masses are differences of lower tails, where ndtr is relatively
     # accurate; reflecting intervals centred above 0 gives [lo, hi] and
     # [-hi, -lo] the same expression.  Only narrow intervals (miss >= 0.5)
-    # take this branch, so it is evaluated on that subset alone.
-    far = miss >= 0.5
-    lo_far, hi_far = lo[far], hi[far]
-    upper = lo_far > -hi_far
-    near = np.where(upper, above[far], below[far])
+    # take this branch, so it is evaluated on that subset alone, if any.
+    far = np.flatnonzero(miss >= 0.5)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail = np.log(ndtr(np.where(upper, -lo_far, hi_far)) - near)
+        if far.size:
+            lo_far, hi_far = np.take(lo, far), np.take(hi, far)
+            upper = lo_far > -hi_far
+            near = np.where(upper, np.take(above, far), np.take(below, far))
+            tail = np.log(ndtr(np.where(upper, -lo_far, hi_far)) - near)
         np.log1p(np.negative(miss, out=out), out=out)  # exact when the two-tail miss is small
-    out[far] = tail
+    if far.size:
+        np.put(out, far, tail)
     return out
+
+
+def _log_inside_bound(
+    delta: np.ndarray, radii: np.ndarray, sd_min: np.ndarray, sd_max: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Upper bounds on log P(|delta_i + sd_i Z| <= eps) over every sd_i in
+    [sd_min_i, sd_max_i], one per (radius, coordinate) for radii of shape
+    (r, 1); ``scratch`` is as for _log_interval_prob, of shape (3, r, p).
+
+    Where the interval holds the mean (|delta_i| <= eps) its mass only
+    shrinks as the sd grows, so its mass at sd_min bounds it; elsewhere the
+    half-line beyond the near edge holds it, and that mass only grows with
+    the sd, so its mass at sd_max does.  Both go through _log_interval_prob
+    from the kernel's own edges, so they bound the kernel's values and not
+    only the exact ones."""
+    holds = np.abs(delta) <= radii
+    sd = np.where(holds, sd_min, sd_max)
+    hi = (radii - delta) / sd
+    lo = (-radii - delta) / sd
+    lo[delta > radii] = -np.inf
+    hi[delta < -radii] = np.inf
+    return _log_interval_prob(hi, lo, scratch)
 
 
 def _exact_ball_probabilities(
@@ -150,31 +176,35 @@ def _exact_ball_probabilities(
 ) -> np.ndarray:
     """Exceedance at every radius eps[j] in one pass over the g-nodes.
 
-    Each node visits its radii from largest to smallest and carries a bound
-    on its share of P(inside): log w_k at first, then log w_k plus the log
-    P(inside | g_k) just computed, which bounds every smaller radius too.
-    Once the bound falls below log(_SKIP_MASS / nodes), the node's remaining
-    radii are left out (log P(inside | g_k) = -inf) without running the
-    kernel; all pairs left out in one call hold at most _SKIP_MASS of
-    P(inside) at each radius.  Zero-weight nodes are left out altogether.
+    Each (g-node k, radius) pair is decided before the kernel runs: log w_k
+    plus the sum of _log_inside_bound over the active coordinates bounds
+    the pair's share of log P(inside) at every sigma^2 node.  A pair whose
+    bound falls below log(_SKIP_MASS / nodes) is left out (log P(inside |
+    g_k) = -inf), so at any radius the left-out pairs hold less than
+    _SKIP_MASS of P(inside).  Each pair is decided on its own, so a
+    one-radius call leaves out exactly the pairs a grid call does.
+    Zero-weight nodes are left out altogether.
     """
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
     shape = 0.5 * (stats.n + post.a - 2.0)
     probs, sig_w = _sigma_grid_weights(opts.sigma_grid)
-    base_nodes = 1.0 / gammainccinv(shape, probs)  # IG(shape, 1) quantiles
+    base_nodes = 1.0 / gammainccinv(shape, probs)  # IG(shape, 1) quantiles, ascending
     log_sig_w = np.log(sig_w)
     inv_e = 1.0 / stats.gram.eigenvalues
     g_nodes, g_weights = _g_nodes_and_weights(post, opts.g_quad)
     with np.errstate(divide="ignore"):
         log_g_w = np.log(g_weights)
     skip_below = math.log(_SKIP_MASS / g_nodes.size)
-    descending = np.argsort(-eps, kind="stable")
     # log P(inside | g-node) per radius; a node with no active coordinate is 0
     log_total = np.zeros((eps.size, g_nodes.size))
-    # hi, lo and the kernel's scratch (two tails, result), reused throughout;
-    # the result slot holds tau until the kernel overwrites it
+    # conditional sds (sigma^2 nodes x p), once per node; hi, lo and the
+    # kernel's scratch (two tails, result), reused throughout, where the
+    # result slot holds the active columns of tau, when some coordinates
+    # are inactive, until the kernel overwrites it; the bound's scratch
+    tau = np.empty((opts.sigma_grid, stats.p))
     buffers = np.empty((5, opts.sigma_grid * stats.p))
+    bound_scratch = np.empty((3, eps.size, stats.p))
     for k, g in enumerate(g_nodes):
         if log_g_w[k] < skip_below:
             log_total[:, k] = -np.inf
@@ -189,24 +219,25 @@ def _exact_ball_probabilities(
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = scale * base_nodes
         reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg * sigma2[-1] * inv_e)
-        for i, j in enumerate(descending):
-            epsilon = eps[j]
-            active = (epsilon - abs_delta) < reach
-            m = np.count_nonzero(active)
+        np.multiply.outer(sigma2, inv_e, out=tau)
+        np.sqrt(np.multiply(gg, tau, out=tau), out=tau)
+        log_bound = _log_inside_bound(delta, eps[:, None], tau[0], tau[-1], bound_scratch)
+        for j, epsilon in enumerate(eps):
+            active = np.flatnonzero((epsilon - abs_delta) < reach)
+            m = active.size
             if m == 0:
+                continue
+            if log_g_w[k] + np.sum(log_bound[j, active]) < skip_below:
+                log_total[j, k] = -np.inf
                 continue
             d = delta[active]
             work = buffers[:, : opts.sigma_grid * m].reshape(5, opts.sigma_grid, m)
-            hi, lo, tau = work[0], work[1], work[4]
-            np.multiply.outer(sigma2, inv_e[active], out=tau)
-            np.sqrt(np.multiply(gg, tau, out=tau), out=tau)
-            np.divide(epsilon - d, tau, out=hi)
-            np.divide(-epsilon - d, tau, out=lo)
+            hi, lo = work[0], work[1]
+            sd = tau if m == stats.p else np.take(tau, active, axis=1, out=work[4])
+            np.divide(epsilon - d, sd, out=hi)
+            np.divide(-epsilon - d, sd, out=lo)
             log_rows = np.sum(_log_interval_prob(hi, lo, work[2:]), axis=1)
             log_total[j, k] = log_sum_exp(log_sig_w + log_rows)
-            if log_g_w[k] + log_total[j, k] < skip_below:
-                log_total[descending[i + 1 :], k] = -np.inf
-                break
     # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1
     log_inside = [min(log_sum_exp(log_g_w + row), 0.0) for row in log_total]
     return np.array([max(0.0, -math.expm1(x)) for x in log_inside])
@@ -290,6 +321,8 @@ def sup_ball_probability(
     eps = np.asarray(epsilon, dtype=float)
     if eps.ndim != 1:
         raise ValueError("epsilon must be a 1-D array of radii")
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("epsilon must be finite")
     if np.any(eps < 0):
         raise ValueError("epsilon must be >= 0")
     gamma = np.asarray(gamma, dtype=float)

@@ -320,6 +320,8 @@ class TestArgumentParsing:
             ("lemmas", "--reps", "0"),
             ("simulate", "--reps", "0"),
             ("experiment", "--eps-grid", "0.1,0.1"),
+            ("experiment", "--eps-grid", "nan,0.2"),
+            ("experiment", "--eps-grid", "inf,0.2"),
         ],
     )
     def test_bad_numeric_flag_is_systemexit_2(self, eb_path, tmp_path, capsys, command, flag, value):
@@ -403,7 +405,10 @@ class TestRegimeSuiteScript:
         assert len(lines) == 1 + 2 * 1 * 2
         assert all(line.startswith("eb_fixed_offset_alpha05,eb,") for line in lines[1:])
 
-    @pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--threads", "0"), ("--n-grid", "100,50")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--reps", "0"), ("--threads", "0"), ("--n-grid", "100,50"), ("--eps", "nan,0.2"), ("--eps", "inf,0.2")],
+    )
     def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value):
         # counts and radii fail in argparse, a decreasing n grid as a
         # scenario error: either way a one-line error, not a traceback

@@ -344,6 +344,9 @@ class TestRunExperiment:
             run_experiment(sc, (50,), (), reps=1)
         with pytest.raises(ValueError, match="eps values must be > 0"):
             run_experiment(sc, (50,), (0.0, 0.5), reps=1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps values must be finite"):
+                run_experiment(sc, (50,), (bad, 0.5), reps=1)
         with pytest.raises(ValueError, match="duplicate eps"):
             run_experiment(sc, (50,), (0.5, 0.5), reps=1)
         with pytest.raises(ValueError, match="reps must be >= 1"):

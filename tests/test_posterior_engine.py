@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 import scipy.stats as st
-from hypothesis import given, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 import gprior_lab.posterior_engine as posterior_engine
 from gprior_lab.model_core import (
@@ -33,6 +33,7 @@ from gprior_lab.numerics import RngStream
 from gprior_lab.posterior_engine import (
     BallOptions,
     BallProbability,
+    _log_inside_bound,
     _log_interval_prob,
     _wilson_std_error,
     sup_ball_probability,
@@ -361,6 +362,16 @@ class TestBallProbabilityBehavior:
         with pytest.raises(ValueError, match="1-D array"):
             sup_ball_probability(post, stats, gamma, np.zeros(stats.p), 0.5)
 
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_non_finite_radius_rejected(self, method):
+        stats, gamma, post = _hyper_g_instance()
+        opts = BallOptions(method=method, mc_draws=10)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                sup_ball_probability(
+                    post, stats, gamma, np.zeros(stats.p), np.array([0.1, bad]), opts, RngStream(1, ("bad",))
+                )
+
     def test_point_mass_at_zero_g_is_an_indicator(self):
         # g = 0 collapses beta onto gamma, so exceedance is a 0/1 indicator
         stats = axis_stats(10, [2.0, -1.0], 4.0)
@@ -462,41 +473,105 @@ def _cli_default_cell(name: str, n: int = 100):
     return post, stats, gamma, beta0
 
 
-def _cli_exceedance(name: str, skip_mass=None) -> np.ndarray:
+def _cli_exceedance(name: str, skip_mass=None, n: int = 100, radii=CLI_RADII) -> np.ndarray:
     with pytest.MonkeyPatch.context() as mp:
         if skip_mass is not None:
             mp.setattr(posterior_engine, "_SKIP_MASS", skip_mass)
-        return sup_ball_probability(*_cli_default_cell(name), CLI_RADII, BallOptions(method="exact")).value
+        return sup_ball_probability(*_cli_default_cell(name, n), radii, BallOptions(method="exact")).value
 
 
 @functools.cache
-def _cli_unskipped(name: str) -> np.ndarray:
+def _cli_unskipped(name: str, n: int = 100) -> np.ndarray:
     # 1e-300 leaves out only pairs far below double resolution, so this is
     # the value of evaluating every (g-node, radius) pair
-    return _cli_exceedance(name, 1e-300)
+    return _cli_exceedance(name, 1e-300, n)
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    """Record every run of the exact kernel proper: a _log_interval_prob
+    call on one (sigma_grid, active p) block.  The pair bound's own call,
+    one (radii, p) block per g-node, is not a kernel run."""
+    calls = []
+    kernel = posterior_engine._log_interval_prob
+
+    def counting(hi, lo, scratch):
+        if hi.shape[0] == BallOptions().sigma_grid:
+            calls.append(1)
+        return kernel(hi, lo, scratch)
+
+    monkeypatch.setattr(posterior_engine, "_log_interval_prob", counting)
+    return calls
+
+
+class TestPairBound:
+    @settings(max_examples=400)
+    @given(
+        z=hst.lists(hst.floats(-45.0, 45.0), min_size=1, max_size=12),
+        e=hst.floats(0.0, 45.0),
+        inv_e=hst.lists(hst.floats(0.5, 2.0), min_size=12, max_size=12),
+        sigma2=hst.lists(hst.floats(0.01, 1.0), min_size=3, max_size=9),
+        gg=hst.floats(1e-6, 1.0),
+    )
+    def test_bound_covers_the_kernel_at_every_sigma_node(self, z, e, inv_e, sigma2, gg):
+        # offsets and radius in units of the largest sd (sigma^2 = 1, unit
+        # eigenvalue), so edges reach the +-40 tails, radii fall below
+        # |delta| and narrow intervals reach the miss >= 0.5 branch
+        sigma2 = np.sort(np.append(sigma2, 1.0))
+        inv_e = np.array(inv_e[: len(z)])
+        tau = np.sqrt(gg * np.multiply.outer(sigma2, inv_e))
+        scale = math.sqrt(gg)
+        delta, eps = scale * np.array(z), scale * e
+        kernel = _log_interval_prob((eps - delta) / tau, (-eps - delta) / tau, np.empty((3,) + tau.shape))
+        bound = _log_inside_bound(delta, np.array([[eps]]), tau[0], tau[-1], np.empty((3, 1, len(z))))[0]
+        assert not np.any(np.isnan(bound))
+        assert np.all(bound >= kernel)
+        assert np.all(np.sum(bound) >= np.sum(kernel, axis=1))
+        # where the interval holds the mean the bound is the kernel at sigma^2 node 0
+        holds = np.abs(delta) <= eps
+        assert np.array_equal(bound[holds], kernel[0, holds])
 
 
 class TestSkipRule:
-    @pytest.mark.parametrize("name", ["hyperg_fixed_offset_alpha05", "zs_fixed_offset_alpha05"])
-    def test_skipped_pairs_do_not_change_a_bit(self, name):
-        value = _cli_exceedance(name)
-        assert value.tobytes() == _cli_unskipped(name).tobytes()
-        assert np.all(np.diff(value) <= 0.0) and 0.0 < value[-1] < value[0]
+    @pytest.mark.parametrize(
+        "name, n",
+        [
+            pytest.param(name, n, id=name if n == 100 else f"{name}-{n}")
+            for name in ("hyperg_fixed_offset_alpha05", "zs_fixed_offset_alpha05")
+            for n in (100, 200, 400)
+        ],
+    )
+    def test_skipped_pairs_do_not_change_a_bit(self, name, n):
+        value = _cli_exceedance(name, n=n)
+        assert value.tobytes() == _cli_unskipped(name, n).tobytes()
+        # at n = 400 the Zellner-Siow exceedance at 0.5 is 0.0, so the check
+        # that the cell is not all 0s and 1s moves in one radius there
+        last = -2 if n == 400 else -1
+        assert np.all(np.diff(value) <= 0.0) and 0.0 < value[last] < value[0]
 
     def test_kernel_skips_pairs_on_zellner_siow(self, monkeypatch):
-        # zero-weight nodes and radii bounded by a larger one never reach the kernel
-        calls = []
-        kernel = posterior_engine._log_interval_prob
-
-        def counting(*args):
-            calls.append(1)
-            return kernel(*args)
-
-        monkeypatch.setattr(posterior_engine, "_log_interval_prob", counting)
+        # zero-weight nodes and pairs whose bound falls below the threshold
+        # never reach the kernel
+        calls = _count_kernel_calls(monkeypatch)
         name = "zs_fixed_offset_alpha05"
         _cli_exceedance(name)
         nodes = _cli_default_cell(name)[0].quadrature()[0].size
         assert 0 < len(calls) < nodes * CLI_RADII.size
+
+    def test_one_radius_calls_skip_what_a_grid_call_skips(self, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        name = "hyperg_fixed_offset_alpha05"
+        grid = _cli_exceedance(name)
+        in_grid = len(calls)
+        singles = [_cli_exceedance(name, radii=CLI_RADII[j : j + 1])[0] for j in range(CLI_RADII.size)]
+        assert singles == grid.tolist()
+        assert len(calls) - in_grid == in_grid
+
+    def test_kernel_runs_on_at_most_80_percent_of_pairs(self, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        name = "hyperg_fixed_offset_alpha05"
+        _cli_exceedance(name)
+        nodes = _cli_default_cell(name)[0].quadrature()[0].size
+        assert 0 < len(calls) <= 0.8 * nodes * CLI_RADII.size
 
     def test_a_loose_threshold_is_caught(self):
         # the bitwise check above has teeth: leaving out up to 1e-6 of
