@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n-grid", type=_positive_int_list, default=(200, 800, 3200))
     parser.add_argument("--eps", type=_positive_float_list, default=(0.1, 0.5))
     parser.add_argument("--reps", type=_int_at_least(1), default=30)
-    parser.add_argument("--seed", type=int, default=20260815)
+    parser.add_argument("--seed", type=_int_at_least(0), default=20260815)
     parser.add_argument("--threads", type=_int_at_least(1), default=4)
     parser.add_argument(
         "--lemmas",

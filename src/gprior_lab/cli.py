@@ -8,11 +8,12 @@ Subcommands:
   plot        render deterministic SVG trend plots from a report.json
 
 Exit codes: 0 success; 2 usage or configuration errors (bad flags,
-malformed scenario JSON, model assumption violations); 3 runtime failures
-(numerically degenerate posteriors, failed lemma checks, empty reports).
+negative seeds, malformed scenario JSON, model assumption violations,
+--method exact on a rotated design); 3 runtime failures (numerically
+degenerate posteriors, failed lemma checks, empty reports).
 
-The master seed comes from --seed, falling back to the GPRIOR_LAB_SEED
-environment variable, then 0.
+The master seed, an integer >= 0, comes from --seed, falling back to the
+GPRIOR_LAB_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -91,14 +92,17 @@ def _resolve_seed(args) -> int:
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise ScenarioError(f"GPRIOR_LAB_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ScenarioError(f"GPRIOR_LAB_SEED must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _add_common(sub, n_grid=True, reps=None):
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    sub.add_argument("--seed", type=int, default=None, help="master seed (default: $GPRIOR_LAB_SEED or 0)")
+    sub.add_argument("--seed", type=_int_at_least(0), default=None, help="master seed (default: $GPRIOR_LAB_SEED or 0)")
     if n_grid:
         sub.add_argument("--n-grid", type=_positive_int_list, required=True, help="comma-separated sample sizes")
     if reps is not None:
@@ -187,6 +191,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     scenario = load_scenario(args.scenario)
+    if args.method == "exact" and scenario.design.kind != "orthogonal":
+        raise ScenarioError(
+            f"--method exact needs an axis-aligned design, but scenario {scenario.name!r} "
+            f"has a {scenario.design.kind!r} design; use --method auto or mc"
+        )
     seed = _resolve_seed(args)
     opts = BallOptions(method=args.method, mc_draws=args.mc_draws)
     report = run_experiment(

@@ -141,6 +141,29 @@ class TestExperimentCommand:
         assert rc == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    def test_negative_env_seed_exits_2(self, eb_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GPRIOR_LAB_SEED", "-2")
+        rc = main(["experiment", "--scenario", eb_path, "--n-grid", "50",
+                   "--eps-grid", "0.5", "--reps", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "GPRIOR_LAB_SEED must be an integer >= 0" in capsys.readouterr().err
+
+    def test_exact_method_on_rotated_design_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr("gprior_lab.cli.run_experiment", no_cells)
+        out = tmp_path / "out"
+        rc = main(["experiment",
+                   "--scenario", str(REPO_ROOT / "perfbench" / "scenarios" / "eb_rotated_offset_alpha05.json"),
+                   "--n-grid", "50", "--eps-grid", "0.5", "--reps", "1",
+                   "--method", "exact", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--method exact" in err and "'diagonal'" in err
+        assert not out.exists()
+
 
 class TestTheoremCommand:
     @pytest.mark.parametrize(
@@ -322,6 +345,9 @@ class TestArgumentParsing:
             ("experiment", "--eps-grid", "0.1,0.1"),
             ("experiment", "--eps-grid", "nan,0.2"),
             ("experiment", "--eps-grid", "inf,0.2"),
+            ("experiment", "--seed", "-1"),
+            ("simulate", "--seed", "-1"),
+            ("lemmas", "--seed", "-1"),
         ],
     )
     def test_bad_numeric_flag_is_systemexit_2(self, eb_path, tmp_path, capsys, command, flag, value):
@@ -407,7 +433,8 @@ class TestRegimeSuiteScript:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--reps", "0"), ("--threads", "0"), ("--n-grid", "100,50"), ("--eps", "nan,0.2"), ("--eps", "inf,0.2")],
+        [("--reps", "0"), ("--threads", "0"), ("--n-grid", "100,50"), ("--eps", "nan,0.2"), ("--eps", "inf,0.2"),
+         ("--seed", "-1")],
     )
     def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value):
         # counts and radii fail in argparse, a decreasing n grid as a

@@ -8,6 +8,7 @@ sandwich that needs no distributional knowledge at all.
 
 import functools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -455,6 +456,75 @@ class TestRadiusGrid:
         p = np.linspace(0.05, 0.95, 91)
         binomial = np.sqrt(p * (1.0 - p) / draws)
         assert np.max(np.abs(_wilson_std_error(p, draws) / binomial - 1.0)) < 0.01
+
+
+def _mc_call(instance, radii, mc_draws):
+    stats, gamma, post, center = instance
+    return sup_ball_probability(
+        post, stats, gamma, center, radii, BallOptions(method="mc", mc_draws=mc_draws),
+        RngStream(8, ("blocks",)),
+    )
+
+
+def _forced_mc_instance():
+    stats, gamma, post = _hyper_g_instance()
+    return stats, gamma, post, beta_posterior_mean(stats, gamma, 3.0)
+
+
+class TestMcBlocks:
+    """The normals of a Monte Carlo batch are drawn and reduced in row
+    blocks; the block size must change no bit of any estimate."""
+
+    GRID = np.array([0.05, 0.3, 0.5, 0.8, 1.2])
+
+    @pytest.mark.parametrize("batch_draws", [None, 64])
+    @pytest.mark.parametrize("block_rows", [1, 7, "batch"])
+    @pytest.mark.parametrize("make", [_rotated_instance, _forced_mc_instance], ids=["rotated", "orthogonal"])
+    def test_block_size_changes_no_bit(self, monkeypatch, make, block_rows, batch_draws):
+        # 500 draws in batches of 64 end in a 52-draw batch; 7-row blocks
+        # leave a ragged last block in both
+        instance = make()
+        p = instance[0].p
+        if batch_draws is not None:
+            monkeypatch.setattr(posterior_engine, "_MC_BATCH_ELEMENTS", batch_draws * p)
+        default = _mc_call(instance, self.GRID, 500)
+        rows = (batch_draws or 500) if block_rows == "batch" else block_rows
+        monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", rows * p)
+        blocked = _mc_call(instance, self.GRID, 500)
+        assert 0.0 < default.value[0] and default.value[-1] < 1.0
+        assert blocked.value.tolist() == default.value.tolist()
+        assert blocked.std_error.tolist() == default.std_error.tolist()
+
+    @staticmethod
+    def _large_rotated_instance():
+        sc = make_scenario(name="rot400", design=DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0))
+        stats = simulate_scenario_stats(sc, 800, 5)
+        gamma = sc.gamma_at(800)
+        post = build_g_posterior(sc.regime, stats, diagnostics(stats, gamma, PRIOR).quad_form, PRIOR)
+        return stats, gamma, post, sc.beta0_at(800)
+
+    def test_rotated_working_set_stays_small(self, monkeypatch):
+        # p = 400 and 20,000 draws: two batches of 10,485 and 9,515 draws.
+        # Whole batches held two (10,485 x 400) arrays, a 66 MB peak; the
+        # blocks hold two 2 MB buffers next to the 1.3 MB basis product
+        instance = self._large_rotated_instance()
+        assert instance[0].p == 400
+        radii = np.array([0.1, 0.2, 0.5])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            blocked = _mc_call(instance, radii, 20_000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        # one block per batch reduces each batch whole
+        monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", posterior_engine._MC_BATCH_ELEMENTS)
+        whole = _mc_call(instance, radii, 20_000)
+        assert blocked.value.tolist() == whole.value.tolist()
+        assert blocked.std_error.tolist() == whole.std_error.tolist()
+        assert 0.0 < blocked.value[1] < 1.0
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
