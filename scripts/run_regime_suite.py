@@ -35,8 +35,23 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SUITE_OPTIONS = BallOptions(method="exact", g_quad=64, sigma_grid=65)
 
 
-def run_one(path: Path, args: argparse.Namespace) -> dict:
-    scenario = load_scenario(path)
+def load_suite(paths, n_grid) -> list:
+    """Every scenario of the run, loaded and checked on the n grid before
+    any cell runs.  SUITE_OPTIONS pins the exact route, which needs an
+    axis-aligned design."""
+    scenarios = [load_scenario(path) for path in paths]
+    for scenario in scenarios:
+        scenario.validate_grid(n_grid)
+        if scenario.design.kind != "orthogonal":
+            raise ScenarioError(
+                f"the suite runs the exact route, which needs an axis-aligned design, but "
+                f"scenario {scenario.name!r} has a {scenario.design.kind!r} design; run it "
+                "with `gprior-lab experiment --method mc` instead"
+            )
+    return scenarios
+
+
+def run_one(scenario, args: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     report = run_experiment(
         scenario,
@@ -101,11 +116,15 @@ def main(argv=None) -> int:
         print("no scenario files found", file=sys.stderr)
         return 2
 
+    # exit codes as `gprior-lab`: 2 for a bad scenario, 3 for a runtime failure
     try:
-        summary = [run_one(Path(p), args) for p in paths]
+        summary = [run_one(scenario, args) for scenario in load_suite(paths, args.n_grid)]
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     (args.out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"\nwrote {len(summary)} reports under {args.out}/ (+ summary.json)")
     return 0

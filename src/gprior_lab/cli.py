@@ -29,6 +29,7 @@ from .numerics import RngStream
 from .model_core import (
     ScenarioError,
     _finite,
+    design_at,
     diagnostics,
     load_scenario,
     mle_sup_error,
@@ -160,9 +161,10 @@ def _cmd_simulate(args) -> int:
     for n in args.n_grid:
         gamma = scenario.gamma_at(n)
         truth = scenario.truth_at(n)
+        gram = design_at(scenario, n, seed)
         for rep in range(args.reps):
             rng = RngStream(seed, (scenario.name, n, rep)).child("sim")
-            stats = simulate_stats(scenario, n, rng, mode=args.mode)
+            stats = simulate_stats(scenario, n, rng, gram, mode=args.mode)
             diag = diagnostics(stats, gamma, scenario.prior, truth)
             ghat = None
             if n - stats.p + scenario.prior.a - 2 > 0:

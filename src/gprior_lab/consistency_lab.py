@@ -35,6 +35,7 @@ from scipy.special import gammaincc
 from .numerics import RngStream
 from .model_core import (
     Scenario,
+    design_at,
     diagnostics,
     mle_sup_error,
     scenario_to_dict,
@@ -63,6 +64,11 @@ __all__ = [
     "LemmaOutcome",
     "verify_lemmas",
 ]
+
+# coordinates per block when the verdict walks an offset vector: the
+# extended grid reaches p in the millions, and a block keeps each pass to
+# a few hundred kilobytes whatever p is
+OFFSET_BLOCK = 2**15
 
 # a trend of medians counts as vanishing when it ends below this...
 VANISH_THRESHOLD = 0.05
@@ -161,14 +167,21 @@ class TheoremVerdict:
 
 def _offset_norms(scenario: Scenario, n_grid) -> tuple:
     """(ns, sup, sq): the extended grid with ||gamma - beta0||_inf and
-    ||gamma - beta0||_2^2 at each n, building each offset vector once."""
+    ||gamma - beta0||_2^2 at each n, building each coordinate of each
+    offset once, OFFSET_BLOCK coordinates at a time."""
     ns = _extended_grid(n_grid)
+    gamma, beta0 = scenario.gamma_rule, scenario.beta0_rule
     sup, sq = [], []
     for n in ns:
-        d = scenario.gamma_at(n) - scenario.beta0_at(n)
-        sup.append(float(np.max(np.abs(d))) if d.size else 0.0)
-        sq.append(float(d @ d))
-        del d  # free this offset before the next, larger one is built
+        p = scenario.p_at(n)
+        top = total = 0.0
+        for start in range(0, p, OFFSET_BLOCK):
+            stop = min(start + OFFSET_BLOCK, p)
+            d = gamma.values(n, p, start, stop) - beta0.values(n, p, start, stop)
+            top = max(top, float(np.max(np.abs(d))))
+            total += float(d @ d)
+        sup.append(top)
+        sq.append(total)
     return ns, sup, sq
 
 
@@ -176,13 +189,15 @@ def _trace(ns, values) -> dict:
     return {"ns": ns, "values": values, "class": _classify_profile(values)}
 
 
-def evaluate_theorem1(scenario: Scenario, n_grid) -> TheoremVerdict:
+def evaluate_theorem1(scenario: Scenario, n_grid, norms=None) -> TheoremVerdict:
     """Verdict for a deterministic-g scenario: consistent iff the posterior
     center offset ||gamma - beta0||_inf / (g_n + 1) and the spread proxy
-    g_n (g_n + 1)^{-2} (log p_n) ||gamma - beta0||_2^2 / n both vanish."""
+    g_n (g_n + 1)^{-2} (log p_n) ||gamma - beta0||_2^2 / n both vanish.
+    ``norms`` is the scenario's _offset_norms profile, computed here when
+    omitted."""
     if not isinstance(scenario.regime, FixedG):
         raise ValueError("evaluate_theorem1 applies only to the fixed-g regime")
-    ns, sup, sq = _offset_norms(scenario, n_grid)
+    ns, sup, sq = norms or _offset_norms(scenario, n_grid)
     gs = [scenario.regime.g_at(n) for n in ns]
     center = [s / (g + 1.0) for s, g in zip(sup, gs)]
     spread = [
@@ -199,7 +214,7 @@ def evaluate_theorem1(scenario: Scenario, n_grid) -> TheoremVerdict:
     return TheoremVerdict(theorem="T1", predicted=predicted, evidence=ev)
 
 
-def evaluate_theorem_subsequence_condition(scenario: Scenario, n_grid):
+def evaluate_theorem_subsequence_condition(scenario: Scenario, n_grid, norms=None):
     """The shared condition of the data-dependent regimes: holds when
     alpha = 0, or when the squared offset does not settle at a finite
     positive constant while the sup offset stays away from zero.
@@ -207,8 +222,9 @@ def evaluate_theorem_subsequence_condition(scenario: Scenario, n_grid):
     Returns (holds, evidence) with holds None when a limit cannot be
     classified.  The scenario rule vocabulary only produces monotone-type
     sequences, so full-sequence limits settle subsequence behavior.
+    ``norms`` is as for evaluate_theorem1.
     """
-    ns, sup, sq = _offset_norms(scenario, n_grid)
+    ns, sup, sq = norms or _offset_norms(scenario, n_grid)
     ev = {"alpha": scenario.alpha, "offset_sq": _trace(ns, sq), "offset_sup": _trace(ns, sup)}
     if scenario.alpha == 0.0:
         return True, ev
@@ -224,11 +240,12 @@ def evaluate_theorem_subsequence_condition(scenario: Scenario, n_grid):
     return None, ev
 
 
-def predict_verdict(scenario: Scenario, n_grid) -> TheoremVerdict:
-    """Dispatch to the regime's consistency result."""
+def predict_verdict(scenario: Scenario, n_grid, norms=None) -> TheoremVerdict:
+    """Dispatch to the regime's consistency result; ``norms`` is as for
+    evaluate_theorem1."""
     regime = scenario.regime
     if isinstance(regime, FixedG):
-        return evaluate_theorem1(scenario, n_grid)
+        return evaluate_theorem1(scenario, n_grid, norms)
     if isinstance(regime, EmpiricalBayesG):
         theorem = "T2"
     elif isinstance(regime, HyperG):
@@ -237,7 +254,7 @@ def predict_verdict(scenario: Scenario, n_grid) -> TheoremVerdict:
         theorem = "T4"
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    holds, ev = evaluate_theorem_subsequence_condition(scenario, n_grid)
+    holds, ev = evaluate_theorem_subsequence_condition(scenario, n_grid, norms)
     if holds is True:
         return TheoremVerdict(
             theorem=theorem,
@@ -330,19 +347,20 @@ class ExperimentReport:
         return out.getvalue()
 
 
-def _dataset(scenario, n, rep, master_seed):
-    """Dataset (n, rep) drawn from its keyed stream: the stream, the
-    sufficient statistics and their diagnostics under the truth."""
+def _dataset(scenario, n, rep, gram, master_seed):
+    """Dataset (n, rep) on the design ``gram`` at n, drawn from its keyed
+    stream: the stream, the sufficient statistics and their diagnostics
+    under the truth."""
     cell = RngStream(master_seed, (scenario.name, n, rep))
-    stats = simulate_stats(scenario, n, cell.child("sim"))
+    stats = simulate_stats(scenario, n, cell.child("sim"), gram)
     diag = diagnostics(stats, scenario.gamma_at(n), scenario.prior, scenario.truth_at(n))
     return cell, stats, diag
 
 
-def _run_cell(scenario, n, rep, master_seed, eps_grid, opts, grid_size, lemmas):
+def _run_cell(scenario, n, rep, gram, master_seed, eps_grid, opts, grid_size, lemmas):
     """The cell's rows, one per radius, and with ``lemmas`` its lemma
     record (else None), both from one draw of the dataset."""
-    cell, stats, diag = _dataset(scenario, n, rep, master_seed)
+    cell, stats, diag = _dataset(scenario, n, rep, gram, master_seed)
     post = build_g_posterior(scenario.regime, stats, diag.quad_form, scenario.prior, grid_size=grid_size)
     bp = sup_ball_probability(
         post, stats, scenario.gamma_at(n), scenario.beta0_at(n), eps_grid, opts, cell.child("ball")
@@ -401,11 +419,15 @@ def run_experiment(
     # largest n (the costliest cells) first, so no thread is left with one
     # long cell at the end; each cell has its own stream, so order is moot
     tasks = [(n, rep) for n in reversed(n_grid) for rep in range(reps)]
+    # one design per n, shared by all its reps; drawn one at a time, so at
+    # most one basis factorisation is in memory
+    designs = {n: design_at(scenario, n, master_seed) for n in n_grid}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(
             pool.map(
                 lambda t: _run_cell(
-                    scenario, t[0], t[1], master_seed, eps_grid, opts, grid_size, include_lemmas
+                    scenario, t[0], t[1], designs[t[0]], master_seed, eps_grid, opts,
+                    grid_size, include_lemmas,
                 ),
                 tasks,
             )
@@ -433,7 +455,8 @@ def run_experiment(
             }
         )
 
-    verdict = predict_verdict(scenario, n_grid)
+    norms = _offset_norms(scenario, n_grid)
+    verdict = predict_verdict(scenario, n_grid, norms)
     trends = [a["trend"] for a in aggregates]
     if verdict.predicted == "unknown":
         agreement = None
@@ -453,7 +476,7 @@ def run_experiment(
             agreement = None
 
     lemma_outcomes = (
-        _judge_lemmas(scenario, n_grid, [record for _, record in results])
+        _judge_lemmas(scenario, n_grid, norms[2], [record for _, record in results])
         if include_lemmas
         else []
     )
@@ -530,10 +553,10 @@ def _near_one(name: str, ratio: float) -> LemmaOutcome:
     )
 
 
-def _judge_lemmas(scenario: Scenario, n_grid: tuple, records: list) -> list:
-    """The LemmaOutcome of each check, judged on the lemma records of the
-    datasets at every n of the grid."""
-    _, _, sq = _offset_norms(scenario, n_grid)
+def _judge_lemmas(scenario: Scenario, n_grid: tuple, sq: list, records: list) -> list:
+    """The LemmaOutcome of each check, judged on the squared-offset profile
+    ``sq`` of _offset_norms and the lemma records of the datasets at every
+    n of the grid."""
     sq_class = _classify_profile(sq)
     final = n_grid[-1]
 
@@ -644,9 +667,11 @@ def verify_lemmas(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     scenario.validate_grid(n_grid)
-    records = [
-        _lemma_record(scenario, n, *_dataset(scenario, n, rep, master_seed)[1:])
-        for n in n_grid
-        for rep in range(reps)
-    ]
-    return _judge_lemmas(scenario, n_grid, records)
+    records = []
+    for n in n_grid:
+        gram = design_at(scenario, n, master_seed)
+        records += [
+            _lemma_record(scenario, n, *_dataset(scenario, n, rep, gram, master_seed)[1:])
+            for rep in range(reps)
+        ]
+    return _judge_lemmas(scenario, n_grid, _offset_norms(scenario, n_grid)[2], records)

@@ -36,6 +36,7 @@ __all__ = [
     "DesignSpec",
     "GramSpectrum",
     "build_design",
+    "design_at",
     "ZerosRule",
     "ConstantRule",
     "FirstMRule",
@@ -149,20 +150,26 @@ def _haar_orthonormal(p: int, rng: RngStream) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # coefficient rules (closed vocabulary, shared by beta0 and gamma)
+#
+# Each rule's values(n, p, start, stop) gives coordinates [start, stop) of
+# its length-p vector at n (stop defaults to p), bit for bit the slice of
+# the whole vector, so long vectors can be walked in blocks.
 
 
 @dataclass(frozen=True)
 class ZerosRule:
-    def values(self, n: int, p: int) -> np.ndarray:
-        return np.zeros(p)
+    def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        stop = p if stop is None else stop
+        return np.zeros(stop - start)
 
 
 @dataclass(frozen=True)
 class ConstantRule:
     v: float
 
-    def values(self, n: int, p: int) -> np.ndarray:
-        return np.full(p, float(self.v))
+    def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        stop = p if stop is None else stop
+        return np.full(stop - start, float(self.v))
 
 
 @dataclass(frozen=True)
@@ -176,11 +183,12 @@ class FirstMRule:
         if self.m < 0:
             raise ScenarioError("first_m count must be >= 0")
 
-    def values(self, n: int, p: int) -> np.ndarray:
+    def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         if self.m > p:
             raise ScenarioError(f"first_m rule needs p >= {self.m}, got p={p}")
-        out = np.zeros(p)
-        out[: self.m] = float(self.v)
+        stop = p if stop is None else stop
+        out = np.zeros(stop - start)
+        out[: max(0, self.m - start)] = float(self.v)
         return out
 
 
@@ -205,8 +213,9 @@ class ScaledNormRule:
             return math.sqrt(n)
         return float(self.target_sq_norm)
 
-    def values(self, n: int, p: int) -> np.ndarray:
-        return np.full(p, math.sqrt(self._target(n) / p))
+    def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        stop = p if stop is None else stop
+        return np.full(stop - start, math.sqrt(self._target(n) / p))
 
 
 @dataclass(frozen=True)
@@ -216,8 +225,9 @@ class DecayingRule:
     c: float
     rate: float
 
-    def values(self, n: int, p: int) -> np.ndarray:
-        return float(self.c) * np.arange(1, p + 1, dtype=float) ** (-float(self.rate))
+    def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        stop = p if stop is None else stop
+        return float(self.c) * np.arange(start + 1, stop + 1, dtype=float) ** (-float(self.rate))
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +376,32 @@ class Truth:
     sigma0_sq: float
 
 
-def simulate_stats(scenario: Scenario, n: int, rng: RngStream, mode: str = "direct") -> SufficientStats:
+def design_at(scenario: Scenario, n: int, master_seed: int) -> GramSpectrum:
+    """The gram spectrum of the design at n, drawn from the stream keyed
+    (master seed, scenario, "design", n): one design for every replication
+    at n."""
+    design_rng = RngStream(master_seed, (scenario.name, "design", n))
+    return build_design(scenario.design, n, scenario.p_at(n), design_rng)
+
+
+def simulate_stats(
+    scenario: Scenario,
+    n: int,
+    rng: RngStream,
+    gram: Optional[GramSpectrum] = None,
+    mode: str = "direct",
+) -> SufficientStats:
     """Draw sufficient statistics under the truth (beta0, sigma0_sq).
 
     'direct' samples beta_hat ~ N(beta0, sigma0^2 (X'X)^{-1}) and
     S ~ sigma0^2 chisq(n - p) straight from their laws; 'full' builds an
     explicit n x p design, simulates y, and reduces it (a cross-check mode
-    for moderate n).  The design for a given (master seed, scenario, n) is
-    fixed across replications.
+    for moderate n).  ``gram`` is the design at n; when omitted it is drawn
+    here as design_at(scenario, n, rng.master_seed) gives it.
     """
     p = scenario.p_at(n)
-    design_rng = RngStream(rng.master_seed, (scenario.name, "design", n))
-    gram = build_design(scenario.design, n, p, design_rng)
+    if gram is None:
+        gram = design_at(scenario, n, rng.master_seed)
     beta0 = scenario.beta0_at(n)
     sigma0 = math.sqrt(scenario.sigma0_sq)
     if mode == "direct":
@@ -387,7 +411,7 @@ def simulate_stats(scenario: Scenario, n: int, rng: RngStream, mode: str = "dire
         resid = scenario.sigma0_sq * rng.chi_square(n - p)
         return SufficientStats(n=n, p=p, beta_hat=beta_hat, resid_ss=float(resid), gram=gram)
     if mode == "full":
-        basis_rng = design_rng.child("basis")
+        basis_rng = RngStream(rng.master_seed, (scenario.name, "design", n, "basis"))
         u, r = np.linalg.qr(basis_rng.generator.standard_normal((n, p)))
         u = u * np.sign(np.diag(r))
         root = np.sqrt(gram.eigenvalues)

@@ -7,6 +7,8 @@
   * log_marginal_likelihood_g, the profile that the empirical-Bayes ghat
     maximizes in closed form.
   * shrinkage_spread_stat, the spread control AC9 tracks.
+  * offset_norms, the verdict's offset norms from the whole offset vector
+    with a correctly rounded sum of squares.
 """
 
 import math
@@ -147,3 +149,13 @@ def shrinkage_spread_stat(post, n: int) -> float:
     g_nodes, weights = post.quadrature()
     val = float(weights @ ((g_nodes / (g_nodes + 1.0) ** 2) ** 2))
     return post.quad_form**2 * val / float(n) ** 3
+
+
+# ---------------------------------------------------------------------------
+# offset norms
+
+
+def offset_norms(scenario, n: int) -> tuple:
+    """(max|d|, fsum(d*d)) for the whole offset d = gamma - beta0 at n."""
+    d = scenario.gamma_at(n) - scenario.beta0_at(n)
+    return float(np.max(np.abs(d))), math.fsum(d * d)

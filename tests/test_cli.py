@@ -431,6 +431,34 @@ class TestRegimeSuiteScript:
         assert len(lines) == 1 + 2 * 1 * 2
         assert all(line.startswith("eb_fixed_offset_alpha05,eb,") for line in lines[1:])
 
+    def test_rotated_scenario_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # the suite pins the exact route, which a rotated design cannot take
+        script = self._script()
+        ran = []
+        monkeypatch.setattr(script, "run_experiment", lambda *a, **k: ran.append(a))
+        rotated = REPO_ROOT / "perfbench" / "scenarios" / "eb_rotated_offset_alpha05.json"
+        rc = script.main([
+            "--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"), "--scenario", str(rotated),
+            "--n-grid", "50,100", "--reps", "1", "--threads", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 2 and ran == []
+        err = capsys.readouterr().err
+        assert "exact route" in err and "'diagonal' design" in err and "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_runtime_value_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        script = self._script()
+
+        def failing(*args, **kwargs):
+            raise ValueError("degenerate posterior")
+
+        monkeypatch.setattr(script, "run_experiment", failing)
+        rc = script.main(["--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
+                          "--n-grid", "50,100", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "error: degenerate posterior" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--reps", "0"), ("--threads", "0"), ("--n-grid", "100,50"), ("--eps", "nan,0.2"), ("--eps", "inf,0.2"),

@@ -2,16 +2,22 @@
 runner, and the simulation-backed concentration checks."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
+import gprior_lab.cli as cli
+import gprior_lab.model_core as model_core
 from gprior_lab.model_core import (
     ConstantRule,
+    DecayingRule,
     DesignSpec,
     EmpiricalBayesG,
     FirstMRule,
@@ -24,16 +30,20 @@ from gprior_lab.model_core import (
     ZellnerSiowG,
     ZerosRule,
     diagnostics,
+    load_scenario,
 )
 from gprior_lab.g_regimes import build_g_posterior
+from gprior_lab.numerics import RngStream
 from gprior_lab.posterior_engine import BallOptions
 import gprior_lab.consistency_lab as consistency_lab
 from gprior_lab.consistency_lab import (
     FLOOR_THRESHOLD,
+    OFFSET_BLOCK,
     REPORT_SCHEMA_VERSION,
     VANISH_THRESHOLD,
     _classify_profile,
     _extended_grid,
+    _offset_norms,
     classify_trend,
     evaluate_theorem1,
     evaluate_theorem_subsequence_condition,
@@ -43,10 +53,11 @@ from gprior_lab.consistency_lab import (
 )
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
-from oracles import shrinkage_spread_stat
+from oracles import offset_norms, shrinkage_spread_stat
 
 PRIOR = PriorConstants()
 GRID = (200, 800, 3200)
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
 # capped quadrature keeps the larger experiment smokes fast; accuracy is
 # covered against the full grid in test_posterior_engine
 CAPPED = BallOptions(method="exact", g_quad=64, sigma_grid=65)
@@ -108,26 +119,31 @@ class TestLimitClassification:
 
 
 class _CountingRule:
-    """A coefficient rule that records the n of every evaluation."""
+    """A coefficient rule that records (n, start, stop) of every evaluation."""
 
     def __init__(self, rule):
         self.rule = rule
         self.calls = []
 
-    def values(self, n, p):
-        self.calls.append(n)
-        return self.rule.values(n, p)
+    def values(self, n, p, start=0, stop=None):
+        self.calls.append((n, start, p if stop is None else stop))
+        return self.rule.values(n, p, start, stop)
 
 
 class TestVerdicts:
     @pytest.mark.parametrize("regime", [FixedG(rule="n"), EmpiricalBayesG(), ZellnerSiowG()])
     def test_offset_built_once_per_n(self, regime):
+        # every coordinate of each n's offset is built once, in blocks
+        # that tile [0, p) in order
         beta0, gamma = _CountingRule(FirstMRule(1.0, 3)), _CountingRule(ZerosRule())
         sc = make_scenario(regime=regime, beta0_rule=beta0, gamma_rule=gamma)
         predict_verdict(sc, GRID)
-        extended = _extended_grid(GRID)
-        assert beta0.calls == extended
-        assert gamma.calls == extended
+        expected = []
+        for n in _extended_grid(GRID):
+            p = sc.p_at(n)
+            expected += [(n, lo, min(lo + OFFSET_BLOCK, p)) for lo in range(0, p, OFFSET_BLOCK)]
+        assert beta0.calls == expected
+        assert gamma.calls == expected
 
     def test_fixed_growing_g_is_consistent(self):
         v = predict_verdict(make_scenario(regime=FixedG(rule="n")), GRID)
@@ -193,6 +209,77 @@ class TestVerdicts:
         )
         assert holds is True
         assert ev["alpha"] == 0.0
+
+
+# offsets (beta0 rule, gamma rule) beside the shipped scenarios' own
+OFFSETS = {
+    "decaying_0.25": (DecayingRule(1.0, 0.25), ZerosRule()),
+    "decaying_0.5": (DecayingRule(1.0, 0.5), ZerosRule()),
+    "decaying_1.0": (DecayingRule(1.0, 1.0), ZerosRule()),
+    "constant": (FirstMRule(1.0, 3), ConstantRule(0.2)),
+    "scaled_norm_constant": (ScaledNormRule(2.0), ZerosRule()),
+    "scaled_norm_sqrt_n": (ScaledNormRule("sqrt_n"), ZerosRule()),
+    "first_m": (FirstMRule(1.0, 3), FirstMRule(0.5, 60)),
+}
+
+
+def _offset_scenario(key):
+    if key in OFFSETS:
+        beta0, gamma = OFFSETS[key]
+        return make_scenario(name=key, beta0_rule=beta0, gamma_rule=gamma)
+    return load_scenario(key)
+
+
+def _assert_norms_match_oracle(sc, n_grid):
+    """The streamed norms against the whole-vector oracle; returns the
+    oracle's profile."""
+    ns, sup, sq = _offset_norms(sc, n_grid)
+    assert ns == _extended_grid(n_grid)
+    ref_sup, ref_sq = zip(*(offset_norms(sc, n) for n in ns))
+    assert sup == list(ref_sup)
+    assert np.allclose(sq, ref_sq, rtol=1e-12, atol=0.0)
+    return ns, list(ref_sup), list(ref_sq)
+
+
+class TestOffsetNorms:
+    @pytest.mark.parametrize(
+        "key", [str(p) for p in SHIPPED] + sorted(OFFSETS), ids=[p.stem for p in SHIPPED] + sorted(OFFSETS)
+    )
+    def test_blocks_match_the_whole_vector_oracle(self, key):
+        sc = _offset_scenario(key)
+        ref = _assert_norms_match_oracle(sc, GRID)
+        for regime in [sc.regime, FixedG(rule="n"), EmpiricalBayesG(), ZellnerSiowG()]:
+            scr = dataclasses.replace(sc, regime=regime)
+            streamed, oracle = predict_verdict(scr, GRID), predict_verdict(scr, GRID, ref)
+            assert (streamed.predicted, streamed.display()) == (oracle.predicted, oracle.display())
+            assert streamed.evidence.keys() == oracle.evidence.keys()
+            for name, trace in streamed.evidence.items():
+                if isinstance(trace, dict):
+                    assert trace["class"] == oracle.evidence[name]["class"], name
+                    assert np.allclose(trace["values"], oracle.evidence[name]["values"], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "beta0, gamma",
+        [(FirstMRule(1.0, 20), DecayingRule(0.5, 0.6)), (ScaledNormRule("sqrt_n"), ConstantRule(-0.1))],
+    )
+    def test_ragged_small_blocks(self, monkeypatch, beta0, gamma):
+        # blocks of 7 over p = 50: a first_m run and the last block both
+        # end inside a block
+        monkeypatch.setattr(consistency_lab, "OFFSET_BLOCK", 7)
+        sc = make_scenario(beta0_rule=beta0, gamma_rule=gamma, alpha=0.0, p_rule=FixedDimension(50))
+        _assert_norms_match_oracle(sc, (100, 400))
+
+    def test_verdict_working_set_stays_small(self):
+        # the extended grid reaches p = 1,638,400: whole offset vectors
+        # would hold tens of megabytes
+        sc = load_scenario(next(p for p in SHIPPED if p.stem == "zs_fixed_offset_alpha05"))
+        tracemalloc.start()
+        try:
+            predict_verdict(sc, GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestShrinkageSpread:
@@ -327,6 +414,47 @@ class TestRunExperiment:
         monkeypatch.setattr(consistency_lab, "simulate_stats", counting)
         run_experiment(make_scenario(name="once"), (50, 100), (0.5,), reps=3, include_lemmas=True)
         assert sorted(draws) == sorted(("once", n, rep, "sim") for n in (50, 100) for rep in range(3))
+
+    @pytest.mark.parametrize("entry", ["run_experiment", "verify_lemmas", "simulate"])
+    def test_one_design_per_n(self, monkeypatch, tmp_path, entry):
+        # every rep at n shares the design drawn once from its keyed
+        # stream, and its stats are those of a simulate_stats call that
+        # draws the design itself
+        built, drawn = [], []
+        build, simulate = model_core.build_design, consistency_lab.simulate_stats
+
+        def counting_build(spec, n, p, rng):
+            built.append(rng.path)
+            return build(spec, n, p, rng)
+
+        def recording_simulate(scenario, n, rng, *rest, **kwargs):
+            stats = simulate(scenario, n, rng, *rest, **kwargs)
+            drawn.append((rng.path, stats))
+            return stats
+
+        monkeypatch.setattr(model_core, "build_design", counting_build)
+        monkeypatch.setattr(consistency_lab, "simulate_stats", recording_simulate)
+        monkeypatch.setattr(cli, "simulate_stats", recording_simulate)
+        sc = make_scenario(name="onedesign", design=DesignSpec("diagonal", (0.5, 1.0), 1.0, 2.0))
+        grid = (40, 80)
+        if entry == "run_experiment":
+            run_experiment(sc, grid, (0.5,), reps=3, master_seed=4, threads=2,
+                           ball_options=BallOptions(mc_draws=200))
+        elif entry == "verify_lemmas":
+            verify_lemmas(sc, grid, reps=3, master_seed=4)
+        else:
+            path = tmp_path / "onedesign.json"
+            path.write_text(json.dumps(model_core.scenario_to_dict(sc)))
+            assert cli.main(["simulate", "--scenario", str(path), "--n-grid", "40,80",
+                             "--reps", "3", "--seed", "4"]) == 0
+        assert sorted(built) == [("onedesign", "design", n) for n in grid]
+        assert len(drawn) == 6
+        monkeypatch.undo()
+        for stream_path, stats in drawn:
+            own = simulate(sc, stream_path[1], RngStream(4, stream_path))
+            assert own.beta_hat.tobytes() == stats.beta_hat.tobytes()
+            assert own.resid_ss == stats.resid_ss
+            assert np.array_equal(own.gram.q, stats.gram.q)
 
     @pytest.mark.parametrize("regime", [FixedG(rule="n"), EmpiricalBayesG()], ids=["fixed", "eb"])
     def test_embedded_lemmas_equal_verify_lemmas(self, regime):

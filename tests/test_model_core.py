@@ -25,6 +25,7 @@ from gprior_lab.model_core import (
     SqrtDimension,
     ZerosRule,
     build_design,
+    design_at,
     diagnostics,
     load_scenario,
     mle_sup_error,
@@ -128,6 +129,31 @@ class TestRules:
     def test_zeros_and_constant(self):
         assert np.array_equal(ZerosRule().values(10, 3), np.zeros(3))
         assert np.array_equal(ConstantRule(1.5).values(10, 3), np.full(3, 1.5))
+
+    @given(
+        rule=hst.sampled_from([
+            ZerosRule(), ConstantRule(-0.7), FirstMRule(1.5, 3), FirstMRule(2.0, 0),
+            ScaledNormRule(4.0), ScaledNormRule("sqrt_n"), DecayingRule(1.0, 0.25),
+            DecayingRule(0.5, 0.6), DecayingRule(2.0, 1.0),
+        ]),
+        p=hst.integers(3, 3000),
+        data=hst.data(),
+    )
+    def test_block_is_the_slice_of_the_whole_vector(self, rule, p, data):
+        # empty, one-coordinate and ragged blocks alike, bit for bit
+        # starts near 0 put a block across first_m's edge
+        start = data.draw(hst.integers(0, min(p, 8)) | hst.integers(0, p), label="start")
+        width = data.draw(hst.sampled_from([0, 1, 7, 4096]), label="width")
+        stop = data.draw(hst.integers(start, min(p, start + width)), label="stop")
+        whole = rule.values(1000, p)
+        assert np.array_equal(whole, rule.values(1000, p, 0, p))
+        block = rule.values(1000, p, start, stop)
+        assert block.dtype == whole.dtype and block.tobytes() == whole[start:stop].tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(0, None), (0, 2), (2, 3), (3, 3)])
+    def test_first_m_exceeding_p_raises_for_any_block(self, start, stop):
+        with pytest.raises(ScenarioError, match="needs p >= 5"):
+            FirstMRule(1.0, 5).values(10, 3, start, stop)
 
     def test_linear_dimension(self):
         rule = LinearDimension()
@@ -262,6 +288,23 @@ class TestSimulateStats:
         stats = simulate_scenario_stats(sc, 16, 3, mode="full")
         assert stats.gram.q is not None
         assert stats.resid_ss >= 0.0
+
+    @pytest.mark.parametrize("mode", ["direct", "full"])
+    def test_given_design_gives_the_bits_of_a_drawn_one(self, mode):
+        # a run draws each n's design once and hands it to every rep
+        spec = DesignSpec("diagonal", (0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
+        sc = make_scenario(design=spec, alpha=0.25)
+        gram = design_at(sc, 40, 5)
+        for rep in range(3):
+            def stream():
+                return RngStream(5, (sc.name, 40, rep)).child("sim")
+
+            own = simulate_stats(sc, 40, stream(), mode=mode)
+            given_design = simulate_stats(sc, 40, stream(), gram, mode=mode)
+            assert given_design.gram is gram
+            assert np.array_equal(own.gram.q, gram.q)
+            assert given_design.beta_hat.tobytes() == own.beta_hat.tobytes()
+            assert given_design.resid_ss == own.resid_ss
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ def test_experiment_calls_through_every_cell_hook(monkeypatch, design, method):
         assert len(calls[f"{lab}.{name}"]) == len(cells), name
     assert all(isinstance(c["post"], GPosterior) for c in calls[f"{lab}.sup_ball_probability"])
     assert len(calls[f"{lab}.predict_verdict"]) == 1
-    assert len(calls["gprior_lab.model_core.build_design"]) == len(cells)
+    # one design per n, shared by its reps
+    assert len(calls["gprior_lab.model_core.build_design"]) == len({n for n, _ in cells})
 
 
 def test_cli_experiment_calls_through_its_run_experiment(monkeypatch, tmp_path, capsys):
