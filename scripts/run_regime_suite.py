@@ -52,6 +52,9 @@ def load_suite(paths, n_grid) -> list:
 
 
 def run_one(scenario, args: argparse.Namespace) -> dict:
+    # an unwritable --out fails here, before the scenario's cells run
+    out_dir = args.out / scenario.name
+    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     report = run_experiment(
         scenario,
@@ -65,8 +68,6 @@ def run_one(scenario, args: argparse.Namespace) -> dict:
     )
     elapsed = time.perf_counter() - t0
 
-    out_dir = args.out / scenario.name
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json())
     (out_dir / "cells.csv").write_text(report.to_csv())
 
@@ -116,16 +117,17 @@ def main(argv=None) -> int:
         print("no scenario files found", file=sys.stderr)
         return 2
 
-    # exit codes as `gprior-lab`: 2 for a bad scenario, 3 for a runtime failure
+    # exit codes as `gprior-lab`: 2 for a bad scenario, 3 for a runtime
+    # failure or an unwritable --out
     try:
         summary = [run_one(scenario, args) for scenario in load_suite(paths, args.n_grid)]
+        (args.out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    (args.out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"\nwrote {len(summary)} reports under {args.out}/ (+ summary.json)")
     return 0
 

@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success; 2 usage or configuration errors (bad flags,
 negative seeds, malformed scenario JSON, model assumption violations,
 --method exact on a rotated design); 3 runtime failures (numerically
-degenerate posteriors, failed lemma checks, empty reports).
+degenerate posteriors, failed lemma checks, empty reports, unreadable or
+unwritable files).
 
 The master seed, an integer >= 0, comes from --seed, falling back to the
 GPRIOR_LAB_SEED environment variable, then 0.
@@ -25,20 +26,12 @@ import os
 import sys
 from pathlib import Path
 
-from .numerics import RngStream
-from .model_core import (
-    ScenarioError,
-    _finite,
-    design_at,
-    diagnostics,
-    load_scenario,
-    mle_sup_error,
-    simulate_stats,
-)
-from .g_regimes import eb_ghat
+from .model_core import ScenarioError, _finite, design_at, load_scenario
 from .posterior_engine import BallOptions
 from .consistency_lab import (
     REPORT_SCHEMA_VERSION,
+    _dataset,
+    _lemma_record,
     predict_verdict,
     run_experiment,
     verify_lemmas,
@@ -159,16 +152,10 @@ def _cmd_simulate(args) -> int:
     scenario.validate_grid(args.n_grid)
     draws = []
     for n in args.n_grid:
-        gamma = scenario.gamma_at(n)
-        truth = scenario.truth_at(n)
         gram = design_at(scenario, n, seed)
         for rep in range(args.reps):
-            rng = RngStream(seed, (scenario.name, n, rep)).child("sim")
-            stats = simulate_stats(scenario, n, rng, gram, mode=args.mode)
-            diag = diagnostics(stats, gamma, scenario.prior, truth)
-            ghat = None
-            if n - stats.p + scenario.prior.a - 2 > 0:
-                ghat = eb_ghat(n, stats.p, scenario.prior.a, diag.resid_plus_b, diag.quad_form)
+            _, stats, diag = _dataset(scenario, n, rep, gram, seed, args.mode)
+            record = _lemma_record(scenario, n, stats, diag)
             draws.append(
                 {
                     "n": n,
@@ -177,8 +164,8 @@ def _cmd_simulate(args) -> int:
                     "resid_ss": stats.resid_ss,
                     "quad_form": diag.quad_form,
                     "u_floor": diag.u_floor,
-                    "mle_sup_error": mle_sup_error(stats, truth.beta0),
-                    "eb_ghat": ghat,
+                    "mle_sup_error": record["mle_err"],
+                    "eb_ghat": record["eb_ghat"],
                 }
             )
     doc = {"scenario": scenario.name, "mode": args.mode, "master_seed": seed, "draws": draws}
@@ -200,6 +187,9 @@ def _cmd_experiment(args) -> int:
         )
     seed = _resolve_seed(args)
     opts = BallOptions(method=args.method, mc_draws=args.mc_draws)
+    # an unwritable --out fails here, before any cell runs
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report = run_experiment(
         scenario,
         args.n_grid,
@@ -211,8 +201,6 @@ def _cmd_experiment(args) -> int:
         grid_size=args.grid_size,
         include_lemmas=args.with_lemmas,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
         path = out / "report.json"
         path.write_text(report.to_json())
@@ -334,8 +322,6 @@ _L, _R, _T, _B = 70, 620, 40, 370
 
 
 def _xmap(n_values):
-    import math
-
     logs = [math.log(n) for n in n_values]
     lo, hi = min(logs), max(logs)
     span = (hi - lo) or 1.0
@@ -351,6 +337,9 @@ def _pts(xs, ys) -> str:
 
 
 def _render_svg(scenario_name: str, verdict_display: str, agg: dict) -> str:
+    # imported here: `cli` import time is part of every command's start-up
+    from html import escape
+
     ns = agg["n_grid"]
     xs = _xmap(ns)
     med = [_ymap(v) for v in agg["prob_median"]]
@@ -362,7 +351,7 @@ def _render_svg(scenario_name: str, verdict_display: str, agg: dict) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_L}" y="22" font-family="monospace" font-size="13">'
-        f"{scenario_name} eps={agg['eps']!r} [{verdict_display}]</text>",
+        f"{escape(scenario_name, False)} eps={agg['eps']!r} [{escape(verdict_display, False)}]</text>",
         f'<line x1="{_L}" y1="{_B}" x2="{_R}" y2="{_B}" stroke="black" stroke-width="1"/>',
         f'<line x1="{_L}" y1="{_T}" x2="{_L}" y2="{_B}" stroke="black" stroke-width="1"/>',
     ]
@@ -405,7 +394,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -26,7 +26,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,6 +35,7 @@ from scipy.special import gammaincc
 from .numerics import RngStream
 from .model_core import (
     Scenario,
+    _gram_quadform,
     design_at,
     diagnostics,
     mle_sup_error,
@@ -274,16 +275,6 @@ def predict_verdict(scenario: Scenario, n_grid, norms=None) -> TheoremVerdict:
 # experiments
 
 
-def _lemma_doc(outcome: "LemmaOutcome") -> dict:
-    return {
-        "name": outcome.name,
-        "passed": outcome.passed,
-        "skipped": outcome.skipped,
-        "reason": outcome.reason,
-        "details": outcome.details,
-    }
-
-
 @dataclass
 class ExperimentReport:
     """Everything one experiment produced.  canonical_json() is bitwise
@@ -322,7 +313,7 @@ class ExperimentReport:
             "aggregates": self.aggregates,
             "verdict": self.verdict.to_dict(),
             "agreement": self.agreement,
-            "lemmas": [_lemma_doc(o) for o in self.lemma_outcomes],
+            "lemmas": [asdict(o) for o in self.lemma_outcomes],
         }
         if include_timing:
             doc["wall_time_s"] = self.wall_time_s
@@ -347,14 +338,14 @@ class ExperimentReport:
         return out.getvalue()
 
 
-def _dataset(scenario, n, rep, gram, master_seed):
+def _dataset(scenario, n, rep, gram, master_seed, mode="direct"):
     """Dataset (n, rep) on the design ``gram`` at n, drawn from its keyed
-    stream: the stream, the sufficient statistics and their diagnostics
-    under the truth."""
+    stream by simulate_stats ``mode``: the stream, the sufficient
+    statistics and their diagnostics.  Every entry point draws its
+    datasets here."""
     cell = RngStream(master_seed, (scenario.name, n, rep))
-    stats = simulate_stats(scenario, n, cell.child("sim"), gram)
-    diag = diagnostics(stats, scenario.gamma_at(n), scenario.prior, scenario.truth_at(n))
-    return cell, stats, diag
+    stats = simulate_stats(scenario, n, cell.child("sim"), gram, mode)
+    return cell, stats, diagnostics(stats, scenario.gamma_at(n), scenario.prior)
 
 
 def _run_cell(scenario, n, rep, gram, master_seed, eps_grid, opts, grid_size, lemmas):
@@ -512,29 +503,41 @@ class LemmaOutcome:
 
 
 def _lemma_record(scenario: Scenario, n: int, stats, diag) -> dict:
-    """The statistics of one dataset that the lemma checks summarise;
-    entries a check cannot use for this scenario or n are None."""
-    prior, truth = scenario.prior, scenario.truth_at(n)
+    """The statistics of one dataset, under the truth (beta0, sigma0_sq),
+    that the lemma checks summarise; entries a check cannot use for this
+    scenario or n are None."""
+    prior, sigma0_sq, beta0 = scenario.prior, scenario.sigma0_sq, scenario.beta0_at(n)
+    rb, q = diag.resid_plus_b, diag.quad_form
+    d = scenario.gamma_at(n) - beta0
+    # E0(quad_form) = p sigma0^2 + d' X'X d
+    expected_q = stats.p * sigma0_sq + _gram_quadform(stats.gram, d)
+    # u at g + 1 = ||d||_inf / eps (eps = 0.1), below which prior shrinkage
+    # alone moves some coordinate by more than eps
+    r = float(np.max(np.abs(d))) / 0.1
+    cutoff = r * rb / (r * rb + q) if r * rb + q > 0.0 else 0.0
     record = {
         "n": n,
-        "mle_err": mle_sup_error(stats, truth.beta0),
-        "resid_ratio": stats.resid_ss / ((n - stats.p) * truth.sigma0_sq),
-        "quad_ratio": diag.quad_form / diag.expected_quadform,
+        "mle_err": mle_sup_error(stats, beta0),
+        "resid_ratio": stats.resid_ss / ((n - stats.p) * sigma0_sq),
+        "quad_ratio": q / expected_q,
         "u_floor": diag.u_floor,
-        "u_cutoff": diag.u_cutoff(0.1) if diag.offset_sup > 0 else diag.u_floor,
+        "u_cutoff": max(diag.u_floor, cutoff),
         "eb_ghat": None,
         "scale_ratio": None,
         "sigma2_cover": None,
     }
     if n - stats.p + prior.a - 2 > 0:
-        record["eb_ghat"] = eb_ghat(n, stats.p, prior.a, diag.resid_plus_b, diag.quad_form)
+        record["eb_ghat"] = eb_ghat(n, stats.p, prior.a, rb, q)
     if isinstance(scenario.regime, FixedG):
         g = scenario.regime.g_at(n)
-        expected = diag.expected_scale_total(g)
-        record["scale_ratio"] = diag.scale_total(g) / expected
+        # S + b + quad_form / (g + 1), twice the variance-posterior scale,
+        # and its expectation under the truth
+        total = rb + q / (g + 1.0)
+        expected = (n - stats.p) * sigma0_sq + prior.b + expected_q / (g + 1.0)
+        record["scale_ratio"] = total / expected
         # P(lo <= sigma^2 <= hi) under sigma^2 | g ~ InverseGamma(shape, scale),
         # whose cdf at x is gammaincc(shape, scale / x)
-        shape, scale = 0.5 * (n + prior.a - 2.0), 0.5 * diag.scale_total(g)
+        shape, scale = 0.5 * (n + prior.a - 2.0), 0.5 * total
         lo, hi = expected / (2.0 * n), 2.0 * expected / n
         record["sigma2_cover"] = float(gammaincc(shape, scale / hi) - gammaincc(shape, scale / lo))
     return record

@@ -5,7 +5,10 @@ its sufficient statistics: the least-squares estimate beta_hat ~
 N(beta, sigma^2 (X'X)^{-1}) and the residual sum of squares
 S ~ sigma^2 * chisq(n - p), independent.  The conjugate prior is
 beta | sigma^2 ~ N(gamma, g sigma^2 (X'X)^{-1}) together with
-sigma^2 ~ InverseGamma(a/2, b/2).
+sigma^2 ~ InverseGamma(a/2, b/2).  ``diagnostics`` reduces a dataset to
+the three scalars every posterior formula reads (quad_form, resid_plus_b,
+u_floor); its statistics under the truth, which only the lemma checks
+read, are computed in consistency_lab.
 
 Designs are synthesized directly through the spectrum of X'X: an
 orthonormal eigenbasis Q and eigenvalues e_i = n * d_i, so experiments
@@ -47,7 +50,6 @@ __all__ = [
     "FixedDimension",
     "Scenario",
     "SufficientStats",
-    "Truth",
     "Diagnostics",
     "simulate_stats",
     "diagnostics",
@@ -310,9 +312,6 @@ class Scenario:
     def gamma_at(self, n: int) -> np.ndarray:
         return self.gamma_rule.values(n, self.p_at(n))
 
-    def truth_at(self, n: int) -> "Truth":
-        return Truth(beta0=self.beta0_at(n), sigma0_sq=self.sigma0_sq)
-
     def validate_grid(self, n_grid) -> None:
         """Grid-wide checks: n strictly increasing, p nondecreasing, p < n,
         and regime propriety constraints at every evaluated n."""
@@ -345,7 +344,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# sufficient statistics and truth
+# sufficient statistics
 
 
 @dataclass(frozen=True)
@@ -368,12 +367,6 @@ class SufficientStats:
             raise ScenarioError("gram eigenvalues must have shape (p,)")
         if self.resid_ss < 0:
             raise ScenarioError("residual sum of squares must be >= 0")
-
-
-@dataclass(frozen=True)
-class Truth:
-    beta0: np.ndarray
-    sigma0_sq: float
 
 
 def design_at(scenario: Scenario, n: int, master_seed: int) -> GramSpectrum:
@@ -446,79 +439,22 @@ class Diagnostics:
 
     quad_form is the misfit (beta_hat - gamma)' X'X (beta_hat - gamma);
     u_floor is (S + b) / (S + b + quad_form), the left endpoint of the
-    u-domain onto which g >= 0 maps.  Truth-dependent fields (offset_sup and
-    expected values under the truth) are None unless a Truth was supplied.
+    u-domain onto which g >= 0 maps.
     """
 
     quad_form: float
     resid_plus_b: float
     u_floor: float
-    offset_sup: Optional[float] = None
-    expected_quadform: Optional[float] = None
-    _resid_df_scale: Optional[float] = None  # (n - p) sigma0^2 + b, for expected_scale_total
-
-    def scale_total(self, g: float) -> float:
-        """S + b + quad_form / (g + 1): twice the variance-posterior scale."""
-        if g < 0:
-            raise ValueError("g must be >= 0")
-        return self.resid_plus_b + self.quad_form / (g + 1.0)
-
-    def expected_scale_total(self, g: float) -> float:
-        """Expectation of scale_total under the truth."""
-        self._need_truth()
-        return self._resid_df_scale + self.expected_quadform / (g + 1.0)
-
-    def u_cutoff_raw(self, eps: float) -> float:
-        """u at g + 1 = ||gamma - beta0||_inf / eps, below which prior shrinkage
-        alone moves some coordinate by more than eps (below u_floor if g < 0)."""
-        self._need_truth()
-        if eps <= 0:
-            raise ValueError("eps must be > 0")
-        r = self.offset_sup / eps
-        denom = r * self.resid_plus_b + self.quad_form
-        if denom <= 0.0:
-            return 0.0
-        return r * self.resid_plus_b / denom
-
-    def u_cutoff(self, eps: float) -> float:
-        """max(u_floor, u_cutoff_raw(eps)), the usable integration cutoff."""
-        return max(self.u_floor, self.u_cutoff_raw(eps))
-
-    def _need_truth(self):
-        if self.offset_sup is None:
-            raise ValueError("this diagnostic requires the truth (beta0, sigma0_sq)")
 
 
-def diagnostics(
-    stats: SufficientStats,
-    gamma: np.ndarray,
-    prior: PriorConstants,
-    truth: Optional[Truth] = None,
-) -> Diagnostics:
+def diagnostics(stats: SufficientStats, gamma: np.ndarray, prior: PriorConstants) -> Diagnostics:
     """Compute the scalar diagnostics of one simulated dataset."""
     if gamma.shape != (stats.p,):
         raise ScenarioError("gamma must have shape (p,)")
     quad_form = _gram_quadform(stats.gram, stats.beta_hat - gamma)
     resid_plus_b = stats.resid_ss + prior.b
     u_floor = resid_plus_b / (resid_plus_b + quad_form) if resid_plus_b + quad_form > 0 else 0.0
-    if truth is None:
-        return Diagnostics(
-            quad_form=quad_form,
-            resid_plus_b=resid_plus_b,
-            u_floor=u_floor,
-        )
-    diff = gamma - truth.beta0
-    offset_sup = float(np.max(np.abs(diff))) if diff.size else 0.0
-    offset_quad = _gram_quadform(stats.gram, diff)
-    expected_quadform = stats.p * truth.sigma0_sq + offset_quad
-    return Diagnostics(
-        quad_form=quad_form,
-        resid_plus_b=resid_plus_b,
-        u_floor=u_floor,
-        offset_sup=offset_sup,
-        expected_quadform=expected_quadform,
-        _resid_df_scale=(stats.n - stats.p) * truth.sigma0_sq + prior.b,
-    )
+    return Diagnostics(quad_form=quad_form, resid_plus_b=resid_plus_b, u_floor=u_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,18 @@ class TestExperimentCommand:
         assert "--method exact" in err and "'diagonal'" in err
         assert not out.exists()
 
+    def test_out_that_is_a_file_exits_3_before_any_cell(self, eb_path, tmp_path, monkeypatch, capsys):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr("gprior_lab.cli.run_experiment", no_cells)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = _run_experiment(eb_path, out)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
 
 class TestTheoremCommand:
     @pytest.mark.parametrize(
@@ -269,6 +282,19 @@ class TestPlotCommand:
         assert rc == 3
         assert "schema_version" in capsys.readouterr().err
 
+    def test_markup_in_scenario_name_gives_well_formed_svg(self, tmp_path, capsys):
+        name = "a<b & c>"
+        path = tmp_path / "markup.json"
+        path.write_text(json.dumps(scenario_to_dict(make_scenario(name=name))))
+        assert _run_experiment(str(path), tmp_path / "rep") == 0
+        rc = main(["plot", "--report", str(tmp_path / "rep" / "report.json"), "--out", str(tmp_path / "p")])
+        assert rc == 0
+        svgs = sorted((tmp_path / "p").glob("*.svg"))
+        assert len(svgs) == 2
+        for svg in svgs:
+            title = ET.parse(svg).getroot()[1]
+            assert title.tag.endswith("text") and title.text.startswith(f"{name} eps=")
+
     def test_empty_cells_exit_3(self, tmp_path, capsys):
         doc = tmp_path / "empty.json"
         doc.write_text(json.dumps({
@@ -320,6 +346,13 @@ class TestSimulateCommand:
                    "--reps", "1", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["draws"]
+
+    def test_out_in_missing_directory_exits_3(self, eb_path, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        rc = main(["simulate", "--scenario", eb_path, "--n-grid", "50", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
 
 
 class TestArgumentParsing:
@@ -458,6 +491,18 @@ class TestRegimeSuiteScript:
         assert rc == 3
         err = capsys.readouterr().err
         assert "error: degenerate posterior" in err and "Traceback" not in err
+
+    def test_out_that_is_a_file_exits_3_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        script = self._script()
+        ran = []
+        monkeypatch.setattr(script, "run_experiment", lambda *a, **k: ran.append(a))
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = script.main(["--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
+                          "--n-grid", "50,100", "--out", str(out)])
+        assert rc == 3 and ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flag, value",

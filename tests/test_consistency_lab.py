@@ -434,7 +434,6 @@ class TestRunExperiment:
 
         monkeypatch.setattr(model_core, "build_design", counting_build)
         monkeypatch.setattr(consistency_lab, "simulate_stats", recording_simulate)
-        monkeypatch.setattr(cli, "simulate_stats", recording_simulate)
         sc = make_scenario(name="onedesign", design=DesignSpec("diagonal", (0.5, 1.0), 1.0, 2.0))
         grid = (40, 80)
         if entry == "run_experiment":
@@ -455,6 +454,36 @@ class TestRunExperiment:
             assert own.beta_hat.tobytes() == stats.beta_hat.tobytes()
             assert own.resid_ss == stats.resid_ss
             assert np.array_equal(own.gram.q, stats.gram.q)
+
+    @pytest.mark.parametrize("mode", ["direct", "full"])
+    def test_simulate_rows_are_the_lemma_datasets(self, tmp_path, capsys, mode):
+        # `gprior-lab simulate` reports dataset (n, rep) exactly as
+        # _dataset draws it and _lemma_record summarises it
+        sc = make_scenario(name="onedata", design=DesignSpec("diagonal", (0.5, 1.0), 1.0, 2.0),
+                           gamma_rule=ConstantRule(0.2))
+        path = tmp_path / "onedata.json"
+        path.write_text(json.dumps(model_core.scenario_to_dict(sc)))
+        assert cli.main(["simulate", "--scenario", str(path), "--n-grid", "40,80", "--reps", "2",
+                         "--seed", "6", "--mode", mode]) == 0
+        rows = json.loads(capsys.readouterr().out)["draws"]
+        assert [(r["n"], r["rep"]) for r in rows] == [(40, 0), (40, 1), (80, 0), (80, 1)]
+        for row in rows:
+            n = row["n"]
+            _, stats, diag = consistency_lab._dataset(sc, n, row["rep"], model_core.design_at(sc, n, 6), 6, mode)
+            record = consistency_lab._lemma_record(sc, n, stats, diag)
+            own = model_core.simulate_stats(sc, n, RngStream(6, ("onedata", n, row["rep"], "sim")), mode=mode)
+            assert (own.beta_hat.tobytes(), own.resid_ss) == (stats.beta_hat.tobytes(), stats.resid_ss)
+            assert row == {
+                "n": n,
+                "p": stats.p,
+                "rep": row["rep"],
+                "resid_ss": stats.resid_ss,
+                "quad_form": diag.quad_form,
+                "u_floor": record["u_floor"],
+                "mle_sup_error": record["mle_err"],
+                "eb_ghat": record["eb_ghat"],
+            }
+            assert row["eb_ghat"] is not None
 
     @pytest.mark.parametrize("regime", [FixedG(rule="n"), EmpiricalBayesG()], ids=["fixed", "eb"])
     def test_embedded_lemmas_equal_verify_lemmas(self, regime):
@@ -595,11 +624,15 @@ class TestVerifyLemmas:
         outs = verify_lemmas(sc, (12, 16), reps=5, master_seed=5)
         cover = {o.name: o for o in outs}["sigma2_interval_mass"].details["final_median"]
         masses = []
+        p, d = sc.p_at(16), sc.gamma_at(16) - sc.beta0_at(16)
         for rep in range(5):
             stats = simulate_scenario_stats(sc, 16, 5, rep)
-            diag = diagnostics(stats, sc.gamma_at(16), sc.prior, sc.truth_at(16))
-            law = st.invgamma(0.5 * (16 + sc.prior.a - 2.0), scale=0.5 * diag.scale_total(16.0))
-            expected = diag.expected_scale_total(16.0)
+            diag = diagnostics(stats, sc.gamma_at(16), sc.prior)
+            # the scale total S + b + Q / (g + 1) at g = 16 and its mean
+            # under the truth, on the orthogonal design X'X = 16 I
+            total = diag.resid_plus_b + diag.quad_form / 17.0
+            expected = (16 - p) + sc.prior.b + (p + 16.0 * float(d @ d)) / 17.0
+            law = st.invgamma(0.5 * (16 + sc.prior.a - 2.0), scale=0.5 * total)
             masses.append(law.cdf(2.0 * expected / 16) - law.cdf(expected / (2.0 * 16)))
         assert cover == pytest.approx(float(np.median(masses)), rel=1e-12)
         assert 0.5 < cover < 0.999
@@ -607,3 +640,44 @@ class TestVerifyLemmas:
     def test_reps_validation(self):
         with pytest.raises(ValueError, match="reps must be >= 1"):
             verify_lemmas(make_scenario(), (100,), reps=0)
+
+    @pytest.mark.parametrize(
+        "design, gamma_rule",
+        [
+            (DesignSpec(), ConstantRule(0.2)),
+            (DesignSpec("diagonal", (0.5, 1.0), 1.0, 2.0), DecayingRule(0.5, 0.5)),
+            (DesignSpec(), FirstMRule(1.0, 3)),
+        ],
+        ids=["orthogonal", "rotated", "no_offset"],
+    )
+    def test_lemma_record_matches_its_formulas(self, design, gamma_rule):
+        # the truth-side statistics against the formulas written out on an
+        # explicit X'X = Q diag(e) Q'
+        sc = make_scenario(name="record", design=design, gamma_rule=gamma_rule,
+                           sigma0_sq=1.5, prior=PriorConstants(a=1.0, b=0.5), regime=FixedG(rule="n"))
+        n = 60
+        _, stats, diag = consistency_lab._dataset(sc, n, 1, model_core.design_at(sc, n, 9), 9)
+        record = consistency_lab._lemma_record(sc, n, stats, diag)
+        gram = stats.gram
+        q = np.eye(stats.p) if gram.q is None else gram.q
+        xtx = q @ np.diag(gram.eigenvalues) @ q.T
+        beta0, d = sc.beta0_at(n), sc.gamma_at(n) - sc.beta0_at(n)
+        expected_q = stats.p * 1.5 + float(d @ xtx @ d)
+        rb, qf, g = stats.resid_ss + 0.5, diag.quad_form, float(n)
+        r = float(np.max(np.abs(d))) / 0.1
+        assert record["n"] == n
+        assert record["mle_err"] == float(np.max(np.abs(stats.beta_hat - beta0)))
+        assert record["resid_ratio"] == pytest.approx(stats.resid_ss / ((n - stats.p) * 1.5), rel=1e-14)
+        assert record["quad_ratio"] == pytest.approx(qf / expected_q, rel=1e-12)
+        assert record["u_floor"] == diag.u_floor
+        assert record["u_cutoff"] == pytest.approx(max(rb / (rb + qf), r * rb / (r * rb + qf)), rel=1e-14)
+        if r == 0:
+            assert record["u_cutoff"] == diag.u_floor
+        else:
+            assert record["u_cutoff"] > diag.u_floor
+        expected_total = (n - stats.p) * 1.5 + 0.5 + expected_q / (g + 1.0)
+        assert record["scale_ratio"] == pytest.approx((rb + qf / (g + 1.0)) / expected_total, rel=1e-12)
+        law = st.invgamma(0.5 * (n + 1.0 - 2.0), scale=0.5 * (rb + qf / (g + 1.0)))
+        cover = law.cdf(2.0 * expected_total / n) - law.cdf(expected_total / (2.0 * n))
+        assert record["sigma2_cover"] == pytest.approx(cover, rel=1e-10)
+        assert record["eb_ghat"] is not None

@@ -1,5 +1,7 @@
 """Designs, scenario rules, simulation, diagnostics, and JSON round trips."""
 
+import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
@@ -33,6 +35,7 @@ from gprior_lab.model_core import (
     scenario_to_dict,
     simulate_stats,
 )
+from gprior_lab.consistency_lab import _dataset, _lemma_record
 from gprior_lab.model_core import EmpiricalBayesG, FixedG, HyperG, ZellnerSiowG
 from gprior_lab.numerics import RngStream
 
@@ -344,9 +347,11 @@ class TestDiagnostics:
         assert diag.u_floor == pytest.approx(0.75)
 
     def test_scale_total_at_zero(self):
+        # S + b + quad_form / (g + 1) at g = 0, the scale total's largest value
         stats = axis_stats(4, [1.0], 3.0, eigenvalues=[1.0])
-        diag = diagnostics(stats, np.zeros(1), PRIOR)
-        assert diag.scale_total(0.0) == pytest.approx(4.0)
+        diag = diagnostics(stats, np.zeros(1), PriorConstants(b=0.5))
+        assert diag.resid_plus_b == 3.5
+        assert diag.resid_plus_b + diag.quad_form / (0.0 + 1.0) == pytest.approx(4.5)
 
     def test_gamma_match_pins_u_floor(self):
         stats = axis_stats(10, [0.5, -0.5], 2.0)
@@ -364,58 +369,39 @@ class TestDiagnostics:
         sc = make_scenario()
         stats = simulate_scenario_stats(sc, 200, 23)
         gamma = sc.gamma_at(200)
-        diag = diagnostics(stats, gamma, PRIOR, truth=sc.truth_at(200))
+        diag = diagnostics(stats, gamma, PRIOR)
         d = stats.beta_hat - gamma
         assert diag.quad_form == pytest.approx(200.0 * float(d @ d), rel=1e-10)
 
-    def test_offset_fields_need_truth(self):
-        sc = make_scenario()
-        stats = simulate_scenario_stats(sc, 200, 23)
-        diag = diagnostics(stats, sc.gamma_at(200), PRIOR)
-        assert diag.offset_sup is None and diag.expected_quadform is None
+    def test_diagnostics_hold_no_truth_fields(self):
+        # statistics under the truth belong to the lemma record, not here
+        assert [f.name for f in dataclasses.fields(Diagnostics)] == ["quad_form", "resid_plus_b", "u_floor"]
+        assert "truth" not in inspect.signature(diagnostics).parameters
 
     def test_quad_form_mean_matches_expectation(self):
+        # the lemma record's quad_ratio = quad_form / E0(quad_form) averages
+        # to 1 under the noncentral chi-square law of quad_form / sigma0^2
         sc = make_scenario(sigma0_sq=2.0)
-        n = 500
-        gamma = sc.gamma_at(n)
-        truth = sc.truth_at(n)
-        vals, expected = [], None
-        for r in range(500):
-            stats = simulate_scenario_stats(sc, n, 29, rep=r)
-            diag = diagnostics(stats, gamma, PRIOR, truth=truth)
-            vals.append(diag.quad_form)
-            expected = diag.expected_quadform
-        # quad_form / sigma0^2 is noncentral chi-square; use its exact sd
-        p = sc.p_at(n)
+        n, p = 500, sc.p_at(500)
+        gram = design_at(sc, n, 29)
+        ratios = [
+            _lemma_record(sc, n, *_dataset(sc, n, r, gram, 29)[1:])["quad_ratio"]
+            for r in range(500)
+        ]
+        d = sc.gamma_at(n) - sc.beta0_at(n)
+        expected = p * 2.0 + n * float(d @ d)
         nc = expected / 2.0 - p  # noncentrality in the mean = p + 2 nc convention
         sd = 2.0 * math.sqrt(2.0 * p + 8.0 * nc)
-        assert abs(float(np.mean(vals)) - expected) <= 4.0 * sd / math.sqrt(500)
-
-    def test_threshold_and_cutoff_need_truth(self):
-        stats = axis_stats(10, [0.5, -0.5], 2.0)
-        diag = diagnostics(stats, np.zeros(2), PRIOR)
-        with pytest.raises(ValueError, match="truth"):
-            diag.u_cutoff_raw(0.1)
-        with pytest.raises(ValueError, match="truth"):
-            diag.u_cutoff(0.1)
-
-    def test_cutoff_at_least_floor_and_monotone(self):
-        sc = make_scenario(sigma0_sq=2.0)
-        stats = simulate_scenario_stats(sc, 200, 31)
-        diag = diagnostics(stats, sc.gamma_at(200), PRIOR, truth=sc.truth_at(200))
-        cutoffs = [diag.u_cutoff(eps) for eps in (0.05, 0.1, 0.5, 1.0)]
-        assert all(c >= diag.u_floor for c in cutoffs)
-        # larger eps demands less shrinkage: cutoff nonincreasing in eps
-        assert all(cutoffs[i + 1] <= cutoffs[i] + 1e-15 for i in range(len(cutoffs) - 1))
+        assert abs(float(np.mean(ratios)) - 1.0) <= 4.0 * sd / math.sqrt(500) / expected
 
     @given(hst.integers(min_value=0, max_value=2**31 - 1))
     def test_invariants_on_random_draws(self, seed):
         sc = make_scenario(sigma0_sq=2.0)
-        stats = simulate_scenario_stats(sc, 50, seed)
-        diag = diagnostics(stats, sc.gamma_at(50), PRIOR, truth=sc.truth_at(50))
+        _, stats, diag = _dataset(sc, 50, 0, design_at(sc, 50, seed), seed)
+        record = _lemma_record(sc, 50, stats, diag)
         assert diag.quad_form >= 0.0
         assert 0.0 < diag.u_floor <= 1.0
-        assert diag.u_floor <= diag.u_cutoff(0.3) <= 1.0
+        assert diag.u_floor == record["u_floor"] <= record["u_cutoff"] <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,10 @@ class TestSigma2Posterior:
         sc = make_scenario(name="sig9", regime=FixedG(rule="n"))
         stats = simulate_scenario_stats(sc, 2000, 21)
         gamma = sc.gamma_at(2000)
-        diag = diagnostics(stats, gamma, PRIOR, truth=sc.truth_at(2000))
         post = sigma2_posterior(stats, gamma, PRIOR, 2000.0)
-        target = diag.expected_scale_total(2000.0)
+        # E0(S + b + quad_form / (g + 1)) on the orthogonal design X'X = n I
+        p, d = stats.p, gamma - sc.beta0_at(2000)
+        target = (2000 - p) * sc.sigma0_sq + PRIOR.b + (p * sc.sigma0_sq + 2000.0 * float(d @ d)) / 2001.0
         assert post.cdf(2 * target / 2000) - post.cdf(target / (2 * 2000)) > 0.99
         draws = RngStream(9, ("mc",)).inverse_gamma(post.args[0], post.kwds["scale"], 100_000)
         assert abs(float(draws.mean()) - post.mean()) / post.mean() < 0.01
