@@ -10,8 +10,8 @@ Subcommands:
 Exit codes: 0 success; 2 usage or configuration errors (bad flags,
 negative seeds, malformed scenario JSON, model assumption violations,
 --method exact on a rotated design); 3 runtime failures (numerically
-degenerate posteriors, failed lemma checks, empty reports, unreadable or
-unwritable files).
+degenerate posteriors, failed lemma checks, empty or malformed reports,
+unreadable or unwritable files).
 
 The master seed, an integer >= 0, comes from --seed, falling back to the
 GPRIOR_LAB_SEED environment variable, then 0.
@@ -24,13 +24,14 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .model_core import ScenarioError, _finite, design_at, load_scenario
+from .model_core import ScenarioError, _finite, load_scenario
 from .posterior_engine import BallOptions
 from .consistency_lab import (
     REPORT_SCHEMA_VERSION,
-    _dataset,
+    _datasets,
     _lemma_record,
     predict_verdict,
     run_experiment,
@@ -109,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="draw datasets and print diagnostics")
     _add_common(sim, reps=1)
-    sim.add_argument("--mode", choices=("direct", "full"), default="direct")
     sim.add_argument("--out", default=None, help="write JSON here instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -150,11 +150,10 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = _resolve_seed(args)
     scenario.validate_grid(args.n_grid)
-    draws = []
-    for n in args.n_grid:
-        gram = design_at(scenario, n, seed)
-        for rep in range(args.reps):
-            _, stats, diag = _dataset(scenario, n, rep, gram, seed, args.mode)
+    # an unwritable --out fails here, before any dataset is drawn
+    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as out:
+        draws = []
+        for n, rep, stats, diag in _datasets(scenario, args.n_grid, args.reps, seed):
             record = _lemma_record(scenario, n, stats, diag)
             draws.append(
                 {
@@ -168,12 +167,9 @@ def _cmd_simulate(args) -> int:
                     "eb_ghat": record["eb_ghat"],
                 }
             )
-    doc = {"scenario": scenario.name, "mode": args.mode, "master_seed": seed, "draws": draws}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+        doc = {"scenario": scenario.name, "master_seed": seed, "draws": draws}
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if args.out is not None:
         print(f"wrote {args.out}")
     return 0
 
@@ -282,17 +278,19 @@ def _cmd_plot(args) -> int:
         print("error: report contains no cells to plot", file=sys.stderr)
         return 3
     scenario, verdict = doc.get("scenario", {}), doc.get("verdict", {})
-    if not (isinstance(scenario, dict) and isinstance(verdict, dict) and all(map(_plottable, aggregates))):
+    name = scenario.get("name", "scenario") if isinstance(scenario, dict) else None
+    display = verdict.get("display", "") if isinstance(verdict, dict) else None
+    labels_ok = all(isinstance(t, str) and t.isprintable() for t in (name, display))
+    if not (labels_ok and all(map(_plottable, aggregates))):
         print(
-            "error: malformed report: 'scenario' and 'verdict' must be objects, and each aggregate "
-            "needs a numeric eps and an n_grid with prob_median, prob_q25 and prob_q75 of its length",
+            "error: malformed report: 'scenario' and 'verdict' must be objects whose name and display "
+            "are printable strings, and each aggregate needs a numeric eps and an n_grid with "
+            "prob_median, prob_q25 and prob_q75 of its length",
             file=sys.stderr,
         )
         return 3
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    name = scenario.get("name", "scenario")
-    display = verdict.get("display", "")
     for agg in aggregates:
         svg = _render_svg(name, display, agg)
         path = out / f"ball_prob_eps_{agg['eps']}.svg"

@@ -338,14 +338,22 @@ class ExperimentReport:
         return out.getvalue()
 
 
-def _dataset(scenario, n, rep, gram, master_seed, mode="direct"):
+def _dataset(scenario, n, rep, gram, master_seed):
     """Dataset (n, rep) on the design ``gram`` at n, drawn from its keyed
-    stream by simulate_stats ``mode``: the stream, the sufficient
-    statistics and their diagnostics.  Every entry point draws its
-    datasets here."""
+    stream: the stream, the sufficient statistics and their diagnostics.
+    Every entry point draws its datasets here."""
     cell = RngStream(master_seed, (scenario.name, n, rep))
-    stats = simulate_stats(scenario, n, cell.child("sim"), gram, mode)
+    stats = simulate_stats(scenario, n, cell.child("sim"), gram)
     return cell, stats, diagnostics(stats, scenario.gamma_at(n), scenario.prior)
+
+
+def _datasets(scenario, n_grid, reps, master_seed):
+    """(n, rep, stats, diagnostics) of every dataset of a serial run, grid
+    then rep order; each n's design is drawn once and shared by its reps."""
+    for n in n_grid:
+        gram = design_at(scenario, n, master_seed)
+        for rep in range(reps):
+            yield (n, rep, *_dataset(scenario, n, rep, gram, master_seed)[1:])
 
 
 def _run_cell(scenario, n, rep, gram, master_seed, eps_grid, opts, grid_size, lemmas):
@@ -670,11 +678,8 @@ def verify_lemmas(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     scenario.validate_grid(n_grid)
-    records = []
-    for n in n_grid:
-        gram = design_at(scenario, n, master_seed)
-        records += [
-            _lemma_record(scenario, n, *_dataset(scenario, n, rep, gram, master_seed)[1:])
-            for rep in range(reps)
-        ]
+    records = [
+        _lemma_record(scenario, n, stats, diag)
+        for n, _, stats, diag in _datasets(scenario, n_grid, reps, master_seed)
+    ]
     return _judge_lemmas(scenario, n_grid, _offset_norms(scenario, n_grid)[2], records)

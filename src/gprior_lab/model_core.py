@@ -295,8 +295,8 @@ class Scenario:
             )
         if self.sigma0_sq <= 0.0:
             raise ScenarioError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
-        if not self.name:
-            raise ScenarioError("scenario name must be nonempty")
+        if not self.name or not self.name.isprintable():
+            raise ScenarioError(f"name must be a nonempty printable string, got {self.name!r}")
 
     def p_at(self, n: int) -> int:
         if n < 2:
@@ -382,40 +382,22 @@ def simulate_stats(
     n: int,
     rng: RngStream,
     gram: Optional[GramSpectrum] = None,
-    mode: str = "direct",
 ) -> SufficientStats:
-    """Draw sufficient statistics under the truth (beta0, sigma0_sq).
-
-    'direct' samples beta_hat ~ N(beta0, sigma0^2 (X'X)^{-1}) and
-    S ~ sigma0^2 chisq(n - p) straight from their laws; 'full' builds an
-    explicit n x p design, simulates y, and reduces it (a cross-check mode
-    for moderate n).  ``gram`` is the design at n; when omitted it is drawn
-    here as design_at(scenario, n, rng.master_seed) gives it.
+    """Draw sufficient statistics under the truth (beta0, sigma0_sq):
+    beta_hat ~ N(beta0, sigma0^2 (X'X)^{-1}) and S ~ sigma0^2 chisq(n - p),
+    straight from their laws.  ``gram`` is the design at n; when omitted
+    it is drawn here as design_at(scenario, n, rng.master_seed) gives it.
     """
     p = scenario.p_at(n)
     if gram is None:
         gram = design_at(scenario, n, rng.master_seed)
     beta0 = scenario.beta0_at(n)
     sigma0 = math.sqrt(scenario.sigma0_sq)
-    if mode == "direct":
-        z = rng.generator.standard_normal(p)
-        scaled = z / np.sqrt(gram.eigenvalues)
-        beta_hat = beta0 + sigma0 * (scaled if gram.q is None else gram.q @ scaled)
-        resid = scenario.sigma0_sq * rng.chi_square(n - p)
-        return SufficientStats(n=n, p=p, beta_hat=beta_hat, resid_ss=float(resid), gram=gram)
-    if mode == "full":
-        basis_rng = RngStream(rng.master_seed, (scenario.name, "design", n, "basis"))
-        u, r = np.linalg.qr(basis_rng.generator.standard_normal((n, p)))
-        u = u * np.sign(np.diag(r))
-        root = np.sqrt(gram.eigenvalues)
-        x = u * root if gram.q is None else (u * root) @ gram.q.T
-        y = x @ beta0 + sigma0 * rng.generator.standard_normal(n)
-        uty = u.T @ y
-        coef = uty / root
-        beta_hat = coef if gram.q is None else gram.q @ coef
-        resid = float(y @ y - uty @ uty)
-        return SufficientStats(n=n, p=p, beta_hat=beta_hat, resid_ss=max(resid, 0.0), gram=gram)
-    raise ScenarioError(f"unknown simulation mode {mode!r}")
+    z = rng.generator.standard_normal(p)
+    scaled = z / np.sqrt(gram.eigenvalues)
+    beta_hat = beta0 + sigma0 * (scaled if gram.q is None else gram.q @ scaled)
+    resid = scenario.sigma0_sq * rng.chi_square(n - p)
+    return SufficientStats(n=n, p=p, beta_hat=beta_hat, resid_ss=float(resid), gram=gram)
 
 
 def mle_sup_error(stats: SufficientStats, beta0: np.ndarray) -> float:

@@ -14,10 +14,9 @@ from gprior_lab.model_core import (
     Scenario,
     SufficientStats,
     ZerosRule,
-    simulate_stats,
 )
 from gprior_lab.model_core import EmpiricalBayesG
-from gprior_lab.numerics import RngStream
+from gprior_lab.consistency_lab import _dataset
 
 settings.register_profile(
     "suite",
@@ -61,10 +60,9 @@ def axis_stats(n, beta_hat, resid_ss, eigenvalues=None) -> SufficientStats:
     )
 
 
-def simulate_scenario_stats(scenario: Scenario, n: int, seed: int, rep: int = 0, mode: str = "direct"):
-    """One simulated draw using the same stream layout as run_experiment."""
-    stream = RngStream(seed, (scenario.name, n, rep))
-    return simulate_stats(scenario, n, stream.child("sim"), mode=mode)
+def simulate_scenario_stats(scenario: Scenario, n: int, seed: int, rep: int = 0):
+    """Dataset (n, rep) as run_experiment draws it."""
+    return _dataset(scenario, n, rep, None, seed)[1]
 
 
 @pytest.fixture

@@ -9,6 +9,9 @@
   * shrinkage_spread_stat, the spread control AC9 tracks.
   * offset_norms, the verdict's offset norms from the whole offset vector
     with a correctly rounded sum of squares.
+  * simulate_full_stats, sufficient statistics reduced from an explicit
+    n x p design and response, a cross-check at moderate n of the lab's
+    draws straight from their laws.
 """
 
 import math
@@ -16,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
+
+from gprior_lab.model_core import SufficientStats, design_at
+from gprior_lab.numerics import RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +165,30 @@ def offset_norms(scenario, n: int) -> tuple:
     """(max|d|, fsum(d*d)) for the whole offset d = gamma - beta0 at n."""
     d = scenario.gamma_at(n) - scenario.beta0_at(n)
     return float(np.max(np.abs(d))), math.fsum(d * d)
+
+
+# ---------------------------------------------------------------------------
+# sufficient statistics from an explicit design
+
+
+def simulate_full_stats(scenario, n: int, rng: RngStream, gram=None) -> SufficientStats:
+    """simulate_stats through an explicit n x p design: an orthonormal
+    basis U from the stream keyed (seed, scenario, "design", n, "basis"),
+    X = U diag(sqrt(e)) Q', y = X beta0 + sigma0 z, then the least-squares
+    reduction of (X, y)."""
+    p = scenario.p_at(n)
+    if gram is None:
+        gram = design_at(scenario, n, rng.master_seed)
+    beta0 = scenario.beta0_at(n)
+    sigma0 = math.sqrt(scenario.sigma0_sq)
+    basis_rng = RngStream(rng.master_seed, (scenario.name, "design", n, "basis"))
+    u, r = np.linalg.qr(basis_rng.generator.standard_normal((n, p)))
+    u = u * np.sign(np.diag(r))
+    root = np.sqrt(gram.eigenvalues)
+    x = u * root if gram.q is None else (u * root) @ gram.q.T
+    y = x @ beta0 + sigma0 * rng.generator.standard_normal(n)
+    uty = u.T @ y
+    coef = uty / root
+    beta_hat = coef if gram.q is None else gram.q @ coef
+    resid = float(y @ y - uty @ uty)
+    return SufficientStats(n=n, p=p, beta_hat=beta_hat, resid_ss=max(resid, 0.0), gram=gram)

@@ -104,7 +104,7 @@ def test_ac1_exact_route_matches_monte_carlo():
     worst = 0.0
     for seed in range(10):
         stream = RngStream(seed, (sc.name, 200, 0))
-        stats = simulate_stats(sc, 200, stream.child("sim"), mode="direct")
+        stats = simulate_stats(sc, 200, stream.child("sim"))
         assert stats.p == 50
         gamma = sc.gamma_at(200)
         beta0 = sc.beta0_at(200)
@@ -154,7 +154,7 @@ def test_ac2_eb_maximizer_matches_grid_search():
 def test_ac3_hyper_g_sampler_matches_truncated_beta():
     sc = _scenario("ac3_oracle", HyperG(c=3.0), alpha=0.25)
     stream = RngStream(11, (sc.name, 400, 0))
-    stats = simulate_stats(sc, 400, stream.child("sim"), mode="direct")
+    stats = simulate_stats(sc, 400, stream.child("sim"))
     assert (stats.n, stats.p) == (400, 100)
     diag = diagnostics(stats, sc.gamma_at(400), PRIOR)
     post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR, grid_size=512)
@@ -176,7 +176,7 @@ def test_ac3_hyper_g_sampler_matches_truncated_beta():
 def test_ac4_zs_density_change_of_variables():
     sc = _scenario("ac4_oracle", ZellnerSiowG(), alpha=0.25)
     stream = RngStream(13, (sc.name, 400, 0))
-    stats = simulate_stats(sc, 400, stream.child("sim"), mode="direct")
+    stats = simulate_stats(sc, 400, stream.child("sim"))
     diag = diagnostics(stats, sc.gamma_at(400), PRIOR)
     s_val = stats.resid_ss + PRIOR.b
     t_val = diag.quad_form
@@ -363,7 +363,7 @@ def test_ac9_shrinkage_spread_statistic_decreases():
             vals = []
             for rep in range(50):
                 rng = RngStream(SEED, (sc.name, n, rep)).child("sim")
-                stats = simulate_stats(sc, n, rng, mode="direct")
+                stats = simulate_stats(sc, n, rng)
                 diag = diagnostics(stats, sc.gamma_at(n), PRIOR)
                 post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
                 vals.append(shrinkage_spread_stat(post, n))

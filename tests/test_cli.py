@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import gprior_lab
+from gprior_lab import consistency_lab
 from gprior_lab.cli import main
 from gprior_lab.model_core import FixedG, scenario_to_dict
 
@@ -79,8 +80,9 @@ class TestScenarioValidation:
             ("sigma0_sq", float("inf")),
             ("beta0_rule", {"kind": "first_m", "v": 1.0, "m": 2.5}),
             ("regime", {"kind": "hyper_g", "c": 1}),
+            ("name", "a\u0001b"),
         ],
-        ids=["sigma0_sq_infinity", "first_m_fractional_m", "hyper_g_c_1"],
+        ids=["sigma0_sq_infinity", "first_m_fractional_m", "hyper_g_c_1", "name_with_control"],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, key, value):
         doc = scenario_to_dict(make_scenario(name="malformed"))
@@ -314,8 +316,12 @@ class TestPlotCommand:
             lambda doc: doc["aggregates"][0]["prob_q25"].pop(),
             lambda doc: doc["aggregates"][0].update(n_grid=["50", "100"]),
             lambda doc: doc.update(verdict="x"),
+            lambda doc: doc["scenario"].update(name=5),
+            lambda doc: doc["verdict"].update(display=["x"]),
+            lambda doc: doc["scenario"].update(name="a\u0001b"),
         ],
-        ids=["aggregate_without_n_grid", "scenario_string", "short_quartile_list", "n_grid_strings", "verdict_string"],
+        ids=["aggregate_without_n_grid", "scenario_string", "short_quartile_list", "n_grid_strings", "verdict_string",
+             "name_number", "display_list", "name_with_control"],
     )
     def test_malformed_aggregate_or_scenario_exits_3(self, report_dir, tmp_path, capsys, damage):
         doc = json.loads((report_dir / "report.json").read_text())
@@ -334,7 +340,8 @@ class TestSimulateCommand:
                    "--reps", "2", "--seed", "11"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["scenario"] == "cli_eb" and doc["mode"] == "direct"
+        assert doc["scenario"] == "cli_eb"
+        assert sorted(doc) == ["draws", "master_seed", "scenario"]
         assert len(doc["draws"]) == 4
         first = doc["draws"][0]
         assert first["n"] == 50 and first["p"] == 25
@@ -347,12 +354,23 @@ class TestSimulateCommand:
         assert rc == 0
         assert json.loads(out.read_text())["draws"]
 
-    def test_out_in_missing_directory_exits_3(self, eb_path, tmp_path, capsys):
+    def test_out_in_missing_directory_exits_3(self, eb_path, tmp_path, capsys, monkeypatch):
+        # the output file is opened before any dataset is drawn
+        draws = []
+        monkeypatch.setattr(consistency_lab, "simulate_stats", lambda *a, **k: draws.append(a))
         out = tmp_path / "nodir" / "x.json"
         rc = main(["simulate", "--scenario", eb_path, "--n-grid", "50", "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+        assert draws == []
+
+    def test_mode_flag_is_gone(self, eb_path, capsys):
+        # one simulation path: the explicit-design reduction is a test oracle
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", eb_path, "--n-grid", "50", "--mode", "full"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestArgumentParsing:

@@ -455,8 +455,7 @@ class TestRunExperiment:
             assert own.resid_ss == stats.resid_ss
             assert np.array_equal(own.gram.q, stats.gram.q)
 
-    @pytest.mark.parametrize("mode", ["direct", "full"])
-    def test_simulate_rows_are_the_lemma_datasets(self, tmp_path, capsys, mode):
+    def test_simulate_rows_are_the_lemma_datasets(self, tmp_path, capsys):
         # `gprior-lab simulate` reports dataset (n, rep) exactly as
         # _dataset draws it and _lemma_record summarises it
         sc = make_scenario(name="onedata", design=DesignSpec("diagonal", (0.5, 1.0), 1.0, 2.0),
@@ -464,14 +463,14 @@ class TestRunExperiment:
         path = tmp_path / "onedata.json"
         path.write_text(json.dumps(model_core.scenario_to_dict(sc)))
         assert cli.main(["simulate", "--scenario", str(path), "--n-grid", "40,80", "--reps", "2",
-                         "--seed", "6", "--mode", mode]) == 0
+                         "--seed", "6"]) == 0
         rows = json.loads(capsys.readouterr().out)["draws"]
         assert [(r["n"], r["rep"]) for r in rows] == [(40, 0), (40, 1), (80, 0), (80, 1)]
         for row in rows:
             n = row["n"]
-            _, stats, diag = consistency_lab._dataset(sc, n, row["rep"], model_core.design_at(sc, n, 6), 6, mode)
+            _, stats, diag = consistency_lab._dataset(sc, n, row["rep"], model_core.design_at(sc, n, 6), 6)
             record = consistency_lab._lemma_record(sc, n, stats, diag)
-            own = model_core.simulate_stats(sc, n, RngStream(6, ("onedata", n, row["rep"], "sim")), mode=mode)
+            own = model_core.simulate_stats(sc, n, RngStream(6, ("onedata", n, row["rep"], "sim")))
             assert (own.beta_hat.tobytes(), own.resid_ss) == (stats.beta_hat.tobytes(), stats.resid_ss)
             assert row == {
                 "n": n,

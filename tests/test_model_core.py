@@ -40,6 +40,7 @@ from gprior_lab.model_core import EmpiricalBayesG, FixedG, HyperG, ZellnerSiowG
 from gprior_lab.numerics import RngStream
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
+from oracles import simulate_full_stats
 
 PRIOR = PriorConstants()
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -191,6 +192,12 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             make_scenario(name="")
 
+    @pytest.mark.parametrize("name", ["a\u0001b", "a\x7fb", "tab\there", "a\ufffeb"])
+    def test_name_printable(self, name):
+        # an SVG title or a report carries the name as text
+        with pytest.raises(ScenarioError, match="printable"):
+            make_scenario(name=name)
+
     def test_p_at_small_n(self):
         sc = make_scenario()
         with pytest.raises(ScenarioError):
@@ -249,10 +256,9 @@ class TestSimulateStats:
         assert np.array_equal(s1.beta_hat, s2.beta_hat)
         assert s1.resid_ss == s2.resid_ss
 
-    def test_unknown_mode(self):
-        sc = make_scenario()
-        with pytest.raises(ScenarioError):
-            simulate_stats(sc, 100, RngStream(0, ("x",)), mode="bootstrap")
+    def test_one_simulation_path(self):
+        # the explicit-design reduction is a test oracle, not a mode
+        assert list(inspect.signature(simulate_stats).parameters) == ["scenario", "n", "rng", "gram"]
 
     def test_resid_scale(self):
         # S / ((n - p) sigma0^2) concentrates at 1
@@ -276,8 +282,8 @@ class TestSimulateStats:
         sc = make_scenario(alpha=0.25, sigma0_sq=1.5)
         b1d, b1f, sd, sf = [], [], [], []
         for r in range(2000):
-            std = simulate_stats(sc, 40, RngStream(31, (sc.name, 40, r)).child("sim"), mode="direct")
-            stf = simulate_stats(sc, 40, RngStream(32, (sc.name, 40, r)).child("sim"), mode="full")
+            std = simulate_stats(sc, 40, RngStream(31, (sc.name, 40, r)).child("sim"))
+            stf = simulate_full_stats(sc, 40, RngStream(32, (sc.name, 40, r)).child("sim"))
             b1d.append(std.beta_hat[0])
             b1f.append(stf.beta_hat[0])
             sd.append(std.resid_ss)
@@ -288,12 +294,12 @@ class TestSimulateStats:
     def test_full_mode_rotated_design(self):
         spec = DesignSpec("diagonal", (0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
         sc = make_scenario(design=spec, alpha=0.25)
-        stats = simulate_scenario_stats(sc, 16, 3, mode="full")
+        stats = simulate_full_stats(sc, 16, RngStream(3, (sc.name, 16, 0)).child("sim"))
         assert stats.gram.q is not None
         assert stats.resid_ss >= 0.0
 
-    @pytest.mark.parametrize("mode", ["direct", "full"])
-    def test_given_design_gives_the_bits_of_a_drawn_one(self, mode):
+    @pytest.mark.parametrize("simulate", [simulate_stats, simulate_full_stats], ids=["direct", "full"])
+    def test_given_design_gives_the_bits_of_a_drawn_one(self, simulate):
         # a run draws each n's design once and hands it to every rep
         spec = DesignSpec("diagonal", (0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
         sc = make_scenario(design=spec, alpha=0.25)
@@ -302,8 +308,8 @@ class TestSimulateStats:
             def stream():
                 return RngStream(5, (sc.name, 40, rep)).child("sim")
 
-            own = simulate_stats(sc, 40, stream(), mode=mode)
-            given_design = simulate_stats(sc, 40, stream(), gram, mode=mode)
+            own = simulate(sc, 40, stream())
+            given_design = simulate(sc, 40, stream(), gram)
             assert given_design.gram is gram
             assert np.array_equal(own.gram.q, gram.q)
             assert given_design.beta_hat.tobytes() == own.beta_hat.tobytes()

@@ -41,6 +41,7 @@ from gprior_lab.posterior_engine import (
 )
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
+from oracles import simulate_full_stats
 
 PRIOR = PriorConstants()
 
@@ -389,7 +390,7 @@ class TestBallProbabilityBehavior:
 
 def _rotated_instance():
     sc = make_scenario(name="rot", design=DesignSpec("diagonal", (0.5, 1.0), 1.0, 2.0))
-    stats = simulate_scenario_stats(sc, 40, 5, mode="full")
+    stats = simulate_full_stats(sc, 40, RngStream(5, (sc.name, 40, 0)).child("sim"))
     gamma = sc.gamma_at(40)
     diag = diagnostics(stats, gamma, PRIOR)
     post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
