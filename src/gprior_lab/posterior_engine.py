@@ -15,9 +15,12 @@ and over the posterior of g.  Two routes compute it: a deterministic
 normal interval probabilities in log space on a sigma^2 quantile grid and
 complements the result, and an 'mc' route that samples (g, sigma^2, beta)
 once and counts, for every radius, the draws whose sup distance exceeds
-it.  Given g they share nothing but the conditional laws above, so each
-checks the other's sigma^2 and beta integration.  Both read the same
-GPosterior, though: exact takes its nodes and weights, mc samples its
+it.  The exact route's rule is sigma_grid equal-mass quantile midpoints;
+it evaluates the log-space integrand on min(16, sigma_grid) Chebyshev
+nodes of log sigma^2 spanning the grid and interpolates it onto the grid's
+nodes.  Given g the routes share nothing but the conditional laws above,
+so each checks the other's sigma^2 and beta integration.  Both read the
+same GPosterior, though: exact takes its nodes and weights, mc samples its
 piecewise-linear cdf.  A wrong law of g moves both routes alike and their
 agreement cannot reveal it.
 """
@@ -54,6 +57,15 @@ _ACTIVE_SET_SIGMAS = 8.5
 # radii 0.05/0.1/0.2/0.5) the kernel runs on 8,375 of 13,044 pairs
 _SKIP_MASS = 2.0**-60
 
+# sigma^2 nodes on which the exact route evaluates a pair's integrand: the
+# sum over coordinates of the log interval mass is analytic in log sigma^2,
+# so its values at this many Chebyshev points of the grid's log sigma^2
+# span, interpolated onto the grid, give exceedances within 8.9e-16 of the
+# whole grid's on the shipped scenarios at CLI defaults and suite options
+# and within 6.1e-11 at n = 10 (README "Performance notes").  A grid of at
+# most this many nodes is evaluated itself
+_SIGMA_NODES = 16
+
 # draws per Monte Carlo batch, as elements of the batch's (draws x p)
 # normals: it fixes the order in which a cell's stream is read (each
 # batch's g, then its sigma^2, then its normals) and so the draws
@@ -83,9 +95,10 @@ class BallOptions:
 
     method: 'auto' (exact when the design is axis-aligned, else mc),
     'exact', or 'mc'.  mc_draws is the Monte Carlo sample size; sigma_grid
-    the number of sigma^2 quantile nodes in the exact route; g_quad, if
-    set, subsamples the g-posterior to that many equal-weight quantile
-    nodes instead of using its full grid.
+    the number of sigma^2 quantile nodes of the exact route's rule (its
+    integrand is evaluated on min(16, sigma_grid) nodes and interpolated
+    onto them); g_quad, if set, subsamples the g-posterior to that many
+    equal-weight quantile nodes instead of using its full grid.
     """
 
     method: str = "auto"
@@ -128,6 +141,43 @@ def _sigma_grid_weights(m: int):
     # the top bin would be represented by a near-extreme sigma^2 quantile
     probs = (np.arange(m) + 0.5) / m
     return probs, np.full(m, 1.0 / m)
+
+
+def _sigma_nodes(base_nodes: np.ndarray):
+    """The sigma^2 nodes the exact route evaluates and the matrix that maps
+    values on them to the grid ``base_nodes`` (None: the grid itself).
+
+    The nodes are min(_SIGMA_NODES, grid size) Chebyshev-Lobatto points of
+    log sigma^2 spanning the grid, whose first and last are the grid's own
+    end nodes bit for bit; the (grid x nodes) barycentric matrix
+    interpolates a polynomial of log sigma^2 through them."""
+    m = min(_SIGMA_NODES, base_nodes.size)
+    if m == base_nodes.size:
+        return base_nodes, None
+    x = np.log(base_nodes)
+    t = 0.5 * (x[0] + x[-1]) - 0.5 * (x[-1] - x[0]) * np.cos(np.pi * np.arange(m) / (m - 1))
+    t[0], t[-1] = x[0], x[-1]
+    nodes = np.exp(t)
+    nodes[0], nodes[-1] = base_nodes[0], base_nodes[-1]
+    w = (-1.0) ** np.arange(m)
+    w[[0, -1]] *= 0.5
+    hit = x[:, None] == t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interp = w / (x[:, None] - t)
+        interp /= np.sum(interp, axis=1, keepdims=True)
+    on_node = np.any(hit, axis=1)
+    interp[on_node] = hit[on_node]
+    return nodes, interp
+
+
+def _pair_log_rows(epsilon: float, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Sum over coordinates of log P(|d_i + sd_i Z| <= eps), one per row
+    (sigma^2 node) of ``sd``; ``work`` has shape (5,) + sd.shape and sd may
+    be its last slot, which the kernel overwrites."""
+    hi, lo = work[0], work[1]
+    np.divide(epsilon - d, sd, out=hi)
+    np.divide(-epsilon - d, sd, out=lo)
+    return np.sum(_log_interval_prob(hi, lo, work[2:]), axis=1)
 
 
 def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -203,6 +253,7 @@ def _exact_ball_probabilities(
     shape = 0.5 * (stats.n + post.a - 2.0)
     probs, sig_w = _sigma_grid_weights(opts.sigma_grid)
     base_nodes = 1.0 / gammainccinv(shape, probs)  # IG(shape, 1) quantiles, ascending
+    nodes, interp = _sigma_nodes(base_nodes)
     log_sig_w = np.log(sig_w)
     inv_e = 1.0 / stats.gram.eigenvalues
     g_nodes, g_weights = _g_nodes_and_weights(post, opts.g_quad)
@@ -211,12 +262,12 @@ def _exact_ball_probabilities(
     skip_below = math.log(_SKIP_MASS / g_nodes.size)
     # log P(inside | g-node) per radius; a node with no active coordinate is 0
     log_total = np.zeros((eps.size, g_nodes.size))
-    # conditional sds (sigma^2 nodes x p), once per node; hi, lo and the
-    # kernel's scratch (two tails, result), reused throughout, where the
-    # result slot holds the active columns of tau, when some coordinates
+    # conditional sds (evaluated sigma^2 nodes x p), once per node; hi, lo
+    # and the kernel's scratch (two tails, result), reused throughout, where
+    # the result slot holds the active columns of tau, when some coordinates
     # are inactive, until the kernel overwrites it; the bound's scratch
-    tau = np.empty((opts.sigma_grid, stats.p))
-    buffers = np.empty((5, opts.sigma_grid * stats.p))
+    tau = np.empty((nodes.size, stats.p))
+    buffers = np.empty((5, nodes.size * stats.p))
     bound_scratch = np.empty((3, eps.size, stats.p))
     for k, g in enumerate(g_nodes):
         if log_g_w[k] < skip_below:
@@ -230,7 +281,7 @@ def _exact_ball_probabilities(
             log_total[np.max(abs_delta) > eps, k] = -np.inf
             continue
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
-        sigma2 = scale * base_nodes
+        sigma2 = scale * nodes
         reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg * sigma2[-1] * inv_e)
         np.multiply.outer(sigma2, inv_e, out=tau)
         np.sqrt(np.multiply(gg, tau, out=tau), out=tau)
@@ -244,12 +295,19 @@ def _exact_ball_probabilities(
                 log_total[j, k] = -np.inf
                 continue
             d = delta[active]
-            work = buffers[:, : opts.sigma_grid * m].reshape(5, opts.sigma_grid, m)
-            hi, lo = work[0], work[1]
+            work = buffers[:, : nodes.size * m].reshape(5, nodes.size, m)
             sd = tau if m == stats.p else np.take(tau, active, axis=1, out=work[4])
-            np.divide(epsilon - d, sd, out=hi)
-            np.divide(-epsilon - d, sd, out=lo)
-            log_rows = np.sum(_log_interval_prob(hi, lo, work[2:]), axis=1)
+            log_rows = _pair_log_rows(epsilon, d, sd, work)
+            if interp is not None:
+                if np.all(np.isfinite(log_rows)):
+                    log_rows = interp @ log_rows
+                else:
+                    # a -inf row has no polynomial through it: the pair
+                    # is evaluated on the whole grid
+                    full = np.empty((5, base_nodes.size, m))
+                    np.multiply.outer(scale * base_nodes, inv_e[active], out=full[4])
+                    np.sqrt(np.multiply(gg, full[4], out=full[4]), out=full[4])
+                    log_rows = _pair_log_rows(epsilon, d, full[4], full)
             log_total[j, k] = log_sum_exp(log_sig_w + log_rows)
     # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1
     log_inside = [min(log_sum_exp(log_g_w + row), 0.0) for row in log_total]

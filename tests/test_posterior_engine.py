@@ -535,8 +535,8 @@ CLI_RADII = np.array([0.05, 0.1, 0.2, 0.5])
 
 @functools.cache
 def _cli_default_cell(name: str, n: int = 100):
-    """A shipped mixture scenario's cell as `gprior-lab experiment` builds
-    it at its defaults (512-node g-grid, sigma_grid 129), rep 0."""
+    """A shipped scenario's cell as `gprior-lab experiment` builds it at
+    its defaults (512-node g-grid, sigma_grid 129), rep 0."""
     scenario = load_scenario(SCENARIOS / f"{name}.json")
     stats = simulate_scenario_stats(scenario, n, 20260815)
     gamma, beta0 = scenario.gamma_at(n), scenario.beta0_at(n)
@@ -561,13 +561,15 @@ def _cli_unskipped(name: str, n: int = 100) -> np.ndarray:
 
 def _count_kernel_calls(monkeypatch) -> list:
     """Record every run of the exact kernel proper: a _log_interval_prob
-    call on one (sigma_grid, active p) block.  The pair bound's own call,
-    one (radii, p) block per g-node, is not a kernel run."""
+    call on one (evaluated sigma^2 nodes, active p) block.  The pair
+    bound's own call, one (radii, p) block per g-node, is not a kernel run,
+    nor is a whole-grid evaluation of a pair with a non-finite row."""
     calls = []
     kernel = posterior_engine._log_interval_prob
+    rows = min(posterior_engine._SIGMA_NODES, BallOptions().sigma_grid)
 
     def counting(hi, lo, scratch):
-        if hi.shape[0] == BallOptions().sigma_grid:
+        if hi.shape[0] == rows:
             calls.append(1)
         return kernel(hi, lo, scratch)
 
@@ -650,6 +652,119 @@ class TestSkipRule:
         # P(inside) moves the Zellner-Siow exceedance
         name = "zs_fixed_offset_alpha05"
         assert _cli_exceedance(name, 1e-6).tobytes() != _cli_unskipped(name).tobytes()
+
+
+SUITE_OPTIONS = BallOptions(method="exact", g_quad=64, sigma_grid=65)
+
+
+def _exact_with_rows(cell, radii, opts, sigma_nodes=None):
+    """The exact route's exceedances, and the first and last row of every
+    kernel run (one per (g-node, radius) pair that reaches the kernel).
+    ``sigma_nodes`` overrides the evaluated node count; at sigma_grid or
+    above the route evaluates the whole grid, the oracle for the rest."""
+    rows = []
+    kernel = posterior_engine._log_interval_prob
+    evaluated = min(sigma_nodes or posterior_engine._SIGMA_NODES, opts.sigma_grid)
+
+    def recording(hi, lo, scratch):
+        out = kernel(hi, lo, scratch)
+        if hi.shape[0] == evaluated:
+            rows.append(out[[0, -1]].tobytes())
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        if sigma_nodes is not None:
+            mp.setattr(posterior_engine, "_SIGMA_NODES", sigma_nodes)
+        mp.setattr(posterior_engine, "_log_interval_prob", recording)
+        value = sup_ball_probability(*cell, radii, opts).value
+    return value, rows
+
+
+# the parent computation's bits on grids of at most _SIGMA_NODES nodes,
+# which the route still evaluates node by node (rep 0, n = 100, CLI radii)
+SMALL_GRID_BITS = {
+    ("hyperg_fixed_offset_alpha05", 3): ["0x1.fffffffffd5c2p-1", "0x1.fde31ad3f0ebcp-1", "0x1.1bc422a514321p-8"],
+    ("hyperg_fixed_offset_alpha05", 16): ["0x1.fffffffffd58dp-1", "0x1.fde2909564cefp-1", "0x1.298f703fcda3dp-8"],
+    ("zs_fixed_offset_alpha05", 3): ["0x1.ffffffffffcd5p-1", "0x1.febdd608c13dfp-1", "0x1.8c8731494b620p-10"],
+    ("zs_fixed_offset_alpha05", 16): ["0x1.ffffffffffc8ap-1", "0x1.feab8db30d40bp-1", "0x1.c53446c49742ep-10"],
+}
+
+
+class TestSigmaInterpolation:
+    """The exact route evaluates each pair's integrand on _SIGMA_NODES
+    Chebyshev nodes of log sigma^2 and interpolates it onto the quantile
+    grid; the oracle is the same route evaluating every grid node."""
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 49.0, 1600.0])
+    @pytest.mark.parametrize("sigma_grid", [17, 65, 129])
+    def test_interpolation_matrix(self, shape, sigma_grid):
+        probs, _ = posterior_engine._sigma_grid_weights(sigma_grid)
+        base_nodes = 1.0 / sp.gammainccinv(shape, probs)
+        nodes, interp = posterior_engine._sigma_nodes(base_nodes)
+        m = posterior_engine._SIGMA_NODES
+        assert nodes.shape == (m,) and interp.shape == (sigma_grid, m)
+        assert nodes[0] == base_nodes[0] and nodes[-1] == base_nodes[-1]
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
+        # every polynomial of degree < m in log sigma^2, as Chebyshev
+        # polynomials on the grid's span (so each is bounded by 1 there)
+        x, t = np.log(base_nodes), np.log(nodes)
+        for degree in range(m):
+            poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
+            assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "opts, ns, radii",
+        [(BallOptions(method="exact"), (100, 200, 400), CLI_RADII), (SUITE_OPTIONS, (200, 800, 3200), np.array([0.1, 0.5]))],
+        ids=["cli_defaults", "suite_options"],
+    )
+    def test_matches_the_whole_grid_on_shipped_scenarios(self, opts, ns, radii):
+        # the end nodes are the grid's own, so every kernel run's first and
+        # last rows, and with them the pair bound's decisions, keep the
+        # whole grid's bits
+        for path in sorted(SCENARIOS.glob("*.json")):
+            for n in ns:
+                cell = _cli_default_cell(path.stem, n)
+                value, rows = _exact_with_rows(cell, radii, opts)
+                grid, grid_rows = _exact_with_rows(cell, radii, opts, sigma_nodes=opts.sigma_grid)
+                assert np.max(np.abs(value - grid)) <= 1e-12, (path.stem, n)
+                assert rows == grid_rows, (path.stem, n)
+
+    @pytest.mark.parametrize("n", [10, 16, 30])
+    def test_matches_the_whole_grid_at_small_n(self, n):
+        # at small n the sigma^2 posterior is wide and the integrand least
+        # polynomial: the worst seen was 6.1e-11 at n = 10
+        radii = np.array([0.05, 0.1, 0.2, 0.5, 1.0, 2.0])
+        opts = BallOptions(method="exact")
+        for path in sorted(SCENARIOS.glob("*.json")):
+            cell = _cli_default_cell(path.stem, n)
+            value, _ = _exact_with_rows(cell, radii, opts)
+            grid, _ = _exact_with_rows(cell, radii, opts, sigma_nodes=opts.sigma_grid)
+            assert np.max(np.abs(value - grid)) <= 1e-9, path.stem
+
+    @pytest.mark.parametrize("name, sigma_grid", sorted(SMALL_GRID_BITS))
+    def test_small_grids_keep_their_bits(self, name, sigma_grid):
+        opts = BallOptions(method="exact", sigma_grid=sigma_grid)
+        value = sup_ball_probability(*_cli_default_cell(name), CLI_RADII, opts).value
+        assert [v.hex() for v in value] == ["0x1.0000000000000p+0"] + SMALL_GRID_BITS[name, sigma_grid]
+
+    def test_non_finite_rows_fall_back_to_the_grid(self):
+        # n = 4: the sigma^2 nodes span 0.09 to 128, so the first
+        # coordinate's interval, 14.5 to 15.5 from the mean, underflows to
+        # mass 0 at the smallest sd (0.3) but not at the largest (11.3)
+        stats = axis_stats(4, [0.0, 0.0], 1.0, eigenvalues=[1.0, 1.0])
+        post = build_g_posterior(FixedG(rule=1e6), stats, 0.0, PRIOR)
+        center, radii = np.array([15.0, 0.0]), np.array([0.5])
+        cell = (post, stats, stats.beta_hat, center)
+        opts = BallOptions(method="exact")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, rows = _exact_with_rows(cell, radii, opts)
+        (first, last), = [np.frombuffer(r).reshape(2, 2) for r in rows]
+        assert first[0] == -np.inf and np.isfinite(last[0])
+        grid, _ = _exact_with_rows(cell, radii, opts, sigma_nodes=opts.sigma_grid)
+        assert np.isfinite(value[0]) and 0.0 < value[0] < 1.0
+        assert value.tobytes() == grid.tobytes()
 
 
 class TestDispatchAndValidation:
