@@ -75,14 +75,21 @@ class RngStream:
 # log-space helpers
 
 
-def log_sum_exp(values) -> float:
-    """log(sum(exp(values))) without overflow; -inf for an all-(-inf) input."""
+def log_sum_exp(values, axis=None):
+    """log(sum(exp(values))) without overflow; -inf for an all-(-inf) input.
+
+    With ``axis`` the sum runs along that axis and the result is an array:
+    each entry is what the call on its own values would return."""
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    empty = arr.size == 0 if axis is None else arr.shape[axis] == 0
+    if empty:
         raise ValueError("log_sum_exp of an empty collection")
-    hi = np.max(arr)
-    if not np.isfinite(hi):
-        if hi == -np.inf:
-            return -np.inf
-        raise ValueError("log_sum_exp input contains +inf or nan")
-    return float(hi + np.log(np.sum(np.exp(arr - hi))))
+    hi = np.max(arr, axis=axis, keepdims=True)
+    finite = np.isfinite(hi)
+    if not np.all(finite):
+        if np.any(hi[~finite] != -np.inf):
+            raise ValueError("log_sum_exp input contains +inf or nan")
+        hi[~finite] = 0.0  # an all-(-inf) sum is 0, and its log -inf
+    with np.errstate(divide="ignore"):
+        out = hi + np.log(np.sum(np.exp(arr - hi), axis=axis, keepdims=True))
+    return out.item() if axis is None else np.squeeze(out, axis=axis)

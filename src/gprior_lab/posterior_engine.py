@@ -18,7 +18,8 @@ once and counts, for every radius, the draws whose sup distance exceeds
 it.  The exact route's rule is sigma_grid equal-mass quantile midpoints;
 it evaluates the log-space integrand on min(16, sigma_grid) Chebyshev
 nodes of log sigma^2 spanning the grid and interpolates it onto the grid's
-nodes.  Given g the routes share nothing but the conditional laws above,
+nodes, with one kernel call per block of g-nodes and radius.  Given g the
+routes share nothing but the conditional laws above,
 so each checks the other's sigma^2 and beta integration.  Both read the
 same GPosterior, though: exact takes its nodes and weights, mc samples its
 piecewise-linear cdf.  A wrong law of g moves both routes alike and their
@@ -83,6 +84,15 @@ _MC_BATCH_ELEMENTS = 2**22
 # draws) a call took a median 0.92 s, against 0.94 s at 2**17, 1.02 s at
 # 2**16, 1.19 s at 2**15 and 0.97 s with one block per batch
 _MC_BLOCK_ELEMENTS = 2**18
+
+# elements of one (g-nodes x evaluated sigma^2 nodes x p) block of the exact
+# route: a block of max(1, this // (sigma^2 nodes x p)) g-nodes shares one
+# kernel call per radius, and five block-sized buffers (hi, lo and the
+# kernel's three scratch slots) are its working set.  The block size
+# changes no bit.  On perfbench's cli_defaults (two threads) 2**15 ran
+# 17.0-20.2 cells/s at 66.0-66.7 MB peak RSS, against 15.4-16.2 at 2**14
+# and 21.2-22.3 at 2**16, whose buffers alone take 2.5 MiB (70 MB RSS)
+_EXACT_BLOCK_ELEMENTS = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +180,14 @@ def _sigma_nodes(base_nodes: np.ndarray):
     return nodes, interp
 
 
-def _pair_log_rows(epsilon: float, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Sum over coordinates of log P(|d_i + sd_i Z| <= eps), one per row
-    (sigma^2 node) of ``sd``; ``work`` has shape (5,) + sd.shape and sd may
-    be its last slot, which the kernel overwrites."""
+def _block_log_values(epsilon: float, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """log P(|d_i + sd_i Z| <= eps) for a block of g-nodes: d has shape
+    (nodes, m), sd (nodes, sigma^2 nodes, m); ``work`` has shape (5,) +
+    sd.shape and sd may be its last slot, which the kernel overwrites."""
     hi, lo = work[0], work[1]
-    np.divide(epsilon - d, sd, out=hi)
-    np.divide(-epsilon - d, sd, out=lo)
-    return np.sum(_log_interval_prob(hi, lo, work[2:]), axis=1)
+    np.divide((epsilon - d)[:, None, :], sd, out=hi)
+    np.divide((-epsilon - d)[:, None, :], sd, out=lo)
+    return _log_interval_prob(hi, lo, work[2:])
 
 
 def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -239,6 +249,9 @@ def _exact_ball_probabilities(
 ) -> np.ndarray:
     """Exceedance at every radius eps[j] in one pass over the g-nodes.
 
+    The g-nodes run in blocks of max(1, _EXACT_BLOCK_ELEMENTS // (evaluated
+    sigma^2 nodes x p)).  A block's posterior means, sigma^2 nodes,
+    active-set reach and pair bounds are computed once for every radius.
     Each (g-node k, radius) pair is decided before the kernel runs: log w_k
     plus the sum of _log_inside_bound over the active coordinates bounds
     the pair's share of log P(inside) at every sigma^2 node.  A pair whose
@@ -247,6 +260,12 @@ def _exact_ball_probabilities(
     _SKIP_MASS of P(inside).  Each pair is decided on its own, so a
     one-radius call leaves out exactly the pairs a grid call does.
     Zero-weight nodes are left out altogether.
+
+    Per radius the kernel runs once on the block's remaining nodes, over
+    the union of their active coordinates, with the conditional sds of
+    just those nodes and coordinates.  Each node's sum runs over its own
+    active coordinates in their order, as a one-node block's would, so no
+    bit depends on the block a node falls in.
     """
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
@@ -260,57 +279,74 @@ def _exact_ball_probabilities(
     with np.errstate(divide="ignore"):
         log_g_w = np.log(g_weights)
     skip_below = math.log(_SKIP_MASS / g_nodes.size)
-    # log P(inside | g-node) per radius; a node with no active coordinate is 0
+    s, p = nodes.size, stats.p
+    # log P(inside | g-node) per radius; at g = 0 beta sits at gamma
     log_total = np.zeros((eps.size, g_nodes.size))
-    # conditional sds (evaluated sigma^2 nodes x p), once per node; hi, lo
-    # and the kernel's scratch (two tails, result), reused throughout, where
-    # the result slot holds the active columns of tau, when some coordinates
-    # are inactive, until the kernel overwrites it; the bound's scratch
-    tau = np.empty((nodes.size, stats.p))
-    buffers = np.empty((5, nodes.size * stats.p))
-    bound_scratch = np.empty((3, eps.size, stats.p))
-    for k, g in enumerate(g_nodes):
-        if log_g_w[k] < skip_below:
-            log_total[:, k] = -np.inf
-            continue
+    log_total[:, log_g_w < skip_below] = -np.inf
+    live = np.flatnonzero(log_g_w >= skip_below)
+    log_total[np.ix_(np.max(np.abs(gamma - center)) > eps, live[g_nodes[live] == 0.0])] = -np.inf
+    live = live[g_nodes[live] > 0.0]
+    g_live, w_live = g_nodes[live], log_g_w[live]
+    log_live = np.empty((eps.size, live.size))
+    block = max(1, _EXACT_BLOCK_ELEMENTS // (s * p))
+    # reused by every block: first the pair bound's scratch, then, per
+    # radius, hi, lo and the kernel's scratch (two tails, result), where the
+    # result slot holds the conditional sds until the kernel overwrites it
+    buffers = np.empty(max(5 * s, 3 * eps.size) * block * p)
+    for start in range(0, live.size, block):
+        g = g_live[start : start + block]
+        size = g.size
         gg = g / (g + 1.0)
-        mean = gg * stats.beta_hat + (1.0 - gg) * gamma
-        delta = mean - center
-        abs_delta = np.abs(delta)
-        if gg == 0.0:
-            log_total[np.max(abs_delta) > eps, k] = -np.inf
-            continue
+        delta = gg[:, None] * stats.beta_hat + (1.0 - gg)[:, None] * gamma - center
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
-        sigma2 = scale * nodes
-        reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg * sigma2[-1] * inv_e)
-        np.multiply.outer(sigma2, inv_e, out=tau)
-        np.sqrt(np.multiply(gg, tau, out=tau), out=tau)
-        log_bound = _log_inside_bound(delta, eps[:, None], tau[0], tau[-1], bound_scratch)
+        sigma2 = scale[:, None] * nodes
+        reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg[:, None] * sigma2[:, -1:] * inv_e)
+        # conditional sds at the smallest and largest sigma^2 node
+        ends = np.sqrt(gg[:, None, None] * (sigma2[:, :: s - 1, None] * inv_e))
+        bound_scratch = buffers[: 3 * size * eps.size * p].reshape(3, size, eps.size, p)
+        log_bound = _log_inside_bound(delta[:, None], eps[:, None], ends[:, :1], ends[:, 1:], bound_scratch)
+        active = (eps[:, None] - np.abs(delta)[:, None]) < reach[:, None]
+        counts = np.count_nonzero(active, axis=2)
+        bound = w_live[start : start + block, None] + np.sum(np.where(active, log_bound, 0.0), axis=2)
+        # a node with no active coordinate has log P(inside) = 0
+        some = counts > 0
+        runs = some & (bound >= skip_below)
+        log_block = log_live[:, start : start + block]
+        log_block[...] = np.where(some, -np.inf, 0.0).T
         for j, epsilon in enumerate(eps):
-            active = np.flatnonzero((epsilon - abs_delta) < reach)
-            m = active.size
-            if m == 0:
+            run = np.flatnonzero(runs[:, j])
+            if run.size == 0:
                 continue
-            if log_g_w[k] + np.sum(log_bound[j, active]) < skip_below:
-                log_total[j, k] = -np.inf
-                continue
-            d = delta[active]
-            work = buffers[:, : nodes.size * m].reshape(5, nodes.size, m)
-            sd = tau if m == stats.p else np.take(tau, active, axis=1, out=work[4])
-            log_rows = _pair_log_rows(epsilon, d, sd, work)
+            # views, not copies, where every node or every coordinate takes part
+            sel = slice(None) if run.size == size else run
+            act, own = active[sel, j], counts[sel, j]
+            cols = slice(None) if np.max(own) == p else np.flatnonzero(np.any(act, axis=0))
+            inv_e_cols = inv_e[cols]
+            m = inv_e_cols.size
+            work = buffers[: 5 * run.size * s * m].reshape(5, run.size, s, m)
+            sd = np.multiply(sigma2[sel, :, None], inv_e_cols, out=work[4])
+            np.sqrt(np.multiply(gg[sel, None, None], sd, out=sd), out=sd)
+            values = _block_log_values(epsilon, delta[sel][:, cols], sd, work)
+            log_rows = np.sum(values, axis=2)
+            for i in np.flatnonzero(own < m):
+                log_rows[i] = np.sum(np.take(values[i], np.flatnonzero(act[i][cols]), axis=1), axis=1)
             if interp is not None:
-                if np.all(np.isfinite(log_rows)):
-                    log_rows = interp @ log_rows
-                else:
-                    # a -inf row has no polynomial through it: the pair
-                    # is evaluated on the whole grid
-                    full = np.empty((5, base_nodes.size, m))
-                    np.multiply.outer(scale * base_nodes, inv_e[active], out=full[4])
-                    np.sqrt(np.multiply(gg, full[4], out=full[4]), out=full[4])
-                    log_rows = _pair_log_rows(epsilon, d, full[4], full)
-            log_total[j, k] = log_sum_exp(log_sig_w + log_rows)
+                finite = np.all(np.isfinite(log_rows), axis=1)
+                # one matrix-vector product per node, as for a one-node block
+                grid_rows = np.matmul(interp, np.where(finite[:, None], log_rows, 0.0)[:, :, None])[:, :, 0]
+                for i in np.flatnonzero(~finite):
+                    # a -inf row has no polynomial through it: the pair is
+                    # evaluated on the whole grid
+                    k, own_cols = run[i], np.flatnonzero(act[i])
+                    full = np.empty((5, 1, base_nodes.size, own_cols.size))
+                    np.multiply.outer(scale[k] * base_nodes, inv_e[own_cols], out=full[4, 0])
+                    np.sqrt(np.multiply(gg[k], full[4], out=full[4]), out=full[4])
+                    grid_rows[i] = np.sum(_block_log_values(epsilon, delta[k, own_cols][None], full[4], full), axis=2)[0]
+                log_rows = grid_rows
+            log_block[j, sel] = log_sum_exp(log_sig_w + log_rows, axis=1)
+    log_total[:, live] = log_live
     # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1
-    log_inside = [min(log_sum_exp(log_g_w + row), 0.0) for row in log_total]
+    log_inside = np.minimum(log_sum_exp(log_g_w + log_total, axis=1), 0.0)
     return np.array([max(0.0, -math.expm1(x)) for x in log_inside])
 
 

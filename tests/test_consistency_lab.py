@@ -314,6 +314,16 @@ class TestRunExperiment:
         r1, r8 = report_pair
         assert r1.canonical_json() == r8.canonical_json()
 
+    def test_thread_count_does_not_change_payload_at_cli_defaults(self):
+        # the 512-node hyper-g grid and default BallOptions: the exact
+        # route's g-node blocks run on both threads at once
+        sc = load_scenario(next(p for p in SHIPPED if p.stem == "hyperg_fixed_offset_alpha05"))
+        kw = dict(reps=2, master_seed=20260815, ball_options=BallOptions())
+        r1 = run_experiment(sc, (100, 200), (0.05, 0.1, 0.2, 0.5), threads=1, **kw)
+        r2 = run_experiment(sc, (100, 200), (0.05, 0.1, 0.2, 0.5), threads=2, **kw)
+        assert r1.canonical_json() == r2.canonical_json()
+        assert any(0.0 < c["prob"] < 1.0 for c in r1.cells)
+
     def test_cells_are_handed_out_largest_n_first(self, monkeypatch):
         # the costliest cells start first, so no thread is left with one
         # long cell at the end of the pool

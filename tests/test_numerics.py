@@ -54,6 +54,28 @@ class TestLogSumExp:
         direct = math.log(sum(math.exp(x) for x in xs))
         assert v == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("width", [1, 7, 16, 129, 300])
+    def test_rows_match_scalar_calls_bitwise(self, width):
+        # rows with -inf entries, an all-(-inf) row, and widths on both
+        # sides of the pairwise-summation block (8) and its base case (128)
+        rng = np.random.default_rng(width)
+        values = rng.normal(-40.0, 30.0, (9, width))
+        values[rng.random(values.shape) < 0.2] = -np.inf
+        values[3] = -np.inf
+        rows = log_sum_exp(values, axis=1)
+        assert rows.shape == (9,) and rows[3] == -np.inf
+        assert [r.hex() for r in rows] == [log_sum_exp(row).hex() for row in values]
+
+    def test_rows_reject_nan_pos_inf_and_empty_rows(self):
+        for bad in (np.nan, np.inf):
+            values = np.zeros((3, 4))
+            values[1, 2] = bad
+            with pytest.raises(ValueError, match=r"\+inf or nan"):
+                log_sum_exp(values, axis=1)
+        with pytest.raises(ValueError, match="empty"):
+            log_sum_exp(np.zeros((3, 0)), axis=1)
+        assert log_sum_exp(np.zeros((0, 3)), axis=1).shape == (0,)
+
 
 # ---------------------------------------------------------------------------
 # beta cdf / quantile

@@ -6,6 +6,7 @@ point, the Monte Carlo route at 3 standard errors, and a triangle-inequality
 sandwich that needs no distributional knowledge at all.
 """
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -29,7 +30,7 @@ from gprior_lab.model_core import (
     diagnostics,
     load_scenario,
 )
-from gprior_lab.g_regimes import build_g_posterior
+from gprior_lab.g_regimes import build_g_posterior, u_from_g
 from gprior_lab.numerics import RngStream
 from gprior_lab.posterior_engine import (
     BallOptions,
@@ -559,22 +560,24 @@ def _cli_unskipped(name: str, n: int = 100) -> np.ndarray:
     return _cli_exceedance(name, 1e-300, n)
 
 
-def _count_kernel_calls(monkeypatch) -> list:
+def _count_kernel_pairs(monkeypatch) -> list:
     """Record every run of the exact kernel proper: a _log_interval_prob
-    call on one (evaluated sigma^2 nodes, active p) block.  The pair
-    bound's own call, one (radii, p) block per g-node, is not a kernel run,
-    nor is a whole-grid evaluation of a pair with a non-finite row."""
-    calls = []
+    call on one (g-nodes, evaluated sigma^2 nodes, active p) block, as its
+    number of (g-node, radius) pairs.  The pair bound's own call, one
+    (g-nodes, radii, p) block, is not a kernel run (the CLI radii are
+    fewer than the evaluated nodes), nor is a whole-grid evaluation of a
+    pair with a non-finite row."""
+    pairs = []
     kernel = posterior_engine._log_interval_prob
     rows = min(posterior_engine._SIGMA_NODES, BallOptions().sigma_grid)
 
     def counting(hi, lo, scratch):
-        if hi.shape[0] == rows:
-            calls.append(1)
+        if hi.ndim == 3 and hi.shape[1] == rows:
+            pairs.append(hi.shape[0])
         return kernel(hi, lo, scratch)
 
     monkeypatch.setattr(posterior_engine, "_log_interval_prob", counting)
-    return calls
+    return pairs
 
 
 class TestPairBound:
@@ -625,27 +628,29 @@ class TestSkipRule:
     def test_kernel_skips_pairs_on_zellner_siow(self, monkeypatch):
         # zero-weight nodes and pairs whose bound falls below the threshold
         # never reach the kernel
-        calls = _count_kernel_calls(monkeypatch)
+        pairs = _count_kernel_pairs(monkeypatch)
         name = "zs_fixed_offset_alpha05"
         _cli_exceedance(name)
-        nodes = _cli_default_cell(name)[0].quadrature()[0].size
-        assert 0 < len(calls) < nodes * CLI_RADII.size
+        weights = _cli_default_cell(name)[0].quadrature()[1]
+        assert 0 < np.count_nonzero(weights) < weights.size
+        assert 0 < sum(pairs) < np.count_nonzero(weights) * CLI_RADII.size
 
     def test_one_radius_calls_skip_what_a_grid_call_skips(self, monkeypatch):
-        calls = _count_kernel_calls(monkeypatch)
+        pairs = _count_kernel_pairs(monkeypatch)
         name = "hyperg_fixed_offset_alpha05"
         grid = _cli_exceedance(name)
-        in_grid = len(calls)
+        in_grid = sum(pairs)
+        assert in_grid > 0
         singles = [_cli_exceedance(name, radii=CLI_RADII[j : j + 1])[0] for j in range(CLI_RADII.size)]
         assert singles == grid.tolist()
-        assert len(calls) - in_grid == in_grid
+        assert sum(pairs) - in_grid == in_grid
 
     def test_kernel_runs_on_at_most_80_percent_of_pairs(self, monkeypatch):
-        calls = _count_kernel_calls(monkeypatch)
+        pairs = _count_kernel_pairs(monkeypatch)
         name = "hyperg_fixed_offset_alpha05"
         _cli_exceedance(name)
         nodes = _cli_default_cell(name)[0].quadrature()[0].size
-        assert 0 < len(calls) <= 0.8 * nodes * CLI_RADII.size
+        assert 0 < sum(pairs) <= 0.8 * nodes * CLI_RADII.size
 
     def test_a_loose_threshold_is_caught(self):
         # the bitwise check above has teeth: leaving out up to 1e-6 of
@@ -659,22 +664,27 @@ SUITE_OPTIONS = BallOptions(method="exact", g_quad=64, sigma_grid=65)
 
 def _exact_with_rows(cell, radii, opts, sigma_nodes=None):
     """The exact route's exceedances, and the first and last row of every
-    kernel run (one per (g-node, radius) pair that reaches the kernel).
-    ``sigma_nodes`` overrides the evaluated node count; at sigma_grid or
-    above the route evaluates the whole grid, the oracle for the rest."""
+    (g-node, radius) pair that reaches the kernel, over the columns of its
+    block's kernel call.  ``sigma_nodes`` overrides the evaluated node
+    count, with the block elements scaled so that the blocks hold the same
+    g-nodes; at sigma_grid or above the route evaluates the whole grid,
+    the oracle for the rest."""
     rows = []
     kernel = posterior_engine._log_interval_prob
+    default = min(posterior_engine._SIGMA_NODES, opts.sigma_grid)
     evaluated = min(sigma_nodes or posterior_engine._SIGMA_NODES, opts.sigma_grid)
 
     def recording(hi, lo, scratch):
         out = kernel(hi, lo, scratch)
-        if hi.shape[0] == evaluated:
-            rows.append(out[[0, -1]].tobytes())
+        if hi.ndim == 3 and hi.shape[1] == evaluated:
+            rows.extend(pair[[0, -1]].tobytes() for pair in out)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         if sigma_nodes is not None:
             mp.setattr(posterior_engine, "_SIGMA_NODES", sigma_nodes)
+            block = posterior_engine._EXACT_BLOCK_ELEMENTS * evaluated // default
+            mp.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", block)
         mp.setattr(posterior_engine, "_log_interval_prob", recording)
         value = sup_ball_probability(*cell, radii, opts).value
     return value, rows
@@ -728,7 +738,7 @@ class TestSigmaInterpolation:
                 value, rows = _exact_with_rows(cell, radii, opts)
                 grid, grid_rows = _exact_with_rows(cell, radii, opts, sigma_nodes=opts.sigma_grid)
                 assert np.max(np.abs(value - grid)) <= 1e-12, (path.stem, n)
-                assert rows == grid_rows, (path.stem, n)
+                assert rows and rows == grid_rows, (path.stem, n)
 
     @pytest.mark.parametrize("n", [10, 16, 30])
     def test_matches_the_whole_grid_at_small_n(self, n):
@@ -765,6 +775,114 @@ class TestSigmaInterpolation:
         grid, _ = _exact_with_rows(cell, radii, opts, sigma_nodes=opts.sigma_grid)
         assert np.isfinite(value[0]) and 0.0 < value[0] < 1.0
         assert value.tobytes() == grid.tobytes()
+
+
+def _equal_weight_posterior(stats, quad_form, g):
+    """A continuous g-posterior with equal weights on the nodes ``g``."""
+    point = build_g_posterior(FixedG(rule=1.0), stats, quad_form, PRIOR)
+    return dataclasses.replace(
+        point, kind="hyper_g", g_star=None, u_floor=0.5,
+        u_nodes=u_from_g(g, 0.5), node_weights=np.full(g.size, 1.0 / g.size),
+    )
+
+
+def _underflow_block_cell():
+    """n = 4 with twelve g-nodes from 0.01 to 1e6 in one kernel block.  As
+    in the one-node instance above, the first coordinate's interval lies
+    14.5 to 15.5 from the mean; the prior location's offset in the second
+    coordinate makes sigma^2 depend on g, so the interval underflows at the
+    smallest sigma^2 node for some g-nodes (whole-grid fallback) and not
+    for others (interpolated)."""
+    stats = axis_stats(4, [0.0, 0.0], 1.0, eigenvalues=[1.0, 1.0])
+    post = _equal_weight_posterior(stats, 100.0, np.geomspace(0.01, 1e6, 12))
+    return post, stats, np.array([0.0, 10.0]), np.array([15.0, 0.0])
+
+
+def _wide_union_cell():
+    """Two g-nodes whose active sets differ by 2,000 coordinates.  At
+    g = 1e6 every coordinate is active; at g = 0.45 only the first is, and
+    the other 2,000 (offset 0) lie just beyond the reach, about 8.6
+    conditional sds inside the radius.  Summed into the g = 0.45 node,
+    their terms (about -1e-18 each) would move the exceedance's bits when
+    the two nodes share a block."""
+    p = 2001
+    gamma = np.zeros(p)
+    gamma[0] = 0.54
+    stats = SufficientStats(
+        n=4000, p=p, beta_hat=np.zeros(p), resid_ss=3998.0,
+        gram=GramSpectrum(q=None, eigenvalues=np.full(p, 100.0)),
+    )
+    post = _equal_weight_posterior(stats, 100.0 * 0.54**2, np.array([0.45, 1e6]))
+    return post, stats, gamma, np.zeros(p)
+
+
+class TestExactBlocks:
+    """The exact route runs its kernel over blocks of g-nodes; the block
+    size must change no bit of any exceedance."""
+
+    CELLS = {
+        "hyperg-100": lambda: (_cli_default_cell("hyperg_fixed_offset_alpha05", 100), BallOptions(method="exact"), CLI_RADII),
+        "hyperg-400": lambda: (_cli_default_cell("hyperg_fixed_offset_alpha05", 400), BallOptions(method="exact"), CLI_RADII),
+        "zs-100": lambda: (_cli_default_cell("zs_fixed_offset_alpha05", 100), BallOptions(method="exact"), CLI_RADII),
+        "zs-400": lambda: (_cli_default_cell("zs_fixed_offset_alpha05", 400), BallOptions(method="exact"), CLI_RADII),
+        "suite-hyperg-3200": lambda: (_cli_default_cell("hyperg_fixed_offset_alpha05", 3200), SUITE_OPTIONS, np.array([0.1, 0.5])),
+        "underflow-4": lambda: (_underflow_block_cell(), BallOptions(method="exact"), np.array([0.5])),
+        "wide-union": lambda: (_wide_union_cell(), BallOptions(method="exact"), np.array([0.5])),
+    }
+
+    @pytest.mark.parametrize("key", sorted(CELLS))
+    def test_block_size_changes_no_bit(self, monkeypatch, key):
+        # one g-node per block, 7 (a ragged last block) and the whole cell
+        cell, opts, radii = self.CELLS[key]()
+        post, stats = cell[0], cell[1]
+        nodes = opts.g_quad or post.quadrature()[0].size
+        rows = min(posterior_engine._SIGMA_NODES, opts.sigma_grid) * stats.p
+        default = sup_ball_probability(*cell, radii, opts).value
+        assert np.any((0.0 < default) & (default < 1.0))
+        for per_block in (1, 7, nodes):
+            monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", per_block * rows)
+            value = sup_ball_probability(*cell, radii, opts).value
+            assert value.tobytes() == default.tobytes(), per_block
+
+    def test_fallback_pairs_share_a_block_with_finite_ones(self, monkeypatch):
+        kernel = posterior_engine._log_interval_prob
+        first_rows = []
+
+        def recording(hi, lo, scratch):
+            out = kernel(hi, lo, scratch)
+            if hi.ndim == 3 and hi.shape[1] == posterior_engine._SIGMA_NODES:
+                first_rows.append(np.isfinite(out[:, 0]).all(axis=1).tolist())
+            return out
+
+        monkeypatch.setattr(posterior_engine, "_log_interval_prob", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sup_ball_probability(*_underflow_block_cell(), np.array([0.5]), BallOptions(method="exact"))
+        (finite,) = first_rows
+        assert len(finite) == 12 and 0 < sum(finite) < 12
+
+    @pytest.mark.parametrize(
+        "name, n, opts, radii",
+        [
+            ("hyperg_fixed_offset_alpha05", 100, BallOptions(method="exact"), CLI_RADII),
+            ("hyperg_fixed_offset_alpha05", 400, BallOptions(method="exact"), CLI_RADII),
+            ("hyperg_fixed_offset_alpha05", 3200, SUITE_OPTIONS, np.array([0.1, 0.5])),
+        ],
+    )
+    def test_working_set_stays_small(self, name, n, opts, radii):
+        # five block buffers of 2**15 doubles (1.25 MiB) and the bound's
+        # temporaries; a call allocates no cell-sized array
+        cell = _cli_default_cell(name, n)
+        sup_ball_probability(*cell, radii, opts)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sup_ball_probability(*cell, radii, opts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestDispatchAndValidation:
