@@ -18,12 +18,15 @@ once and counts, for every radius, the draws whose sup distance exceeds
 it.  The exact route's rule is sigma_grid equal-mass quantile midpoints;
 it evaluates the log-space integrand on min(16, sigma_grid) Chebyshev
 nodes of log sigma^2 spanning the grid and interpolates it onto the grid's
-nodes, with one kernel call per block of g-nodes and radius.  Given g the
-routes share nothing but the conditional laws above,
-so each checks the other's sigma^2 and beta integration.  Both read the
-same GPosterior, though: exact takes its nodes and weights, mc samples its
-piecewise-linear cdf.  A wrong law of g moves both routes alike and their
-agreement cannot reveal it.
+nodes, with one kernel call per block of g values and radius.  Where more
+than 33 g-nodes take part at a radius, it evaluates log P(inside | g) at
+33 Chebyshev points of their log g span and interpolates it onto them,
+unless a coefficient estimate puts the error above 1e-11; then it
+evaluates every node.  Given g the routes share nothing but the
+conditional laws above, so each checks the other's sigma^2 and beta
+integration.  Both read the same GPosterior, though: exact takes its nodes
+and weights, mc samples its piecewise-linear cdf.  A wrong law of g moves
+both routes alike and their agreement cannot reveal it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ _ACTIVE_SET_SIGMAS = 8.5
 # route: at any radius they hold less than 2**-60 ~ 8.7e-19 of P(inside)
 # together, far below the ~1e-16 rounding of the log-space sum.  On the
 # six rep-0 hyper-g/Zellner-Siow cells at CLI defaults (n 100/200/400,
-# radii 0.05/0.1/0.2/0.5) the kernel runs on 8,375 of 13,044 pairs
+# radii 0.05/0.1/0.2/0.5) the bound keeps 8,375 of 13,044 pairs; the log g
+# span of a radius's kept nodes places its _G_NODES Chebyshev points, so
+# the kernel runs on 1,618 (g value, radius) pairs
 _SKIP_MASS = 2.0**-60
 
 # sigma^2 nodes on which the exact route evaluates a pair's integrand: the
@@ -66,6 +71,18 @@ _SKIP_MASS = 2.0**-60
 # and within 6.1e-11 at n = 10 (README "Performance notes").  A grid of at
 # most this many nodes is evaluated itself
 _SIGMA_NODES = 16
+
+# points of log g at which the exact route evaluates log P(inside | g) at a
+# radius: it is analytic in log g, so where more than this many g-nodes
+# pass the pair bound, its values at this many Chebyshev-Lobatto points of
+# their log g span, interpolated onto them, give exceedances within 8.9e-16
+# of every node's on the shipped scenarios (README "Performance notes").
+# The interpolant is kept when every value is finite and its error
+# estimate, the last three Chebyshev coefficients' magnitudes times
+# P(inside), is at most _G_TOLERANCE; otherwise, as for most radii at
+# n <= 30, every node is evaluated
+_G_NODES = 33
+_G_TOLERANCE = 1e-11
 
 # draws per Monte Carlo batch, as elements of the batch's (draws x p)
 # normals: it fixes the order in which a cell's stream is read (each
@@ -153,6 +170,41 @@ def _sigma_grid_weights(m: int):
     return probs, np.full(m, 1.0 / m)
 
 
+def _chebyshev_lobatto(lo: float, hi: float, m: int) -> np.ndarray:
+    """m Chebyshev-Lobatto points of [lo, hi], ascending, whose first and
+    last are lo and hi bit for bit."""
+    t = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(m) / (m - 1))
+    t[0], t[-1] = lo, hi
+    return t
+
+
+def _barycentric_matrix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (x.size x t.size) matrix that maps values at the Chebyshev-Lobatto
+    points ``t`` to the polynomial through them at ``x``; a row whose x is
+    one of the points picks that point's value."""
+    w = (-1.0) ** np.arange(t.size)
+    w[[0, -1]] *= 0.5
+    hit = x[:, None] == t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interp = w / (x[:, None] - t)
+        interp /= np.sum(interp, axis=1, keepdims=True)
+    on_node = np.any(hit, axis=1)
+    interp[on_node] = hit[on_node]
+    return interp
+
+
+def _chebyshev_tail(values: np.ndarray) -> float:
+    """|c_{m-3}| + |c_{m-2}| + |c_{m-1}|: the last three Chebyshev
+    coefficients of the polynomial through ``values`` at m Chebyshev-Lobatto
+    points (a discrete cosine transform of type I)."""
+    m = values.size
+    c = np.cos(np.pi * np.outer(np.arange(m - 3, m), np.arange(m)) / (m - 1))
+    c[:, [0, -1]] *= 0.5
+    coef = (2.0 / (m - 1)) * (c @ values)
+    coef[-1] *= 0.5
+    return float(np.sum(np.abs(coef)))
+
+
 def _sigma_nodes(base_nodes: np.ndarray):
     """The sigma^2 nodes the exact route evaluates and the matrix that maps
     values on them to the grid ``base_nodes`` (None: the grid itself).
@@ -165,19 +217,10 @@ def _sigma_nodes(base_nodes: np.ndarray):
     if m == base_nodes.size:
         return base_nodes, None
     x = np.log(base_nodes)
-    t = 0.5 * (x[0] + x[-1]) - 0.5 * (x[-1] - x[0]) * np.cos(np.pi * np.arange(m) / (m - 1))
-    t[0], t[-1] = x[0], x[-1]
+    t = _chebyshev_lobatto(x[0], x[-1], m)
     nodes = np.exp(t)
     nodes[0], nodes[-1] = base_nodes[0], base_nodes[-1]
-    w = (-1.0) ** np.arange(m)
-    w[[0, -1]] *= 0.5
-    hit = x[:, None] == t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interp = w / (x[:, None] - t)
-        interp /= np.sum(interp, axis=1, keepdims=True)
-    on_node = np.any(hit, axis=1)
-    interp[on_node] = hit[on_node]
-    return nodes, interp
+    return nodes, _barycentric_matrix(x, t)
 
 
 def _block_log_values(epsilon: float, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -247,23 +290,30 @@ def _exact_ball_probabilities(
     eps: np.ndarray,
     opts: BallOptions,
 ) -> np.ndarray:
-    """Exceedance at every radius eps[j] in one pass over the g-nodes.
+    """Exceedance at every radius eps[j] from log P(inside | g) at the g-nodes.
 
-    The g-nodes run in blocks of max(1, _EXACT_BLOCK_ELEMENTS // (evaluated
-    sigma^2 nodes x p)).  A block's posterior means, sigma^2 nodes,
-    active-set reach and pair bounds are computed once for every radius.
     Each (g-node k, radius) pair is decided before the kernel runs: log w_k
     plus the sum of _log_inside_bound over the active coordinates bounds
     the pair's share of log P(inside) at every sigma^2 node.  A pair whose
     bound falls below log(_SKIP_MASS / nodes) is left out (log P(inside |
     g_k) = -inf), so at any radius the left-out pairs hold less than
-    _SKIP_MASS of P(inside).  Each pair is decided on its own, so a
-    one-radius call leaves out exactly the pairs a grid call does.
-    Zero-weight nodes are left out altogether.
+    _SKIP_MASS of P(inside); a node with no active coordinate has log
+    P(inside | g_k) = 0.  Each pair is decided on its own, so a one-radius
+    call leaves out exactly the pairs a grid call does.  Zero-weight nodes
+    are left out altogether.
 
-    Per radius the kernel runs once on the block's remaining nodes, over
-    the union of their active coordinates, with the conditional sds of
-    just those nodes and coordinates.  Each node's sum runs over its own
+    At each radius the remaining nodes take log P(inside | g) from one
+    helper.  When more than _G_NODES of them remain, the helper runs on
+    _G_NODES Chebyshev-Lobatto points of their log g span, whose ends are
+    the span's end nodes, and a barycentric matrix interpolates the values
+    onto the nodes.  The interpolant is kept when every value is finite and
+    the last three Chebyshev coefficients' magnitudes times P(inside) are
+    at most _G_TOLERANCE; otherwise the helper runs on every node.
+
+    The helper takes g values in blocks of max(1, _EXACT_BLOCK_ELEMENTS //
+    (evaluated sigma^2 nodes x p)) and runs the kernel once per block, over
+    the union of the block's active coordinates, with the conditional sds
+    of just those nodes and coordinates.  Each node's sum runs over its own
     active coordinates in their order, as a one-node block's would, so no
     bit depends on the block a node falls in.
     """
@@ -280,46 +330,33 @@ def _exact_ball_probabilities(
         log_g_w = np.log(g_weights)
     skip_below = math.log(_SKIP_MASS / g_nodes.size)
     s, p = nodes.size, stats.p
-    # log P(inside | g-node) per radius; at g = 0 beta sits at gamma
-    log_total = np.zeros((eps.size, g_nodes.size))
-    log_total[:, log_g_w < skip_below] = -np.inf
-    live = np.flatnonzero(log_g_w >= skip_below)
-    log_total[np.ix_(np.max(np.abs(gamma - center)) > eps, live[g_nodes[live] == 0.0])] = -np.inf
-    live = live[g_nodes[live] > 0.0]
-    g_live, w_live = g_nodes[live], log_g_w[live]
-    log_live = np.empty((eps.size, live.size))
     block = max(1, _EXACT_BLOCK_ELEMENTS // (s * p))
-    # reused by every block: first the pair bound's scratch, then, per
-    # radius, hi, lo and the kernel's scratch (two tails, result), where the
-    # result slot holds the conditional sds until the kernel overwrites it
+    # reused by every block: first the pair bound's scratch, then hi, lo and
+    # the kernel's scratch (two tails, result), where the result slot holds
+    # the conditional sds until the kernel overwrites it
     buffers = np.empty(max(5 * s, 3 * eps.size) * block * p)
-    for start in range(0, live.size, block):
-        g = g_live[start : start + block]
-        size = g.size
+
+    def geometry(g):
         gg = g / (g + 1.0)
         delta = gg[:, None] * stats.beta_hat + (1.0 - gg)[:, None] * gamma - center
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = scale[:, None] * nodes
         reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg[:, None] * sigma2[:, -1:] * inv_e)
-        # conditional sds at the smallest and largest sigma^2 node
-        ends = np.sqrt(gg[:, None, None] * (sigma2[:, :: s - 1, None] * inv_e))
-        bound_scratch = buffers[: 3 * size * eps.size * p].reshape(3, size, eps.size, p)
-        log_bound = _log_inside_bound(delta[:, None], eps[:, None], ends[:, :1], ends[:, 1:], bound_scratch)
-        active = (eps[:, None] - np.abs(delta)[:, None]) < reach[:, None]
-        counts = np.count_nonzero(active, axis=2)
-        bound = w_live[start : start + block, None] + np.sum(np.where(active, log_bound, 0.0), axis=2)
-        # a node with no active coordinate has log P(inside) = 0
-        some = counts > 0
-        runs = some & (bound >= skip_below)
-        log_block = log_live[:, start : start + block]
-        log_block[...] = np.where(some, -np.inf, 0.0).T
-        for j, epsilon in enumerate(eps):
-            run = np.flatnonzero(runs[:, j])
+        return gg, delta, scale, sigma2, reach
+
+    def log_p_inside(g_values, epsilon):
+        # log P(inside | g) at radius epsilon for each g > 0 of g_values
+        out = np.zeros(g_values.size)
+        for start in range(0, g_values.size, block):
+            gg, delta, scale, sigma2, reach = geometry(g_values[start : start + block])
+            active = (epsilon - np.abs(delta)) < reach
+            counts = np.count_nonzero(active, axis=1)
+            run = np.flatnonzero(counts)
             if run.size == 0:
                 continue
             # views, not copies, where every node or every coordinate takes part
-            sel = slice(None) if run.size == size else run
-            act, own = active[sel, j], counts[sel, j]
+            sel = slice(None) if run.size == counts.size else run
+            act, own = active[sel], counts[sel]
             cols = slice(None) if np.max(own) == p else np.flatnonzero(np.any(act, axis=0))
             inv_e_cols = inv_e[cols]
             m = inv_e_cols.size
@@ -335,7 +372,7 @@ def _exact_ball_probabilities(
                 # one matrix-vector product per node, as for a one-node block
                 grid_rows = np.matmul(interp, np.where(finite[:, None], log_rows, 0.0)[:, :, None])[:, :, 0]
                 for i in np.flatnonzero(~finite):
-                    # a -inf row has no polynomial through it: the pair is
+                    # a -inf row has no polynomial through it: the node is
                     # evaluated on the whole grid
                     k, own_cols = run[i], np.flatnonzero(act[i])
                     full = np.empty((5, 1, base_nodes.size, own_cols.size))
@@ -343,8 +380,46 @@ def _exact_ball_probabilities(
                     np.sqrt(np.multiply(gg[k], full[4], out=full[4]), out=full[4])
                     grid_rows[i] = np.sum(_block_log_values(epsilon, delta[k, own_cols][None], full[4], full), axis=2)[0]
                 log_rows = grid_rows
-            log_block[j, sel] = log_sum_exp(log_sig_w + log_rows, axis=1)
-    log_total[:, live] = log_live
+            out[start : start + block][sel] = log_sum_exp(log_sig_w + log_rows, axis=1)
+        return out
+
+    # log P(inside | g-node) per radius; at g = 0 beta sits at gamma
+    log_total = np.zeros((eps.size, g_nodes.size))
+    log_total[:, log_g_w < skip_below] = -np.inf
+    live = np.flatnonzero(log_g_w >= skip_below)
+    log_total[np.ix_(np.max(np.abs(gamma - center)) > eps, live[g_nodes[live] == 0.0])] = -np.inf
+    live = live[g_nodes[live] > 0.0]
+    runs = np.empty((eps.size, live.size), dtype=bool)
+    for start in range(0, live.size, block):
+        k = live[start : start + block]
+        gg, delta, _, sigma2, reach = geometry(g_nodes[k])
+        active = (eps[:, None] - np.abs(delta)[:, None]) < reach[:, None]
+        # conditional sds at the smallest and largest sigma^2 node
+        ends = np.sqrt(gg[:, None, None] * (sigma2[:, :: s - 1, None] * inv_e))
+        # the bound on the active (node, radius, coordinate) entries alone
+        count = np.count_nonzero(active)
+        log_bound = np.zeros(active.shape)
+        log_bound[active] = _log_inside_bound(
+            *(np.broadcast_to(a, active.shape)[active] for a in (delta[:, None], eps[:, None], ends[:, :1], ends[:, 1:])),
+            buffers[: 3 * count].reshape(3, count),
+        )
+        some = np.any(active, axis=2)
+        log_total[:, k] = np.where(some, -np.inf, 0.0).T
+        runs[:, start : start + block] = (some & (log_g_w[k, None] + np.sum(log_bound, axis=2) >= skip_below)).T
+    for j, epsilon in enumerate(eps):
+        run = live[runs[j]]
+        if run.size > _G_NODES:
+            x = np.log(g_nodes[run])
+            t = _chebyshev_lobatto(x[0], x[-1], _G_NODES)
+            points = np.exp(t)
+            points[[0, -1]] = g_nodes[run[[0, -1]]]
+            at_points = log_p_inside(points, epsilon)
+            if np.all(np.isfinite(at_points)):
+                log_total[j, run] = _barycentric_matrix(x, t) @ at_points
+                p_inside = math.exp(log_sum_exp(log_g_w + log_total[j]))
+                if _chebyshev_tail(at_points) * p_inside <= _G_TOLERANCE:
+                    continue
+        log_total[j, run] = log_p_inside(g_nodes[run], epsilon)
     # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1
     log_inside = np.minimum(log_sum_exp(log_g_w + log_total, axis=1), 0.0)
     return np.array([max(0.0, -math.expm1(x)) for x in log_inside])

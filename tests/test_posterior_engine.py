@@ -532,6 +532,10 @@ class TestMcBlocks:
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CLI_RADII = np.array([0.05, 0.1, 0.2, 0.5])
+MIXTURES = ("hyperg_fixed_offset_alpha05", "zs_fixed_offset_alpha05")
+# as _G_NODES no radius's node count exceeds it, so the route evaluates
+# every g-node: the oracle for its interpolation in log g
+EVERY_G_NODE = math.inf
 
 
 @functools.cache
@@ -546,27 +550,30 @@ def _cli_default_cell(name: str, n: int = 100):
     return post, stats, gamma, beta0
 
 
-def _cli_exceedance(name: str, skip_mass=None, n: int = 100, radii=CLI_RADII) -> np.ndarray:
+def _cli_exceedance(name: str, skip_mass=None, n: int = 100, radii=CLI_RADII, g_nodes=None) -> np.ndarray:
     with pytest.MonkeyPatch.context() as mp:
         if skip_mass is not None:
             mp.setattr(posterior_engine, "_SKIP_MASS", skip_mass)
+        if g_nodes is not None:
+            mp.setattr(posterior_engine, "_G_NODES", g_nodes)
         return sup_ball_probability(*_cli_default_cell(name, n), radii, BallOptions(method="exact")).value
 
 
 @functools.cache
 def _cli_unskipped(name: str, n: int = 100) -> np.ndarray:
-    # 1e-300 leaves out only pairs far below double resolution, so this is
-    # the value of evaluating every (g-node, radius) pair
-    return _cli_exceedance(name, 1e-300, n)
+    # 1e-300 leaves out only pairs far below double resolution, and the
+    # route evaluates every g-node, so this is the value of evaluating every
+    # (g-node, radius) pair
+    return _cli_exceedance(name, 1e-300, n, g_nodes=EVERY_G_NODE)
 
 
 def _count_kernel_pairs(monkeypatch) -> list:
     """Record every run of the exact kernel proper: a _log_interval_prob
-    call on one (g-nodes, evaluated sigma^2 nodes, active p) block, as its
-    number of (g-node, radius) pairs.  The pair bound's own call, one
-    (g-nodes, radii, p) block, is not a kernel run (the CLI radii are
-    fewer than the evaluated nodes), nor is a whole-grid evaluation of a
-    pair with a non-finite row."""
+    call on one (g values, evaluated sigma^2 nodes, active p) block, as its
+    number of (g value, radius) pairs, where a g value is a g-node or a
+    Chebyshev point of log g.  The pair bound's own call, on a flat array
+    of active entries, is not a kernel run, nor is a whole-grid evaluation
+    of a pair with a non-finite row."""
     pairs = []
     kernel = posterior_engine._log_interval_prob
     rows = min(posterior_engine._SIGMA_NODES, BallOptions().sigma_grid)
@@ -608,6 +615,22 @@ class TestPairBound:
         assert np.array_equal(bound[holds], kernel[0, holds])
 
 
+    def test_bound_on_active_entries_matches_the_broadcast_call(self):
+        # the route bounds the active (node, radius, coordinate) entries
+        # alone, gathered into flat arrays: each keeps the bits it has in a
+        # call on the whole broadcast (nodes, radii, p) block
+        rng = np.random.default_rng(11)
+        delta = rng.normal(0.0, 3.0, (5, 40))
+        radii = np.array([0.0, 0.05, 0.5, 3.0, 50.0])[:, None]
+        sd = np.sort(rng.uniform(1e-3, 0.2, (5, 2, 40)), axis=1)
+        whole = _log_inside_bound(delta[:, None], radii, sd[:, :1], sd[:, 1:], np.empty((3, 5, 5, 40)))
+        active = rng.random(whole.shape) < 0.6
+        flat = [np.broadcast_to(a, active.shape)[active] for a in (delta[:, None], radii, sd[:, :1], sd[:, 1:])]
+        gathered = _log_inside_bound(*flat, np.empty((3, flat[0].size)))
+        assert np.array_equal(gathered, whole[active])
+        assert np.any(np.isneginf(gathered)) and np.any(gathered == 0.0)
+
+
 class TestSkipRule:
     @pytest.mark.parametrize(
         "name, n",
@@ -618,8 +641,12 @@ class TestSkipRule:
         ],
     )
     def test_skipped_pairs_do_not_change_a_bit(self, name, n):
-        value = _cli_exceedance(name, n=n)
+        # on the every-node route: the default route interpolates over the
+        # log g span of the pairs the bound keeps, which moves with
+        # _SKIP_MASS, so there the skip rule is held to 1e-12
+        value = _cli_exceedance(name, n=n, g_nodes=EVERY_G_NODE)
         assert value.tobytes() == _cli_unskipped(name, n).tobytes()
+        assert np.max(np.abs(_cli_exceedance(name, n=n) - value)) <= 1e-12
         # at n = 400 the Zellner-Siow exceedance at 0.5 is 0.0, so the check
         # that the cell is not all 0s and 1s moves in one radius there
         last = -2 if n == 400 else -1
@@ -656,19 +683,19 @@ class TestSkipRule:
         # the bitwise check above has teeth: leaving out up to 1e-6 of
         # P(inside) moves the Zellner-Siow exceedance
         name = "zs_fixed_offset_alpha05"
-        assert _cli_exceedance(name, 1e-6).tobytes() != _cli_unskipped(name).tobytes()
+        assert _cli_exceedance(name, 1e-6, g_nodes=EVERY_G_NODE).tobytes() != _cli_unskipped(name).tobytes()
 
 
 SUITE_OPTIONS = BallOptions(method="exact", g_quad=64, sigma_grid=65)
 
 
-def _exact_with_rows(cell, radii, opts, sigma_nodes=None):
+def _exact_with_rows(cell, radii, opts, sigma_nodes=None, g_nodes=None):
     """The exact route's exceedances, and the first and last row of every
-    (g-node, radius) pair that reaches the kernel, over the columns of its
+    (g value, radius) pair that reaches the kernel, over the columns of its
     block's kernel call.  ``sigma_nodes`` overrides the evaluated node
     count, with the block elements scaled so that the blocks hold the same
-    g-nodes; at sigma_grid or above the route evaluates the whole grid,
-    the oracle for the rest."""
+    g values; at sigma_grid or above the route evaluates the whole grid,
+    the oracle for the rest.  ``g_nodes`` overrides _G_NODES."""
     rows = []
     kernel = posterior_engine._log_interval_prob
     default = min(posterior_engine._SIGMA_NODES, opts.sigma_grid)
@@ -681,6 +708,8 @@ def _exact_with_rows(cell, radii, opts, sigma_nodes=None):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
+        if g_nodes is not None:
+            mp.setattr(posterior_engine, "_G_NODES", g_nodes)
         if sigma_nodes is not None:
             mp.setattr(posterior_engine, "_SIGMA_NODES", sigma_nodes)
             block = posterior_engine._EXACT_BLOCK_ELEMENTS * evaluated // default
@@ -690,8 +719,9 @@ def _exact_with_rows(cell, radii, opts, sigma_nodes=None):
     return value, rows
 
 
-# the parent computation's bits on grids of at most _SIGMA_NODES nodes,
-# which the route still evaluates node by node (rep 0, n = 100, CLI radii)
+# the bits of sigma^2 grids of at most _SIGMA_NODES nodes, which the route
+# evaluates node by node, when every g-node is evaluated too (rep 0,
+# n = 100, CLI radii); they predate both interpolations
 SMALL_GRID_BITS = {
     ("hyperg_fixed_offset_alpha05", 3): ["0x1.fffffffffd5c2p-1", "0x1.fde31ad3f0ebcp-1", "0x1.1bc422a514321p-8"],
     ("hyperg_fixed_offset_alpha05", 16): ["0x1.fffffffffd58dp-1", "0x1.fde2909564cefp-1", "0x1.298f703fcda3dp-8"],
@@ -753,10 +783,14 @@ class TestSigmaInterpolation:
             assert np.max(np.abs(value - grid)) <= 1e-9, path.stem
 
     @pytest.mark.parametrize("name, sigma_grid", sorted(SMALL_GRID_BITS))
-    def test_small_grids_keep_their_bits(self, name, sigma_grid):
+    def test_small_grids_keep_their_bits(self, monkeypatch, name, sigma_grid):
         opts = BallOptions(method="exact", sigma_grid=sigma_grid)
-        value = sup_ball_probability(*_cli_default_cell(name), CLI_RADII, opts).value
+        cell = _cli_default_cell(name)
+        default = sup_ball_probability(*cell, CLI_RADII, opts).value
+        monkeypatch.setattr(posterior_engine, "_G_NODES", EVERY_G_NODE)
+        value = sup_ball_probability(*cell, CLI_RADII, opts).value
         assert [v.hex() for v in value] == ["0x1.0000000000000p+0"] + SMALL_GRID_BITS[name, sigma_grid]
+        assert np.max(np.abs(default - value)) <= 1e-12
 
     def test_non_finite_rows_fall_back_to_the_grid(self):
         # n = 4: the sigma^2 nodes span 0.09 to 128, so the first
@@ -883,6 +917,180 @@ class TestExactBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+SMALL_N_RADII = np.array([0.05, 0.1, 0.2, 0.5, 1.0, 2.0])
+
+
+def _record_tails(monkeypatch) -> list:
+    """Record the coefficient tail of every set of Chebyshev values of log
+    g, one per radius that the route interpolates."""
+    tails = []
+    tail = posterior_engine._chebyshev_tail
+
+    def recording(values):
+        tails.append(tail(values))
+        return tails[-1]
+
+    monkeypatch.setattr(posterior_engine, "_chebyshev_tail", recording)
+    return tails
+
+
+def _narrow_cell():
+    """Forty equal-weight g-nodes and one coordinate whose posterior mean
+    lies 1e-3 from the centre: at radius 1e-300 the interval's two edges
+    are one double, so log P(inside | g) is -inf at every g, while the pair
+    bound (the half-line beyond the near edge) keeps every pair."""
+    stats = axis_stats(100, [0.0], 100.0)
+    post = _equal_weight_posterior(stats, 0.0, np.geomspace(0.1, 1e3, 40))
+    return post, stats, np.zeros(1), np.array([1e-3])
+
+
+class TestGInterpolation:
+    """Where more than _G_NODES g-nodes reach the kernel at a radius, the
+    exact route evaluates log P(inside | g) at _G_NODES Chebyshev points of
+    their log g span and interpolates it onto them, unless the coefficient
+    estimate or a non-finite value sends it back to every node; the oracle
+    is the same route evaluating every g-node."""
+
+    @pytest.mark.parametrize(
+        "name, n, opts",
+        [
+            ("hyperg_fixed_offset_alpha05", 100, BallOptions(method="exact")),
+            ("zs_fixed_offset_alpha05", 400, BallOptions(method="exact")),
+            ("hyperg_fixed_offset_alpha05", 3200, SUITE_OPTIONS),
+        ],
+    )
+    def test_interpolation_matrix(self, name, n, opts):
+        g = posterior_engine._g_nodes_and_weights(_cli_default_cell(name, n)[0], opts.g_quad)[0]
+        x = np.log(g)
+        m = posterior_engine._G_NODES
+        t = posterior_engine._chebyshev_lobatto(x[0], x[-1], m)
+        interp = posterior_engine._barycentric_matrix(x, t)
+        assert t.shape == (m,) and interp.shape == (x.size, m)
+        assert t[0] == x[0] and t[-1] == x[-1] and np.all(np.diff(t) > 0.0)
+        # the span's end nodes take the end points' values, bit for bit
+        assert interp[0].tolist() == [1.0] + [0.0] * (m - 1)
+        assert interp[-1].tolist() == [0.0] * (m - 1) + [1.0]
+        assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
+        # every polynomial of degree < m in log g, as Chebyshev polynomials
+        # on the span (so each is bounded by 1 there)
+        for degree in range(m):
+            poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
+            assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "opts, ns, radii",
+        [(BallOptions(method="exact"), (100, 200, 400), CLI_RADII), (SUITE_OPTIONS, (200, 800, 3200), np.array([0.1, 0.5]))],
+        ids=["cli_defaults", "suite_options"],
+    )
+    def test_matches_every_node_on_shipped_scenarios(self, opts, ns, radii):
+        for path in sorted(SCENARIOS.glob("*.json")):
+            for n in ns:
+                cell = _cli_default_cell(path.stem, n)
+                value, rows = _exact_with_rows(cell, radii, opts)
+                every, every_rows = _exact_with_rows(cell, radii, opts, g_nodes=EVERY_G_NODE)
+                assert np.max(np.abs(value - every)) <= 1e-12, (path.stem, n)
+                # the mixtures' continuous g-posteriors take the interpolation
+                assert (len(rows) < len(every_rows)) == (path.stem in MIXTURES), (path.stem, n)
+
+    @staticmethod
+    def _per_radius(monkeypatch, cell, radii):
+        """Each radius's exceedance and kernel pairs on the default route
+        and on the every-node route, from one-radius calls."""
+        pairs = _count_kernel_pairs(monkeypatch)
+        out = []
+        for eps in radii:
+            runs = []
+            for g_nodes in (None, EVERY_G_NODE):
+                with pytest.MonkeyPatch.context() as mp:
+                    if g_nodes is not None:
+                        mp.setattr(posterior_engine, "_G_NODES", g_nodes)
+                    pairs.clear()
+                    value = sup_ball_probability(*cell, np.array([eps]), BallOptions(method="exact")).value[0]
+                    runs.append((value, sum(pairs)))
+            out.append(runs)
+        return out
+
+    @pytest.mark.parametrize("n", [10, 16, 30])
+    def test_small_n_falls_back_to_every_node(self, monkeypatch, n):
+        # at small n log P(inside | g) is least polynomial in log g: 33
+        # points err by up to 7.6e-7, and the estimate sends those radii
+        # back to every node
+        m = posterior_engine._G_NODES
+        fallbacks = 0
+        for name in MIXTURES:
+            for (value, pairs), (every, every_pairs) in self._per_radius(monkeypatch, _cli_default_cell(name, n), SMALL_N_RADII):
+                assert abs(value - every) <= 1e-12, name
+                assert every_pairs > m and pairs in (m, m + every_pairs), name
+                fallbacks += pairs == m + every_pairs
+        assert fallbacks > 0
+
+    @pytest.mark.parametrize("n", [10, 16, 30])
+    def test_estimate_bounds_the_error(self, monkeypatch, n):
+        # the interpolant kept whatever its estimate: the estimate (the
+        # last three coefficients' magnitudes times P(inside)) is at least
+        # its true error, but where that error is at rounding level
+        tails = _record_tails(monkeypatch)
+        checked = 0
+        for name in MIXTURES:
+            cell = _cli_default_cell(name, n)
+            for eps in SMALL_N_RADII:
+                tails.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(posterior_engine, "_G_TOLERANCE", math.inf)
+                    kept = sup_ball_probability(*cell, np.array([eps]), BallOptions(method="exact")).value[0]
+                    mp.setattr(posterior_engine, "_G_NODES", EVERY_G_NODE)
+                    every = sup_ball_probability(*cell, np.array([eps]), BallOptions(method="exact")).value[0]
+                (estimate,) = [t * (1.0 - every) for t in tails]
+                error = abs(kept - every)
+                assert estimate >= error or error <= 1e-15, (name, eps, estimate, error)
+                checked += error > 1e-12
+        assert checked > 0
+
+    def test_non_finite_point_falls_back(self, monkeypatch):
+        pairs = _count_kernel_pairs(monkeypatch)
+        cell = _narrow_cell()
+        radii = np.array([1e-300])
+        value = sup_ball_probability(*cell, radii, BallOptions(method="exact")).value
+        assert value.tolist() == [1.0] and sum(pairs) == posterior_engine._G_NODES + 40
+        pairs.clear()
+        monkeypatch.setattr(posterior_engine, "_G_NODES", EVERY_G_NODE)
+        assert sup_ball_probability(*cell, radii, BallOptions(method="exact")).value.tobytes() == value.tobytes()
+        assert sum(pairs) == 40
+
+    @pytest.mark.parametrize("name", MIXTURES)
+    @pytest.mark.parametrize("n", [30, 400])
+    def test_one_radius_calls_give_the_grid_bits(self, name, n):
+        # n = 30 mixes kept interpolants and fallbacks across the radii
+        grid = _cli_exceedance(name, n=n, radii=SMALL_N_RADII)
+        singles = [_cli_exceedance(name, n=n, radii=SMALL_N_RADII[j : j + 1])[0] for j in range(SMALL_N_RADII.size)]
+        assert singles == grid.tolist()
+
+    @pytest.mark.parametrize("name, n", [("hyperg_fixed_offset_alpha05", 400), ("hyperg_fixed_offset_alpha05", 10), ("zs_fixed_offset_alpha05", 16)])
+    def test_block_layouts_change_no_bit(self, monkeypatch, name, n):
+        # one g value per block, 7 (a ragged last block), the 33 Chebyshev
+        # points in one block, and the whole cell
+        cell = _cli_default_cell(name, n)
+        tails = _record_tails(monkeypatch)
+        default = sup_ball_probability(*cell, SMALL_N_RADII, BallOptions(method="exact")).value
+        assert tails
+        rows = min(posterior_engine._SIGMA_NODES, BallOptions().sigma_grid) * cell[1].p
+        for per_block in (1, 7, posterior_engine._G_NODES, cell[0].quadrature()[0].size):
+            monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", per_block * rows)
+            value = sup_ball_probability(*cell, SMALL_N_RADII, BallOptions(method="exact")).value
+            assert value.tobytes() == default.tobytes(), per_block
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_kernel_pairs_at_cli_defaults(self, monkeypatch, n):
+        # at most _G_NODES pairs per radius, plus the nodes of the radii
+        # that fall back: none at n = 400, one radius at n = 100 and 200
+        m = posterior_engine._G_NODES
+        per_radius = self._per_radius(monkeypatch, _cli_default_cell("hyperg_fixed_offset_alpha05", n), CLI_RADII)
+        fallback_nodes = sum(every_pairs for (_, pairs), (_, every_pairs) in per_radius if pairs > m)
+        total = sum(pairs for (_, pairs), _ in per_radius)
+        assert 0 < total <= m * CLI_RADII.size + fallback_nodes
+        assert (fallback_nodes == 0) == (n == 400)
 
 
 class TestDispatchAndValidation:
