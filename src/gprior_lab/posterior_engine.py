@@ -18,15 +18,16 @@ once and counts, for every radius, the draws whose sup distance exceeds
 it.  The exact route's rule is sigma_grid equal-mass quantile midpoints;
 it evaluates the log-space integrand on min(16, sigma_grid) Chebyshev
 nodes of log sigma^2 spanning the grid and interpolates it onto the grid's
-nodes, with one kernel call per block of g values and radius.  Where more
-than 33 g-nodes take part at a radius, it evaluates log P(inside | g) at
-33 Chebyshev points of their log g span and interpolates it onto them,
-unless a coefficient estimate puts the error above 1e-11; then it
-evaluates every node.  Given g the routes share nothing but the
-conditional laws above, so each checks the other's sigma^2 and beta
-integration.  Both read the same GPosterior, though: exact takes its nodes
-and weights, mc samples its piecewise-linear cdf.  A wrong law of g moves
-both routes alike and their agreement cannot reveal it.
+nodes, with one kernel call per block of g values and radius.  At each
+radius it evaluates log P(inside | g) at nested levels of 9, 17, 33 and 65
+Chebyshev points of the log g span of the g-nodes that take part, and
+interpolates the first level whose coefficient estimate puts the error at
+most 1e-11 onto them; where none does, it evaluates every node.  Given g
+the routes share nothing but the conditional laws above, so each checks
+the other's sigma^2 and beta integration.  Both read the same GPosterior,
+though: exact takes its nodes and weights, mc samples its piecewise-linear
+cdf.  A wrong law of g moves both routes alike and their agreement cannot
+reveal it.
 """
 
 from __future__ import annotations
@@ -53,14 +54,9 @@ __all__ = [
 # contribute nothing at double precision and are skipped in the exact route
 _ACTIVE_SET_SIGMAS = 8.5
 
-# (g-node, radius) pairs whose weighted P(inside) a bound taken before the
-# kernel runs puts below _SKIP_MASS / nodes are left out of the exact
+# g-nodes whose weight is below _SKIP_MASS / nodes are left out of the exact
 # route: at any radius they hold less than 2**-60 ~ 8.7e-19 of P(inside)
-# together, far below the ~1e-16 rounding of the log-space sum.  On the
-# six rep-0 hyper-g/Zellner-Siow cells at CLI defaults (n 100/200/400,
-# radii 0.05/0.1/0.2/0.5) the bound keeps 8,375 of 13,044 pairs; the log g
-# span of a radius's kept nodes places its _G_NODES Chebyshev points, so
-# the kernel runs on 1,618 (g value, radius) pairs
+# together, far below the ~1e-16 rounding of the log-space sum
 _SKIP_MASS = 2.0**-60
 
 # sigma^2 nodes on which the exact route evaluates a pair's integrand: the
@@ -72,16 +68,19 @@ _SKIP_MASS = 2.0**-60
 # most this many nodes is evaluated itself
 _SIGMA_NODES = 16
 
-# points of log g at which the exact route evaluates log P(inside | g) at a
-# radius: it is analytic in log g, so where more than this many g-nodes
-# pass the pair bound, its values at this many Chebyshev-Lobatto points of
-# their log g span, interpolated onto them, give exceedances within 8.9e-16
-# of every node's on the shipped scenarios (README "Performance notes").
-# The interpolant is kept when every value is finite and its error
+# Chebyshev-Lobatto levels of log g at which the exact route evaluates
+# log P(inside | g) at a radius: it is analytic in log g, so its values at a
+# level's points of the log g span of the g-nodes with an active
+# coordinate, interpolated onto those nodes, give exceedances within
+# 2.4e-13 of every node's on the shipped scenarios (README "Performance
+# notes").  A level is kept when every value is finite and its error
 # estimate, the last three Chebyshev coefficients' magnitudes times
-# P(inside), is at most _G_TOLERANCE; otherwise, as for most radii at
-# n <= 30, every node is evaluated
-_G_NODES = 33
+# P(inside), is at most _G_TOLERANCE; otherwise the next level is tried.
+# Each level is the previous one plus its midpoints, whose points it shares
+# bit for bit, so it evaluates only its new points.  Where no level with
+# fewer points than nodes is kept, as for most radii at n <= 30, every node
+# is evaluated
+_G_LEVELS = (9, 17, 33, 65)
 _G_TOLERANCE = 1e-11
 
 # draws per Monte Carlo batch, as elements of the batch's (draws x p)
@@ -184,9 +183,10 @@ def _barycentric_matrix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     one of the points picks that point's value."""
     w = (-1.0) ** np.arange(t.size)
     w[[0, -1]] *= 0.5
-    hit = x[:, None] == t
+    interp = np.subtract.outer(x, t)
+    hit = interp == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        interp = w / (x[:, None] - t)
+        np.divide(w, interp, out=interp)
         interp /= np.sum(interp, axis=1, keepdims=True)
     on_node = np.any(hit, axis=1)
     interp[on_node] = hit[on_node]
@@ -260,28 +260,6 @@ def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray) -> n
     return out
 
 
-def _log_inside_bound(
-    delta: np.ndarray, radii: np.ndarray, sd_min: np.ndarray, sd_max: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Upper bounds on log P(|delta_i + sd_i Z| <= eps) over every sd_i in
-    [sd_min_i, sd_max_i], one per (radius, coordinate) for radii of shape
-    (r, 1); ``scratch`` is as for _log_interval_prob, of shape (3, r, p).
-
-    Where the interval holds the mean (|delta_i| <= eps) its mass only
-    shrinks as the sd grows, so its mass at sd_min bounds it; elsewhere the
-    half-line beyond the near edge holds it, and that mass only grows with
-    the sd, so its mass at sd_max does.  Both go through _log_interval_prob
-    from the kernel's own edges, so they bound the kernel's values and not
-    only the exact ones."""
-    holds = np.abs(delta) <= radii
-    sd = np.where(holds, sd_min, sd_max)
-    hi = (radii - delta) / sd
-    lo = (-radii - delta) / sd
-    lo[delta > radii] = -np.inf
-    hi[delta < -radii] = np.inf
-    return _log_interval_prob(hi, lo, scratch)
-
-
 def _exact_ball_probabilities(
     post: GPosterior,
     stats: SufficientStats,
@@ -292,23 +270,21 @@ def _exact_ball_probabilities(
 ) -> np.ndarray:
     """Exceedance at every radius eps[j] from log P(inside | g) at the g-nodes.
 
-    Each (g-node k, radius) pair is decided before the kernel runs: log w_k
-    plus the sum of _log_inside_bound over the active coordinates bounds
-    the pair's share of log P(inside) at every sigma^2 node.  A pair whose
-    bound falls below log(_SKIP_MASS / nodes) is left out (log P(inside |
-    g_k) = -inf), so at any radius the left-out pairs hold less than
-    _SKIP_MASS of P(inside); a node with no active coordinate has log
-    P(inside | g_k) = 0.  Each pair is decided on its own, so a one-radius
-    call leaves out exactly the pairs a grid call does.  Zero-weight nodes
-    are left out altogether.
+    Nodes whose weight is below _SKIP_MASS / nodes are left out (log
+    P(inside | g_k) = -inf); a node with no active coordinate at a radius
+    has log P(inside | g_k) = 0 there, and a radius at which every node
+    left in has it gives exceedance 0 exactly.
 
-    At each radius the remaining nodes take log P(inside | g) from one
-    helper.  When more than _G_NODES of them remain, the helper runs on
-    _G_NODES Chebyshev-Lobatto points of their log g span, whose ends are
-    the span's end nodes, and a barycentric matrix interpolates the values
-    onto the nodes.  The interpolant is kept when every value is finite and
-    the last three Chebyshev coefficients' magnitudes times P(inside) are
-    at most _G_TOLERANCE; otherwise the helper runs on every node.
+    At each radius the nodes with an active coordinate take log P(inside |
+    g) from one helper.  For each level m of _G_LEVELS with fewer points
+    than those nodes, the helper runs on the m Chebyshev-Lobatto points of
+    their log g span (whose ends are the span's end nodes) that the
+    previous level lacks, and a barycentric matrix interpolates the m
+    values onto the nodes.  The first level whose values are finite and
+    whose last three Chebyshev coefficients' magnitudes times P(inside) are
+    at most _G_TOLERANCE is kept; if none is, the helper runs on every
+    node.  Each radius is decided on its own, so a one-radius call gives
+    the bits of a grid call.
 
     The helper takes g values in blocks of max(1, _EXACT_BLOCK_ELEMENTS //
     (evaluated sigma^2 nodes x p)) and runs the kernel once per block, over
@@ -331,10 +307,10 @@ def _exact_ball_probabilities(
     skip_below = math.log(_SKIP_MASS / g_nodes.size)
     s, p = nodes.size, stats.p
     block = max(1, _EXACT_BLOCK_ELEMENTS // (s * p))
-    # reused by every block: first the pair bound's scratch, then hi, lo and
-    # the kernel's scratch (two tails, result), where the result slot holds
-    # the conditional sds until the kernel overwrites it
-    buffers = np.empty(max(5 * s, 3 * eps.size) * block * p)
+    # reused by every block: hi, lo and the kernel's scratch (two tails,
+    # result), where the result slot holds the conditional sds until the
+    # kernel overwrites it
+    buffers = np.empty(5 * s * block * p)
 
     def geometry(g):
         gg = g / (g + 1.0)
@@ -388,40 +364,44 @@ def _exact_ball_probabilities(
     log_total[:, log_g_w < skip_below] = -np.inf
     live = np.flatnonzero(log_g_w >= skip_below)
     log_total[np.ix_(np.max(np.abs(gamma - center)) > eps, live[g_nodes[live] == 0.0])] = -np.inf
-    live = live[g_nodes[live] > 0.0]
-    runs = np.empty((eps.size, live.size), dtype=bool)
-    for start in range(0, live.size, block):
-        k = live[start : start + block]
-        gg, delta, _, sigma2, reach = geometry(g_nodes[k])
-        active = (eps[:, None] - np.abs(delta)[:, None]) < reach[:, None]
-        # conditional sds at the smallest and largest sigma^2 node
-        ends = np.sqrt(gg[:, None, None] * (sigma2[:, :: s - 1, None] * inv_e))
-        # the bound on the active (node, radius, coordinate) entries alone
-        count = np.count_nonzero(active)
-        log_bound = np.zeros(active.shape)
-        log_bound[active] = _log_inside_bound(
-            *(np.broadcast_to(a, active.shape)[active] for a in (delta[:, None], eps[:, None], ends[:, :1], ends[:, 1:])),
-            buffers[: 3 * count].reshape(3, count),
-        )
-        some = np.any(active, axis=2)
-        log_total[:, k] = np.where(some, -np.inf, 0.0).T
-        runs[:, start : start + block] = (some & (log_g_w[k, None] + np.sum(log_bound, axis=2) >= skip_below)).T
-    for j, epsilon in enumerate(eps):
-        run = live[runs[j]]
-        if run.size > _G_NODES:
-            x = np.log(g_nodes[run])
-            t = _chebyshev_lobatto(x[0], x[-1], _G_NODES)
+    positive = live[g_nodes[live] > 0.0]
+    some = np.empty((eps.size, positive.size), dtype=bool)
+    for start in range(0, positive.size, block):
+        _, delta, _, _, reach = geometry(g_nodes[positive[start : start + block]])
+        active = (eps[:, None, None] - np.abs(delta)) < reach
+        some[:, start : start + block] = np.any(active, axis=2)
+
+    def from_levels(j, run):
+        # writes the first kept level's interpolant into log_total[j, run];
+        # False where no level is kept
+        x, values = np.log(g_nodes[run]), None
+        for m in _G_LEVELS:
+            if run.size <= m:
+                return False
+            t = _chebyshev_lobatto(x[0], x[-1], m)
             points = np.exp(t)
             points[[0, -1]] = g_nodes[run[[0, -1]]]
-            at_points = log_p_inside(points, epsilon)
-            if np.all(np.isfinite(at_points)):
-                log_total[j, run] = _barycentric_matrix(x, t) @ at_points
-                p_inside = math.exp(log_sum_exp(log_g_w + log_total[j]))
-                if _chebyshev_tail(at_points) * p_inside <= _G_TOLERANCE:
-                    continue
-        log_total[j, run] = log_p_inside(g_nodes[run], epsilon)
-    # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1
+            if values is None:
+                values = log_p_inside(points, eps[j])
+            else:
+                # the previous level's points are this one's even-index points
+                values = np.insert(values, np.arange(1, values.size), log_p_inside(points[1::2], eps[j]))
+            if not np.all(np.isfinite(values)):
+                return False
+            log_total[j, run] = _barycentric_matrix(x, t) @ values
+            if _chebyshev_tail(values) * math.exp(log_sum_exp(log_g_w + log_total[j])) <= _G_TOLERANCE:
+                return True
+        return False
+
+    for j in range(eps.size):
+        run = positive[some[j]]
+        if not from_levels(j, run):
+            log_total[j, run] = log_p_inside(g_nodes[run], eps[j])
+    # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1,
+    # and a radius that no live node can miss is inside whatever the
+    # rounding of the weights' sum
     log_inside = np.minimum(log_sum_exp(log_g_w + log_total, axis=1), 0.0)
+    log_inside[np.all(log_total[:, live] == 0.0, axis=1)] = 0.0
     return np.array([max(0.0, -math.expm1(x)) for x in log_inside])
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 import scipy.stats as st
-from hypothesis import given, settings, strategies as hst
+from hypothesis import given, strategies as hst
 
 import gprior_lab.posterior_engine as posterior_engine
 from gprior_lab.model_core import (
@@ -35,7 +35,6 @@ from gprior_lab.numerics import RngStream
 from gprior_lab.posterior_engine import (
     BallOptions,
     BallProbability,
-    _log_inside_bound,
     _log_interval_prob,
     _wilson_std_error,
     sup_ball_probability,
@@ -354,6 +353,11 @@ class TestBallProbabilityBehavior:
         res = sup_ball_probability(post, stats, gamma, np.zeros(stats.p), [1e9],
                                    BallOptions(method="exact"))
         assert res.value[0] < 1e-12
+        # no live g-node can miss a radius of 1e6, so the exceedance is 0
+        # exactly, although these Zellner-Siow weights sum to 1 - 1.1e-16
+        cell = _cli_default_cell("zs_fixed_offset_alpha05", 10, seed=1)
+        assert np.sum(cell[0].quadrature()[1]) < 1.0
+        assert sup_ball_probability(*cell, [1e6], BallOptions(method="exact")).value.tolist() == [0.0]
 
     def test_negative_radius_rejected(self):
         stats, gamma, post = _hyper_g_instance()
@@ -533,49 +537,50 @@ class TestMcBlocks:
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CLI_RADII = np.array([0.05, 0.1, 0.2, 0.5])
 MIXTURES = ("hyperg_fixed_offset_alpha05", "zs_fixed_offset_alpha05")
-# as _G_NODES no radius's node count exceeds it, so the route evaluates
-# every g-node: the oracle for its interpolation in log g
-EVERY_G_NODE = math.inf
+# as _G_LEVELS there is no level to try, so the route evaluates every
+# g-node: the oracle for its interpolation in log g
+EVERY_G_NODE = ()
 
 
 @functools.cache
-def _cli_default_cell(name: str, n: int = 100):
+def _cli_default_cell(name: str, n: int = 100, seed: int = 20260815):
     """A shipped scenario's cell as `gprior-lab experiment` builds it at
     its defaults (512-node g-grid, sigma_grid 129), rep 0."""
     scenario = load_scenario(SCENARIOS / f"{name}.json")
-    stats = simulate_scenario_stats(scenario, n, 20260815)
+    stats = simulate_scenario_stats(scenario, n, seed)
     gamma, beta0 = scenario.gamma_at(n), scenario.beta0_at(n)
     quad_form = diagnostics(stats, gamma, scenario.prior).quad_form
     post = build_g_posterior(scenario.regime, stats, quad_form, scenario.prior, grid_size=512)
     return post, stats, gamma, beta0
 
 
-def _cli_exceedance(name: str, skip_mass=None, n: int = 100, radii=CLI_RADII, g_nodes=None) -> np.ndarray:
+def _cli_exceedance(name: str, skip_mass=None, n: int = 100, radii=CLI_RADII, levels=None) -> np.ndarray:
     with pytest.MonkeyPatch.context() as mp:
         if skip_mass is not None:
             mp.setattr(posterior_engine, "_SKIP_MASS", skip_mass)
-        if g_nodes is not None:
-            mp.setattr(posterior_engine, "_G_NODES", g_nodes)
+        if levels is not None:
+            mp.setattr(posterior_engine, "_G_LEVELS", levels)
         return sup_ball_probability(*_cli_default_cell(name, n), radii, BallOptions(method="exact")).value
 
 
 @functools.cache
 def _cli_unskipped(name: str, n: int = 100) -> np.ndarray:
-    # 1e-300 leaves out only pairs far below double resolution, and the
+    # 1e-300 leaves out only weights far below double resolution, and the
     # route evaluates every g-node, so this is the value of evaluating every
     # (g-node, radius) pair
-    return _cli_exceedance(name, 1e-300, n, g_nodes=EVERY_G_NODE)
+    return _cli_exceedance(name, 1e-300, n, levels=EVERY_G_NODE)
 
 
-def _count_kernel_pairs(monkeypatch) -> list:
-    """Record every run of the exact kernel proper: a _log_interval_prob
+def _count_kernel_pairs(monkeypatch) -> tuple:
+    """Record every run of the exact kernel proper, a _log_interval_prob
     call on one (g values, evaluated sigma^2 nodes, active p) block, as its
     number of (g value, radius) pairs, where a g value is a g-node or a
-    Chebyshev point of log g.  The pair bound's own call, on a flat array
-    of active entries, is not a kernel run, nor is a whole-grid evaluation
-    of a pair with a non-finite row."""
-    pairs = []
-    kernel = posterior_engine._log_interval_prob
+    Chebyshev point of log g; a whole-grid evaluation of a pair with a
+    non-finite row is not a kernel run.  Also record the level (number of
+    Chebyshev points) of every set of log g values whose error the route
+    estimates.  Returns the two lists (pairs, levels)."""
+    pairs, levels = [], []
+    kernel, tail = posterior_engine._log_interval_prob, posterior_engine._chebyshev_tail
     rows = min(posterior_engine._SIGMA_NODES, BallOptions().sigma_grid)
 
     def counting(hi, lo, scratch):
@@ -583,55 +588,18 @@ def _count_kernel_pairs(monkeypatch) -> list:
             pairs.append(hi.shape[0])
         return kernel(hi, lo, scratch)
 
+    def estimating(values):
+        levels.append(values.size)
+        return tail(values)
+
     monkeypatch.setattr(posterior_engine, "_log_interval_prob", counting)
-    return pairs
-
-
-class TestPairBound:
-    @settings(max_examples=400)
-    @given(
-        z=hst.lists(hst.floats(-45.0, 45.0), min_size=1, max_size=12),
-        e=hst.floats(0.0, 45.0),
-        inv_e=hst.lists(hst.floats(0.5, 2.0), min_size=12, max_size=12),
-        sigma2=hst.lists(hst.floats(0.01, 1.0), min_size=3, max_size=9),
-        gg=hst.floats(1e-6, 1.0),
-    )
-    def test_bound_covers_the_kernel_at_every_sigma_node(self, z, e, inv_e, sigma2, gg):
-        # offsets and radius in units of the largest sd (sigma^2 = 1, unit
-        # eigenvalue), so edges reach the +-40 tails, radii fall below
-        # |delta| and narrow intervals reach the miss >= 0.5 branch
-        sigma2 = np.sort(np.append(sigma2, 1.0))
-        inv_e = np.array(inv_e[: len(z)])
-        tau = np.sqrt(gg * np.multiply.outer(sigma2, inv_e))
-        scale = math.sqrt(gg)
-        delta, eps = scale * np.array(z), scale * e
-        kernel = _log_interval_prob((eps - delta) / tau, (-eps - delta) / tau, np.empty((3,) + tau.shape))
-        bound = _log_inside_bound(delta, np.array([[eps]]), tau[0], tau[-1], np.empty((3, 1, len(z))))[0]
-        assert not np.any(np.isnan(bound))
-        assert np.all(bound >= kernel)
-        assert np.all(np.sum(bound) >= np.sum(kernel, axis=1))
-        # where the interval holds the mean the bound is the kernel at sigma^2 node 0
-        holds = np.abs(delta) <= eps
-        assert np.array_equal(bound[holds], kernel[0, holds])
-
-
-    def test_bound_on_active_entries_matches_the_broadcast_call(self):
-        # the route bounds the active (node, radius, coordinate) entries
-        # alone, gathered into flat arrays: each keeps the bits it has in a
-        # call on the whole broadcast (nodes, radii, p) block
-        rng = np.random.default_rng(11)
-        delta = rng.normal(0.0, 3.0, (5, 40))
-        radii = np.array([0.0, 0.05, 0.5, 3.0, 50.0])[:, None]
-        sd = np.sort(rng.uniform(1e-3, 0.2, (5, 2, 40)), axis=1)
-        whole = _log_inside_bound(delta[:, None], radii, sd[:, :1], sd[:, 1:], np.empty((3, 5, 5, 40)))
-        active = rng.random(whole.shape) < 0.6
-        flat = [np.broadcast_to(a, active.shape)[active] for a in (delta[:, None], radii, sd[:, :1], sd[:, 1:])]
-        gathered = _log_inside_bound(*flat, np.empty((3, flat[0].size)))
-        assert np.array_equal(gathered, whole[active])
-        assert np.any(np.isneginf(gathered)) and np.any(gathered == 0.0)
+    monkeypatch.setattr(posterior_engine, "_chebyshev_tail", estimating)
+    return pairs, levels
 
 
 class TestSkipRule:
+    """g-nodes whose weight is below _SKIP_MASS / nodes are left out."""
+
     @pytest.mark.parametrize(
         "name, n",
         [
@@ -642,9 +610,9 @@ class TestSkipRule:
     )
     def test_skipped_pairs_do_not_change_a_bit(self, name, n):
         # on the every-node route: the default route interpolates over the
-        # log g span of the pairs the bound keeps, which moves with
-        # _SKIP_MASS, so there the skip rule is held to 1e-12
-        value = _cli_exceedance(name, n=n, g_nodes=EVERY_G_NODE)
+        # log g span of the live nodes, which moves with _SKIP_MASS, so
+        # there the skip rule is held to 1e-12
+        value = _cli_exceedance(name, n=n, levels=EVERY_G_NODE)
         assert value.tobytes() == _cli_unskipped(name, n).tobytes()
         assert np.max(np.abs(_cli_exceedance(name, n=n) - value)) <= 1e-12
         # at n = 400 the Zellner-Siow exceedance at 0.5 is 0.0, so the check
@@ -652,18 +620,21 @@ class TestSkipRule:
         last = -2 if n == 400 else -1
         assert np.all(np.diff(value) <= 0.0) and 0.0 < value[last] < value[0]
 
-    def test_kernel_skips_pairs_on_zellner_siow(self, monkeypatch):
-        # zero-weight nodes and pairs whose bound falls below the threshold
-        # never reach the kernel
-        pairs = _count_kernel_pairs(monkeypatch)
+    def test_kernel_skips_light_nodes_on_zellner_siow(self, monkeypatch):
+        # on the every-node route each radius runs the kernel on exactly the
+        # nodes whose weight reaches _SKIP_MASS / nodes: zero-weight nodes
+        # and the nonzero ones below the threshold never reach it
+        pairs, _ = _count_kernel_pairs(monkeypatch)
         name = "zs_fixed_offset_alpha05"
-        _cli_exceedance(name)
+        _cli_exceedance(name, levels=EVERY_G_NODE)
         weights = _cli_default_cell(name)[0].quadrature()[1]
-        assert 0 < np.count_nonzero(weights) < weights.size
-        assert 0 < sum(pairs) < np.count_nonzero(weights) * CLI_RADII.size
+        with np.errstate(divide="ignore"):
+            live = np.count_nonzero(np.log(weights) >= math.log(posterior_engine._SKIP_MASS / weights.size))
+        assert 0 < live < np.count_nonzero(weights) < weights.size
+        assert sum(pairs) == live * CLI_RADII.size
 
     def test_one_radius_calls_skip_what_a_grid_call_skips(self, monkeypatch):
-        pairs = _count_kernel_pairs(monkeypatch)
+        pairs, _ = _count_kernel_pairs(monkeypatch)
         name = "hyperg_fixed_offset_alpha05"
         grid = _cli_exceedance(name)
         in_grid = sum(pairs)
@@ -672,30 +643,23 @@ class TestSkipRule:
         assert singles == grid.tolist()
         assert sum(pairs) - in_grid == in_grid
 
-    def test_kernel_runs_on_at_most_80_percent_of_pairs(self, monkeypatch):
-        pairs = _count_kernel_pairs(monkeypatch)
-        name = "hyperg_fixed_offset_alpha05"
-        _cli_exceedance(name)
-        nodes = _cli_default_cell(name)[0].quadrature()[0].size
-        assert 0 < sum(pairs) <= 0.8 * nodes * CLI_RADII.size
-
     def test_a_loose_threshold_is_caught(self):
         # the bitwise check above has teeth: leaving out up to 1e-6 of
         # P(inside) moves the Zellner-Siow exceedance
         name = "zs_fixed_offset_alpha05"
-        assert _cli_exceedance(name, 1e-6, g_nodes=EVERY_G_NODE).tobytes() != _cli_unskipped(name).tobytes()
+        assert _cli_exceedance(name, 1e-6, levels=EVERY_G_NODE).tobytes() != _cli_unskipped(name).tobytes()
 
 
 SUITE_OPTIONS = BallOptions(method="exact", g_quad=64, sigma_grid=65)
 
 
-def _exact_with_rows(cell, radii, opts, sigma_nodes=None, g_nodes=None):
+def _exact_with_rows(cell, radii, opts, sigma_nodes=None, levels=None):
     """The exact route's exceedances, and the first and last row of every
     (g value, radius) pair that reaches the kernel, over the columns of its
     block's kernel call.  ``sigma_nodes`` overrides the evaluated node
     count, with the block elements scaled so that the blocks hold the same
     g values; at sigma_grid or above the route evaluates the whole grid,
-    the oracle for the rest.  ``g_nodes`` overrides _G_NODES."""
+    the oracle for the rest.  ``levels`` overrides _G_LEVELS."""
     rows = []
     kernel = posterior_engine._log_interval_prob
     default = min(posterior_engine._SIGMA_NODES, opts.sigma_grid)
@@ -708,8 +672,8 @@ def _exact_with_rows(cell, radii, opts, sigma_nodes=None, g_nodes=None):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        if g_nodes is not None:
-            mp.setattr(posterior_engine, "_G_NODES", g_nodes)
+        if levels is not None:
+            mp.setattr(posterior_engine, "_G_LEVELS", levels)
         if sigma_nodes is not None:
             mp.setattr(posterior_engine, "_SIGMA_NODES", sigma_nodes)
             block = posterior_engine._EXACT_BLOCK_ELEMENTS * evaluated // default
@@ -760,8 +724,8 @@ class TestSigmaInterpolation:
     )
     def test_matches_the_whole_grid_on_shipped_scenarios(self, opts, ns, radii):
         # the end nodes are the grid's own, so every kernel run's first and
-        # last rows, and with them the pair bound's decisions, keep the
-        # whole grid's bits
+        # last rows, and with them the active sets, keep the whole grid's
+        # bits
         for path in sorted(SCENARIOS.glob("*.json")):
             for n in ns:
                 cell = _cli_default_cell(path.stem, n)
@@ -787,7 +751,7 @@ class TestSigmaInterpolation:
         opts = BallOptions(method="exact", sigma_grid=sigma_grid)
         cell = _cli_default_cell(name)
         default = sup_ball_probability(*cell, CLI_RADII, opts).value
-        monkeypatch.setattr(posterior_engine, "_G_NODES", EVERY_G_NODE)
+        monkeypatch.setattr(posterior_engine, "_G_LEVELS", EVERY_G_NODE)
         value = sup_ball_probability(*cell, CLI_RADII, opts).value
         assert [v.hex() for v in value] == ["0x1.0000000000000p+0"] + SMALL_GRID_BITS[name, sigma_grid]
         assert np.max(np.abs(default - value)) <= 1e-12
@@ -892,8 +856,10 @@ class TestExactBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sup_ball_probability(*_underflow_block_cell(), np.array([0.5]), BallOptions(method="exact"))
-        (finite,) = first_rows
-        assert len(finite) == 12 and 0 < sum(finite) < 12
+        # the first level's points, whose estimate fails, then the twelve
+        # nodes: each block mixes whole-grid fallbacks with finite rows
+        assert [len(finite) for finite in first_rows] == [posterior_engine._G_LEVELS[0], 12]
+        assert all(0 < sum(finite) < len(finite) for finite in first_rows)
 
     @pytest.mark.parametrize(
         "name, n, opts, radii",
@@ -920,11 +886,13 @@ class TestExactBlocks:
 
 
 SMALL_N_RADII = np.array([0.05, 0.1, 0.2, 0.5, 1.0, 2.0])
+LEVELS = posterior_engine._G_LEVELS
+SUITE_RADII = np.array([0.1, 0.5])
 
 
 def _record_tails(monkeypatch) -> list:
     """Record the coefficient tail of every set of Chebyshev values of log
-    g, one per radius that the route interpolates."""
+    g, one per level that the route estimates."""
     tails = []
     tail = posterior_engine._chebyshev_tail
 
@@ -939,18 +907,26 @@ def _record_tails(monkeypatch) -> list:
 def _narrow_cell():
     """Forty equal-weight g-nodes and one coordinate whose posterior mean
     lies 1e-3 from the centre: at radius 1e-300 the interval's two edges
-    are one double, so log P(inside | g) is -inf at every g, while the pair
-    bound (the half-line beyond the near edge) keeps every pair."""
+    are one double, so log P(inside | g) is -inf at every g, while the
+    coordinate is active at every node."""
     stats = axis_stats(100, [0.0], 100.0)
     post = _equal_weight_posterior(stats, 0.0, np.geomspace(0.1, 1e3, 40))
     return post, stats, np.zeros(1), np.array([1e-3])
 
 
+@functools.cache
+def _every_node(name: str, n: int, opts: BallOptions, radii: tuple) -> np.ndarray:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posterior_engine, "_G_LEVELS", EVERY_G_NODE)
+        return sup_ball_probability(*_cli_default_cell(name, n), np.array(radii), opts).value
+
+
 class TestGInterpolation:
-    """Where more than _G_NODES g-nodes reach the kernel at a radius, the
-    exact route evaluates log P(inside | g) at _G_NODES Chebyshev points of
-    their log g span and interpolates it onto them, unless the coefficient
-    estimate or a non-finite value sends it back to every node; the oracle
+    """Where more g-nodes than a level's points reach the kernel at a radius,
+    the exact route evaluates log P(inside | g) at the Chebyshev points of
+    their log g span, level by level (_G_LEVELS), and interpolates the
+    first level its coefficient estimate accepts onto them; a non-finite
+    value, or no accepted level, sends it back to every node.  The oracle
     is the same route evaluating every g-node."""
 
     @pytest.mark.parametrize(
@@ -964,24 +940,36 @@ class TestGInterpolation:
     def test_interpolation_matrix(self, name, n, opts):
         g = posterior_engine._g_nodes_and_weights(_cli_default_cell(name, n)[0], opts.g_quad)[0]
         x = np.log(g)
-        m = posterior_engine._G_NODES
-        t = posterior_engine._chebyshev_lobatto(x[0], x[-1], m)
-        interp = posterior_engine._barycentric_matrix(x, t)
-        assert t.shape == (m,) and interp.shape == (x.size, m)
-        assert t[0] == x[0] and t[-1] == x[-1] and np.all(np.diff(t) > 0.0)
-        # the span's end nodes take the end points' values, bit for bit
-        assert interp[0].tolist() == [1.0] + [0.0] * (m - 1)
-        assert interp[-1].tolist() == [0.0] * (m - 1) + [1.0]
-        assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
-        # every polynomial of degree < m in log g, as Chebyshev polynomials
-        # on the span (so each is bounded by 1 there)
-        for degree in range(m):
-            poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
-            assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12
+        for m in LEVELS:
+            t = posterior_engine._chebyshev_lobatto(x[0], x[-1], m)
+            interp = posterior_engine._barycentric_matrix(x, t)
+            assert t.shape == (m,) and interp.shape == (x.size, m)
+            assert t[0] == x[0] and t[-1] == x[-1] and np.all(np.diff(t) > 0.0)
+            # the span's end nodes take the end points' values, bit for bit
+            assert interp[0].tolist() == [1.0] + [0.0] * (m - 1)
+            assert interp[-1].tolist() == [0.0] * (m - 1) + [1.0]
+            assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
+            # every polynomial of degree < m in log g, as Chebyshev
+            # polynomials on the span (so each is bounded by 1 there)
+            for degree in range(m):
+                poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
+                assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12, (m, degree)
+
+    @given(lo=hst.floats(-50.0, 50.0), width=hst.floats(1e-6, 100.0))
+    def test_levels_are_nested(self, lo, width):
+        # each level's points are the next level's even-index points, bit
+        # for bit, so the route evaluates only the new ones
+        hi = lo + width
+        for m, finer in zip(LEVELS, LEVELS[1:]):
+            assert finer == 2 * m - 1
+            coarse = posterior_engine._chebyshev_lobatto(lo, hi, m)
+            fine = posterior_engine._chebyshev_lobatto(lo, hi, finer)
+            assert coarse.tobytes() == fine[::2].tobytes()
+            assert np.exp(coarse).tobytes() == np.exp(fine[::2]).tobytes()
 
     @pytest.mark.parametrize(
         "opts, ns, radii",
-        [(BallOptions(method="exact"), (100, 200, 400), CLI_RADII), (SUITE_OPTIONS, (200, 800, 3200), np.array([0.1, 0.5]))],
+        [(BallOptions(method="exact"), (100, 200, 400), CLI_RADII), (SUITE_OPTIONS, (200, 800, 3200), SUITE_RADII)],
         ids=["cli_defaults", "suite_options"],
     )
     def test_matches_every_node_on_shipped_scenarios(self, opts, ns, radii):
@@ -989,108 +977,131 @@ class TestGInterpolation:
             for n in ns:
                 cell = _cli_default_cell(path.stem, n)
                 value, rows = _exact_with_rows(cell, radii, opts)
-                every, every_rows = _exact_with_rows(cell, radii, opts, g_nodes=EVERY_G_NODE)
+                every, every_rows = _exact_with_rows(cell, radii, opts, levels=EVERY_G_NODE)
                 assert np.max(np.abs(value - every)) <= 1e-12, (path.stem, n)
                 # the mixtures' continuous g-posteriors take the interpolation
                 assert (len(rows) < len(every_rows)) == (path.stem in MIXTURES), (path.stem, n)
 
     @staticmethod
-    def _per_radius(monkeypatch, cell, radii):
-        """Each radius's exceedance and kernel pairs on the default route
-        and on the every-node route, from one-radius calls."""
-        pairs = _count_kernel_pairs(monkeypatch)
+    def _outcomes(monkeypatch, cell, radii):
+        """Each radius's outcome on the default route, from one-radius
+        calls: ('kept', m) when level m is kept, ('fallback', m) when every
+        node is evaluated after level m, ('direct', None) when no level has
+        fewer points than the nodes.  Asserts the kernel pairs each implies,
+        and that the exceedance is within 1e-12 of the every-node route."""
+        pairs, levels = _count_kernel_pairs(monkeypatch)
         out = []
         for eps in radii:
             runs = []
-            for g_nodes in (None, EVERY_G_NODE):
+            for g_levels in (LEVELS, EVERY_G_NODE):
                 with pytest.MonkeyPatch.context() as mp:
-                    if g_nodes is not None:
-                        mp.setattr(posterior_engine, "_G_NODES", g_nodes)
+                    mp.setattr(posterior_engine, "_G_LEVELS", g_levels)
                     pairs.clear()
+                    levels.clear()
                     value = sup_ball_probability(*cell, np.array([eps]), BallOptions(method="exact")).value[0]
-                    runs.append((value, sum(pairs)))
-            out.append(runs)
+                    runs.append((value, sum(pairs), list(levels)))
+            (value, used, tried), (every, every_pairs, _) = runs
+            assert abs(value - every) <= 1e-12, eps
+            # the levels are estimated in order, each at most once
+            assert tried == list(LEVELS[: len(tried)]), eps
+            if every_pairs <= LEVELS[0]:
+                assert used == every_pairs and not tried, eps
+                out.append(("direct", None))
+            elif used < every_pairs:
+                # the kept level's m points, each evaluated once
+                assert used == tried[-1] and every_pairs > used, eps
+                out.append(("kept", used))
+            else:
+                # the last level tried (whose estimate or finiteness failed),
+                # then every node
+                assert used - every_pairs in LEVELS[max(len(tried) - 1, 0) : len(tried) + 1], eps
+                out.append(("fallback", used - every_pairs))
         return out
 
     @pytest.mark.parametrize("n", [10, 16, 30])
     def test_small_n_falls_back_to_every_node(self, monkeypatch, n):
-        # at small n log P(inside | g) is least polynomial in log g: 33
-        # points err by up to 7.6e-7, and the estimate sends those radii
-        # back to every node
-        m = posterior_engine._G_NODES
-        fallbacks = 0
+        # at small n log P(inside | g) is least polynomial in log g, and
+        # where the span reaches g-nodes whose P(inside | g) underflows the
+        # points take -inf: those radii go back to every node
+        outcomes = []
         for name in MIXTURES:
-            for (value, pairs), (every, every_pairs) in self._per_radius(monkeypatch, _cli_default_cell(name, n), SMALL_N_RADII):
-                assert abs(value - every) <= 1e-12, name
-                assert every_pairs > m and pairs in (m, m + every_pairs), name
-                fallbacks += pairs == m + every_pairs
-        assert fallbacks > 0
+            outcomes += self._outcomes(monkeypatch, _cli_default_cell(name, n), SMALL_N_RADII)
+        assert any(kind == "fallback" for kind, _ in outcomes)
+        assert any(kind == "kept" for kind, _ in outcomes)
 
-    @pytest.mark.parametrize("n", [10, 16, 30])
-    def test_estimate_bounds_the_error(self, monkeypatch, n):
-        # the interpolant kept whatever its estimate: the estimate (the
-        # last three coefficients' magnitudes times P(inside)) is at least
-        # its true error, but where that error is at rounding level
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_kernel_pairs_at_cli_defaults(self, monkeypatch, n):
+        # every CLI radius of the hyper-g cells keeps a level, and not the
+        # same one: at most the largest level's 65 pairs per radius
+        outcomes = self._outcomes(monkeypatch, _cli_default_cell("hyperg_fixed_offset_alpha05", n), CLI_RADII)
+        assert all(kind == "kept" for kind, _ in outcomes), outcomes
+        assert len({m for _, m in outcomes}) > 1
+
+    @pytest.mark.parametrize(
+        "n, opts, radii",
+        [(n, BallOptions(method="exact"), SMALL_N_RADII) for n in (10, 16, 30, 100, 200, 400)]
+        + [(n, SUITE_OPTIONS, SUITE_RADII) for n in (200, 800, 3200)],
+        ids=[f"cli-{n}" for n in (10, 16, 30, 100, 200, 400)] + [f"suite-{n}" for n in (200, 800, 3200)],
+    )
+    def test_estimate_bounds_the_error(self, monkeypatch, n, opts, radii):
+        # each level kept whatever its estimate: the estimate (the last
+        # three coefficients' magnitudes times P(inside)) is at least its
+        # true error, but where that error is at rounding level
         tails = _record_tails(monkeypatch)
-        checked = 0
+        estimated = checked = 0
         for name in MIXTURES:
             cell = _cli_default_cell(name, n)
-            for eps in SMALL_N_RADII:
-                tails.clear()
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(posterior_engine, "_G_TOLERANCE", math.inf)
-                    kept = sup_ball_probability(*cell, np.array([eps]), BallOptions(method="exact")).value[0]
-                    mp.setattr(posterior_engine, "_G_NODES", EVERY_G_NODE)
-                    every = sup_ball_probability(*cell, np.array([eps]), BallOptions(method="exact")).value[0]
-                (estimate,) = [t * (1.0 - every) for t in tails]
-                error = abs(kept - every)
-                assert estimate >= error or error <= 1e-15, (name, eps, estimate, error)
-                checked += error > 1e-12
-        assert checked > 0
+            every = _every_node(name, n, opts, tuple(radii))
+            for m in LEVELS:
+                for j, eps in enumerate(radii):
+                    tails.clear()
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(posterior_engine, "_G_TOLERANCE", math.inf)
+                        mp.setattr(posterior_engine, "_G_LEVELS", (m,))
+                        kept = sup_ball_probability(*cell, np.array([eps]), opts).value[0]
+                    for estimate in (t * (1.0 - every[j]) for t in tails):
+                        error = abs(kept - every[j])
+                        assert estimate >= error or error <= 1e-15, (name, m, eps, estimate, error)
+                        estimated += 1
+                        checked += error > 1e-12
+        assert estimated > 0
+        # errors above rounding level, where the bound has teeth, occur at
+        # every CLI n; at suite options n >= 800 no level errs by 1e-12
+        assert checked > 0 or (opts == SUITE_OPTIONS and n >= 800)
 
     def test_non_finite_point_falls_back(self, monkeypatch):
-        pairs = _count_kernel_pairs(monkeypatch)
+        pairs, _ = _count_kernel_pairs(monkeypatch)
         cell = _narrow_cell()
         radii = np.array([1e-300])
         value = sup_ball_probability(*cell, radii, BallOptions(method="exact")).value
-        assert value.tolist() == [1.0] and sum(pairs) == posterior_engine._G_NODES + 40
+        # the first level's -inf values send the radius to every node at once
+        assert value.tolist() == [1.0] and sum(pairs) == LEVELS[0] + 40
         pairs.clear()
-        monkeypatch.setattr(posterior_engine, "_G_NODES", EVERY_G_NODE)
+        monkeypatch.setattr(posterior_engine, "_G_LEVELS", EVERY_G_NODE)
         assert sup_ball_probability(*cell, radii, BallOptions(method="exact")).value.tobytes() == value.tobytes()
         assert sum(pairs) == 40
 
     @pytest.mark.parametrize("name", MIXTURES)
     @pytest.mark.parametrize("n", [30, 400])
     def test_one_radius_calls_give_the_grid_bits(self, name, n):
-        # n = 30 mixes kept interpolants and fallbacks across the radii
+        # n = 30 mixes kept levels and fallbacks across the radii
         grid = _cli_exceedance(name, n=n, radii=SMALL_N_RADII)
         singles = [_cli_exceedance(name, n=n, radii=SMALL_N_RADII[j : j + 1])[0] for j in range(SMALL_N_RADII.size)]
         assert singles == grid.tolist()
 
     @pytest.mark.parametrize("name, n", [("hyperg_fixed_offset_alpha05", 400), ("hyperg_fixed_offset_alpha05", 10), ("zs_fixed_offset_alpha05", 16)])
     def test_block_layouts_change_no_bit(self, monkeypatch, name, n):
-        # one g value per block, 7 (a ragged last block), the 33 Chebyshev
+        # one g value per block, 7 (a ragged last block), a level's new
         # points in one block, and the whole cell
         cell = _cli_default_cell(name, n)
         tails = _record_tails(monkeypatch)
         default = sup_ball_probability(*cell, SMALL_N_RADII, BallOptions(method="exact")).value
         assert tails
         rows = min(posterior_engine._SIGMA_NODES, BallOptions().sigma_grid) * cell[1].p
-        for per_block in (1, 7, posterior_engine._G_NODES, cell[0].quadrature()[0].size):
+        for per_block in (1, 7, LEVELS[0], LEVELS[-1] // 2, cell[0].quadrature()[0].size):
             monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", per_block * rows)
             value = sup_ball_probability(*cell, SMALL_N_RADII, BallOptions(method="exact")).value
             assert value.tobytes() == default.tobytes(), per_block
-
-    @pytest.mark.parametrize("n", [100, 200, 400])
-    def test_kernel_pairs_at_cli_defaults(self, monkeypatch, n):
-        # at most _G_NODES pairs per radius, plus the nodes of the radii
-        # that fall back: none at n = 400, one radius at n = 100 and 200
-        m = posterior_engine._G_NODES
-        per_radius = self._per_radius(monkeypatch, _cli_default_cell("hyperg_fixed_offset_alpha05", n), CLI_RADII)
-        fallback_nodes = sum(every_pairs for (_, pairs), (_, every_pairs) in per_radius if pairs > m)
-        total = sum(pairs for (_, pairs), _ in per_radius)
-        assert 0 < total <= m * CLI_RADII.size + fallback_nodes
-        assert (fallback_nodes == 0) == (n == 400)
 
 
 class TestDispatchAndValidation:
