@@ -2,16 +2,18 @@
 
 Subcommands:
   simulate    draw sufficient statistics and print per-dataset diagnostics
-  experiment  run a full ball-probability experiment, write report + csv
+  experiment  run a ball-probability experiment on each of one or more
+              scenarios, write report + csv
   theorem     print the predicted verdict for a scenario
   lemmas      verify the supporting concentration properties by simulation
   plot        render deterministic SVG trend plots from a report.json
 
 Exit codes: 0 success; 2 usage or configuration errors (bad flags,
 negative seeds, malformed scenario JSON, model assumption violations,
---method exact on a rotated design); 3 runtime failures (numerically
-degenerate posteriors, failed lemma checks, empty or malformed reports,
-unreadable or unwritable files).
+--method exact on a rotated design, two experiment scenarios of one
+name); 3 runtime failures (numerically degenerate posteriors, failed
+lemma checks, empty or malformed reports, unreadable or unwritable
+files).
 
 The master seed, an integer >= 0, comes from --seed, falling back to the
 GPRIOR_LAB_SEED environment variable, then 0.
@@ -95,8 +97,11 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _add_common(sub, n_grid=True, reps=None):
-    sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
+def _add_common(sub, n_grid=True, reps=None, several=False):
+    if several:
+        sub.add_argument("--scenario", nargs="+", required=True, help="scenario JSON files; with several, each writes to --out/<name>/")
+    else:
+        sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     sub.add_argument("--seed", type=_int_at_least(0), default=None, help="master seed (default: $GPRIOR_LAB_SEED or 0)")
     if n_grid:
         sub.add_argument("--n-grid", type=_positive_int_list, required=True, help="comma-separated sample sizes")
@@ -114,14 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     exp = subs.add_parser("experiment", help="run a ball-probability experiment")
-    _add_common(exp, reps=20)
+    _add_common(exp, reps=20, several=True)
     exp.add_argument("--eps-grid", type=_positive_float_list, required=True, help="comma-separated radii")
     exp.add_argument("--threads", type=_int_at_least(1), default=1)
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--format", choices=("json", "csv", "both"), default="both")
     exp.add_argument("--method", choices=("auto", "exact", "mc"), default="auto")
     exp.add_argument("--mc-draws", type=_int_at_least(1), default=20_000)
-    exp.add_argument("--grid-size", type=_int_at_least(16), default=512, help="u-grid size for hyper-g and Zellner-Siow posteriors")
     exp.add_argument("--with-lemmas", action="store_true", help="also run the concentration checks and embed them in the report")
     exp.set_defaults(func=_cmd_experiment)
 
@@ -175,40 +179,55 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.method == "exact" and scenario.design.kind != "orthogonal":
-        raise ScenarioError(
-            f"--method exact needs an axis-aligned design, but scenario {scenario.name!r} "
-            f"has a {scenario.design.kind!r} design; use --method auto or mc"
-        )
+    # every scenario is loaded and checked, then --out created, before any
+    # cell runs: a bad scenario exits 2 and an unwritable --out 3 with no
+    # work lost
+    scenarios = [load_scenario(path) for path in args.scenario]
+    for scenario in scenarios:
+        scenario.validate_grid(args.n_grid)
+        if args.method == "exact" and scenario.design.kind != "orthogonal":
+            raise ScenarioError(
+                f"--method exact needs an axis-aligned design, but scenario {scenario.name!r} "
+                f"has a {scenario.design.kind!r} design; use --method auto or mc"
+            )
+    out = Path(args.out)
+    if len(scenarios) == 1:
+        outs = [out]
+    else:
+        names = [scenario.name for scenario in scenarios]
+        for name in names:
+            if names.count(name) > 1:
+                raise ScenarioError(f"two scenarios are named {name!r}, but each writes to --out/<name>/")
+            if name in (".", "..") or "/" in name or os.sep in name:
+                raise ScenarioError(f"scenario name {name!r} is not a directory name, but each writes to --out/<name>/")
+        outs = [out / name for name in names]
     seed = _resolve_seed(args)
     opts = BallOptions(method=args.method, mc_draws=args.mc_draws)
-    # an unwritable --out fails here, before any cell runs
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = run_experiment(
-        scenario,
-        args.n_grid,
-        args.eps_grid,
-        reps=args.reps,
-        master_seed=seed,
-        threads=args.threads,
-        ball_options=opts,
-        grid_size=args.grid_size,
-        include_lemmas=args.with_lemmas,
-    )
-    if args.format in ("json", "both"):
-        path = out / "report.json"
-        path.write_text(report.to_json())
-        print(f"wrote {path}")
-    if args.format in ("csv", "both"):
-        path = out / "cells.csv"
-        path.write_text(report.to_csv())
-        print(f"wrote {path}")
-    print(f"Verdict: {report.verdict.display()}")
-    for agg in report.aggregates:
-        print(f"eps={agg['eps']!r}: exceedance trend {agg['trend']}")
-    print(f"Agreement: {report.agreement}")
+    for path in outs:
+        path.mkdir(parents=True, exist_ok=True)
+    for scenario, out_dir in zip(scenarios, outs):
+        report = run_experiment(
+            scenario,
+            args.n_grid,
+            args.eps_grid,
+            reps=args.reps,
+            master_seed=seed,
+            threads=args.threads,
+            ball_options=opts,
+            include_lemmas=args.with_lemmas,
+        )
+        if args.format in ("json", "both"):
+            path = out_dir / "report.json"
+            path.write_text(report.to_json())
+            print(f"wrote {path}")
+        if args.format in ("csv", "both"):
+            path = out_dir / "cells.csv"
+            path.write_text(report.to_csv())
+            print(f"wrote {path}")
+        print(f"Verdict: {report.verdict.display()}")
+        for agg in report.aggregates:
+            print(f"eps={agg['eps']!r}: exceedance trend {agg['trend']}")
+        print(f"Agreement: {report.agreement}")
     return 0
 
 

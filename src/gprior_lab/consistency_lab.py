@@ -356,11 +356,11 @@ def _datasets(scenario, n_grid, reps, master_seed):
             yield (n, rep, *_dataset(scenario, n, rep, gram, master_seed)[1:])
 
 
-def _run_cell(scenario, n, rep, gram, master_seed, eps_grid, opts, grid_size, lemmas):
+def _run_cell(scenario, n, rep, gram, master_seed, eps_grid, opts, lemmas):
     """The cell's rows, one per radius, and with ``lemmas`` its lemma
     record (else None), both from one draw of the dataset."""
     cell, stats, diag = _dataset(scenario, n, rep, gram, master_seed)
-    post = build_g_posterior(scenario.regime, stats, diag.quad_form, scenario.prior, grid_size=grid_size)
+    post = build_g_posterior(scenario.regime, stats, diag.quad_form, scenario.prior)
     bp = sup_ball_probability(
         post, stats, scenario.gamma_at(n), scenario.beta0_at(n), eps_grid, opts, cell.child("ball")
     )
@@ -389,7 +389,6 @@ def run_experiment(
     master_seed: int = 0,
     threads: int = 1,
     ball_options: Optional[BallOptions] = None,
-    grid_size: int = 512,
     include_lemmas: bool = False,
 ) -> ExperimentReport:
     """Simulate ``reps`` datasets at each n, evaluate the posterior
@@ -425,8 +424,7 @@ def run_experiment(
         results = list(
             pool.map(
                 lambda t: _run_cell(
-                    scenario, t[0], t[1], designs[t[0]], master_seed, eps_grid, opts,
-                    grid_size, include_lemmas,
+                    scenario, t[0], t[1], designs[t[0]], master_seed, eps_grid, opts, include_lemmas
                 ),
                 tasks,
             )

@@ -204,6 +204,10 @@ class GPosterior:
         return np.interp(rng.random(size), self.cdf, self.u_nodes)
 
     def sample_g(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.is_point:
+            # g_star itself, as the exact route uses it: the round trip
+            # through u moves its last bits
+            return np.full(size, self.g_star)
         return g_from_u(self.sample_u(rng, size), self.u_floor)
 
 
@@ -243,6 +247,11 @@ def _grid_posterior(kind, u_nodes, log_density, a, u_floor, resid_plus_b, quad_f
         node_weights=weights,
         cdf=cdf,
     )
+
+
+# quantile-spaced u-nodes of a hyper-g or Zellner-Siow posterior (the
+# Zellner-Siow ladder adds its own)
+_GRID_SIZE = 512
 
 
 def _conditional_mass_grid(grid_size: int) -> np.ndarray:
@@ -307,16 +316,15 @@ def _beta_mass_posterior(kind, u_nodes, shape1, shape2, a, u_floor, resid_plus_b
     )
 
 
-def build_g_posterior(regime, stats, quad_form: float, prior, grid_size: int = 512) -> GPosterior:
+def build_g_posterior(regime, stats, quad_form: float, prior) -> GPosterior:
     """Posterior over g for one dataset.
 
     ``stats`` needs fields n, p, resid_ss; ``prior`` needs a, b.  For the
-    continuous regimes the density is tabulated on grid_size u-nodes placed
+    continuous regimes the density is tabulated on _GRID_SIZE u-nodes placed
     at quantiles of a matched Beta envelope (plus, for Zellner-Siow, a
     geometric ladder resolving the essential singularity at u_floor).
     """
-    if grid_size < 16:
-        raise ValueError(f"grid_size must be >= 16, got {grid_size}")
+    grid_size = _GRID_SIZE
     n, p, a, b = stats.n, stats.p, prior.a, prior.b
     if quad_form < 0:
         raise ValueError("quad_form must be >= 0")

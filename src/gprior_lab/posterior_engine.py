@@ -63,9 +63,9 @@ _SKIP_MASS = 2.0**-60
 # sum over coordinates of the log interval mass is analytic in log sigma^2,
 # so its values at this many Chebyshev points of the grid's log sigma^2
 # span, interpolated onto the grid, give exceedances within 8.9e-16 of the
-# whole grid's on the shipped scenarios at CLI defaults and suite options
-# and within 6.1e-11 at n = 10 (README "Performance notes").  A grid of at
-# most this many nodes is evaluated itself
+# whole grid's on the shipped scenarios at the defaults and at g_quad=64,
+# sigma_grid=65 and within 6.1e-11 at n = 10 (README "Performance
+# notes").  A grid of at most this many nodes is evaluated itself
 _SIGMA_NODES = 16
 
 # Chebyshev-Lobatto levels of log g at which the exact route evaluates

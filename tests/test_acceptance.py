@@ -157,7 +157,7 @@ def test_ac3_hyper_g_sampler_matches_truncated_beta():
     stats = simulate_stats(sc, 400, stream.child("sim"))
     assert (stats.n, stats.p) == (400, 100)
     diag = diagnostics(stats, sc.gamma_at(400), PRIOR)
-    post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR, grid_size=512)
+    post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
     draws = post.sample_u(RngStream(77, ("ac3", "samples")).generator, 10_000)
     s1 = 0.5 * (400 - 100 + PRIOR.a - 3.0)
     s2 = 0.5 * (100 + 3.0 - 2.0)

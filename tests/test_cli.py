@@ -5,9 +5,9 @@ observable; subprocess smoke tests cover the installed console script and,
 where it is not installed, the module entry point it names.
 """
 
-import importlib.util
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,7 +18,7 @@ import pytest
 
 import gprior_lab
 from gprior_lab import consistency_lab
-from gprior_lab.cli import main
+from gprior_lab.cli import build_parser, main
 from gprior_lab.model_core import FixedG, scenario_to_dict
 
 from conftest import make_scenario
@@ -390,7 +390,6 @@ class TestArgumentParsing:
             ("experiment", "--threads", "0"),
             ("experiment", "--reps", "0"),
             ("experiment", "--mc-draws", "0"),
-            ("experiment", "--grid-size", "4"),
             ("lemmas", "--reps", "0"),
             ("simulate", "--reps", "0"),
             ("experiment", "--eps-grid", "0.1,0.1"),
@@ -445,98 +444,110 @@ class TestArgumentParsing:
         self._assert_top_level_help(proc)
 
 
-class TestRegimeSuiteScript:
+class TestSeveralScenarios:
+    """`experiment` with several --scenario paths: one directory per scenario."""
+
+    SHIPPED = ("eb_fixed_offset_alpha05", "hyperg_fixed_offset_alpha05")
+
     @staticmethod
-    def _script():
-        path = REPO_ROOT / "scripts" / "run_regime_suite.py"
-        spec = importlib.util.spec_from_file_location("run_regime_suite", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        return script
+    def _argv(paths, out, extra=()):
+        return ["experiment", "--scenario", *map(str, paths), "--n-grid", "50,100", "--eps-grid", "0.1,0.5",
+                "--reps", "1", "--seed", "7", "--threads", "2", "--with-lemmas", "--out", str(out), *extra]
 
-    def test_runs_one_shipped_scenario(self, tmp_path, capsys):
-        script = self._script()
-        rc = script.main([
-            "--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
-            "--n-grid", "50,100", "--reps", "1", "--threads", "1", "--out", str(tmp_path),
-        ])
-        assert rc == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert len(summary) == 1
-        row = summary[0]
-        assert (row["scenario"], row["regime"]) == ("eb_fixed_offset_alpha05", "eb")
-        assert row["verdict"] == "Inconsistent (Theorem 2)"
-        assert list(row["trends"]) == ["0.1", "0.5"]
-        # the script writes report.json as `gprior-lab experiment` does
-        text = (tmp_path / "eb_fixed_offset_alpha05" / "report.json").read_text()
-        report = json.loads(text)
-        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
-        assert set(report) == {
-            "schema_version", "scenario", "n_grid", "eps_grid", "reps", "master_seed",
-            "cells", "aggregates", "verdict", "agreement", "lemmas", "wall_time_s",
-        }
-        assert report["n_grid"] == [50, 100] and report["eps_grid"] == [0.1, 0.5]
-        assert report["verdict"]["display"] == row["verdict"]
-        lines = (tmp_path / "eb_fixed_offset_alpha05" / "cells.csv").read_text().splitlines()
-        assert lines[0] == "scenario,regime,n,p,rep,eps,prob,se,seed"
-        assert len(lines) == 1 + 2 * 1 * 2
-        assert all(line.startswith("eb_fixed_offset_alpha05,eb,") for line in lines[1:])
-
-    def test_rotated_scenario_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
-        # the suite pins the exact route, which a rotated design cannot take
-        script = self._script()
+    @staticmethod
+    def _no_cells(monkeypatch):
         ran = []
-        monkeypatch.setattr(script, "run_experiment", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr("gprior_lab.cli.run_experiment", lambda *a, **k: ran.append(a))
+        return ran
+
+    def test_each_scenario_writes_its_own_directory(self, tmp_path, capsys):
+        paths = [SCENARIOS / f"{name}.json" for name in self.SHIPPED]
+        assert main(self._argv(paths, tmp_path / "suite")) == 0
+        assert sorted(p.name for p in (tmp_path / "suite").iterdir()) == sorted(self.SHIPPED)
+        for name, path in zip(self.SHIPPED, paths):
+            # each report equals a one-scenario run's, which writes to --out itself
+            assert main(self._argv([path], tmp_path / name)) == 0
+            several, one = tmp_path / "suite" / name, tmp_path / name
+            docs = [json.loads((d / "report.json").read_text()) for d in (several, one)]
+            for doc in docs:
+                doc.pop("wall_time_s")
+            assert docs[0] == docs[1] and docs[0]["scenario"]["name"] == name
+            assert (several / "cells.csv").read_text() == (one / "cells.csv").read_text()
+        assert capsys.readouterr().out.count("Verdict: ") == 2 * len(self.SHIPPED)
+
+    @pytest.mark.parametrize(
+        "case", ["malformed", "exact_on_rotated", "duplicate_names", "decreasing_grid", "name_with_slash"]
+    )
+    def test_bad_scenario_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, case):
+        ran = self._no_cells(monkeypatch)
+        good = SCENARIOS / "eb_fixed_offset_alpha05.json"
         rotated = REPO_ROOT / "perfbench" / "scenarios" / "eb_rotated_offset_alpha05.json"
-        rc = script.main([
-            "--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"), "--scenario", str(rotated),
-            "--n-grid", "50,100", "--reps", "1", "--threads", "1", "--out", str(tmp_path),
-        ])
-        assert rc == 2 and ran == []
+        doc = scenario_to_dict(make_scenario(name="other"))
+        if case == "malformed":
+            doc["alpha"] = 1.0
+        if case == "name_with_slash":
+            doc["name"] = "../escape"
+        second = tmp_path / "second.json"
+        second.write_text(json.dumps(doc))
+        paths, extra = [good, second], []
+        if case == "exact_on_rotated":
+            paths, extra = [good, rotated], ["--method", "exact"]
+        if case == "duplicate_names":
+            paths = [good, good]
+        argv = self._argv(paths, tmp_path / "out", extra)
+        if case == "decreasing_grid":
+            argv[argv.index("50,100")] = "100,50"
+        assert main(argv) == 2 and ran == []
         err = capsys.readouterr().err
-        assert "exact route" in err and "'diagonal' design" in err and "Traceback" not in err
-        assert not (tmp_path / "summary.json").exists()
-
-    def test_runtime_value_error_exits_3(self, tmp_path, capsys, monkeypatch):
-        script = self._script()
-
-        def failing(*args, **kwargs):
-            raise ValueError("degenerate posterior")
-
-        monkeypatch.setattr(script, "run_experiment", failing)
-        rc = script.main(["--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
-                          "--n-grid", "50,100", "--out", str(tmp_path)])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "error: degenerate posterior" in err and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_out_that_is_a_file_exits_3_before_any_cell(self, tmp_path, capsys, monkeypatch):
-        script = self._script()
-        ran = []
-        monkeypatch.setattr(script, "run_experiment", lambda *a, **k: ran.append(a))
+        ran = self._no_cells(monkeypatch)
         out = tmp_path / "taken"
         out.write_text("")
-        rc = script.main(["--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
-                          "--n-grid", "50,100", "--out", str(out)])
-        assert rc == 3 and ran == []
+        assert main(self._argv([SCENARIOS / f"{name}.json" for name in self.SHIPPED], out)) == 3
+        assert ran == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--reps", "0"), ("--threads", "0"), ("--n-grid", "100,50"), ("--eps", "nan,0.2"), ("--eps", "inf,0.2"),
-         ("--seed", "-1")],
-    )
-    def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value):
-        # counts and radii fail in argparse, a decreasing n grid as a
-        # scenario error: either way a one-line error, not a traceback
-        argv = ["--scenario", str(SCENARIOS / "eb_fixed_offset_alpha05.json"),
-                "--out", str(tmp_path), flag, value]
-        try:
-            rc = self._script().main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
-        assert not (tmp_path / "summary.json").exists()
+    def test_runtime_value_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("degenerate posterior")
+
+        monkeypatch.setattr("gprior_lab.cli.run_experiment", failing)
+        assert main(self._argv([SCENARIOS / f"{name}.json" for name in self.SHIPPED], tmp_path / "out")) == 3
+        assert capsys.readouterr().err == "error: degenerate posterior\n"
+
+    def test_grid_size_flag_is_gone(self, tmp_path, capsys):
+        # the posterior grid has one size, g_regimes._GRID_SIZE
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv([SCENARIOS / "eb_fixed_offset_alpha05.json"], tmp_path / "out", ["--grid-size", "64"]))
+        assert exc.value.code == 2
+        assert "--grid-size" in capsys.readouterr().err
+
+
+class TestReadmeCommands:
+    def test_quick_start_commands_parse(self):
+        # every `gprior-lab` command in README's Quick start, scenario globs
+        # expanded from the repository root, parses with today's CLI
+        text = (REPO_ROOT / "README.md").read_text()
+        section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+        lines = section.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("gprior-lab ")]
+        assert len(commands) >= 3
+        scenario_counts = []
+        for argv in commands:
+            expanded = []
+            for token in argv[1:]:
+                if "*" in token:
+                    matches = sorted(str(p.relative_to(REPO_ROOT)) for p in REPO_ROOT.glob(token))
+                    assert matches, token
+                    expanded += matches
+                else:
+                    expanded.append(token)
+            args = build_parser().parse_args(expanded)
+            if args.command == "experiment":
+                scenario_counts.append(len(args.scenario))
+        # one of them runs the whole shipped suite
+        assert len(list(SCENARIOS.glob("*.json"))) in scenario_counts

@@ -9,6 +9,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as hst
 
+import gprior_lab.g_regimes as g_regimes
 from gprior_lab.g_regimes import (
     EmpiricalBayesG,
     FixedG,
@@ -137,7 +138,9 @@ def _hyperg_posterior(n, p, c, u_floor):
     quad_form that puts the truncation point at u_floor."""
     stats = axis_stats(n, np.zeros(p), 1.0)
     prior = PriorConstants(a=0.0, b=0.0)
-    return build_g_posterior(HyperG(c=c), stats, 1.0 / u_floor - 1.0, prior, grid_size=64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g_regimes, "_GRID_SIZE", 64)
+        return build_g_posterior(HyperG(c=c), stats, 1.0 / u_floor - 1.0, prior)
 
 
 class TestHyperGDensity:
@@ -236,19 +239,18 @@ class TestBuildPosterior:
         expected = eb_ghat(stats.n, stats.p, PRIOR.a, diag.resid_plus_b, diag.quad_form)
         assert post.is_point and post.g_star == pytest.approx(expected, rel=1e-15)
 
-    def test_point_sampling_is_constant(self):
+    @pytest.mark.parametrize(
+        "regime", [FixedG(rule=2.0), FixedG(rule=1 / 3), EmpiricalBayesG()], ids=["fixed_2", "fixed_third", "eb"]
+    )
+    def test_point_sampling_is_g_star_bit_for_bit(self, regime):
+        # the MC route draws the g the exact route uses, and no stream draw
         _, stats, diag = _instance()
-        post = build_g_posterior(FixedG(rule=2.0), stats, diag.quad_form, PRIOR)
+        post = build_g_posterior(regime, stats, diag.quad_form, PRIOR)
         rng = RngStream(0, ("s",)).generator
+        state = rng.bit_generator.state
         draws = post.sample_g(rng, 5)
-        # samples round-trip through u, so equality holds only to rounding
-        assert np.allclose(draws, 2.0, rtol=1e-12)
-        assert np.all(draws == draws[0])
-
-    def test_grid_size_floor(self):
-        _, stats, diag = _instance()
-        with pytest.raises(ValueError):
-            build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR, grid_size=8)
+        assert draws.tobytes() == np.full(5, post.g_star).tobytes()
+        assert rng.bit_generator.state == state
 
     def test_negative_quad_form_rejected(self):
         _, stats, _ = _instance()
@@ -287,10 +289,11 @@ class TestHyperGPosterior:
         ref = (s1 / (s1 + s2)) * (1.0 - sp.betainc(s1 + 1.0, s2, w)) / (1.0 - sp.betainc(s1, s2, w))
         assert post.node_weights @ post.u_nodes == pytest.approx(ref, rel=1e-6)
 
-    def test_mean_u_stable_in_grid_size(self):
+    def test_mean_u_stable_in_grid_size(self, monkeypatch):
         _, stats, diag = _instance()
-        p512 = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR, grid_size=512)
-        p1024 = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR, grid_size=1024)
+        p512 = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR)
+        monkeypatch.setattr(g_regimes, "_GRID_SIZE", 1024)
+        p1024 = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR)
         m512 = p512.node_weights @ p512.u_nodes
         m1024 = p1024.node_weights @ p1024.u_nodes
         assert abs(m512 - m1024) <= 1e-6 * abs(m1024)

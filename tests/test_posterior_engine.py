@@ -550,7 +550,7 @@ def _cli_default_cell(name: str, n: int = 100, seed: int = 20260815):
     stats = simulate_scenario_stats(scenario, n, seed)
     gamma, beta0 = scenario.gamma_at(n), scenario.beta0_at(n)
     quad_form = diagnostics(stats, gamma, scenario.prior).quad_form
-    post = build_g_posterior(scenario.regime, stats, quad_form, scenario.prior, grid_size=512)
+    post = build_g_posterior(scenario.regime, stats, quad_form, scenario.prior)
     return post, stats, gamma, beta0
 
 
@@ -650,7 +650,8 @@ class TestSkipRule:
         assert _cli_exceedance(name, 1e-6, levels=EVERY_G_NODE).tobytes() != _cli_unskipped(name).tobytes()
 
 
-SUITE_OPTIONS = BallOptions(method="exact", g_quad=64, sigma_grid=65)
+# the capped options of perfbench's suite_mixture workload
+CAPPED = BallOptions(method="exact", g_quad=64, sigma_grid=65)
 
 
 def _exact_with_rows(cell, radii, opts, sigma_nodes=None, levels=None):
@@ -719,7 +720,7 @@ class TestSigmaInterpolation:
 
     @pytest.mark.parametrize(
         "opts, ns, radii",
-        [(BallOptions(method="exact"), (100, 200, 400), CLI_RADII), (SUITE_OPTIONS, (200, 800, 3200), np.array([0.1, 0.5]))],
+        [(BallOptions(method="exact"), (100, 200, 400), CLI_RADII), (CAPPED, (200, 800, 3200), np.array([0.1, 0.5]))],
         ids=["cli_defaults", "suite_options"],
     )
     def test_matches_the_whole_grid_on_shipped_scenarios(self, opts, ns, radii):
@@ -823,7 +824,7 @@ class TestExactBlocks:
         "hyperg-400": lambda: (_cli_default_cell("hyperg_fixed_offset_alpha05", 400), BallOptions(method="exact"), CLI_RADII),
         "zs-100": lambda: (_cli_default_cell("zs_fixed_offset_alpha05", 100), BallOptions(method="exact"), CLI_RADII),
         "zs-400": lambda: (_cli_default_cell("zs_fixed_offset_alpha05", 400), BallOptions(method="exact"), CLI_RADII),
-        "suite-hyperg-3200": lambda: (_cli_default_cell("hyperg_fixed_offset_alpha05", 3200), SUITE_OPTIONS, np.array([0.1, 0.5])),
+        "suite-hyperg-3200": lambda: (_cli_default_cell("hyperg_fixed_offset_alpha05", 3200), CAPPED, np.array([0.1, 0.5])),
         "underflow-4": lambda: (_underflow_block_cell(), BallOptions(method="exact"), np.array([0.5])),
         "wide-union": lambda: (_wide_union_cell(), BallOptions(method="exact"), np.array([0.5])),
     }
@@ -866,7 +867,7 @@ class TestExactBlocks:
         [
             ("hyperg_fixed_offset_alpha05", 100, BallOptions(method="exact"), CLI_RADII),
             ("hyperg_fixed_offset_alpha05", 400, BallOptions(method="exact"), CLI_RADII),
-            ("hyperg_fixed_offset_alpha05", 3200, SUITE_OPTIONS, np.array([0.1, 0.5])),
+            ("hyperg_fixed_offset_alpha05", 3200, CAPPED, np.array([0.1, 0.5])),
         ],
     )
     def test_working_set_stays_small(self, name, n, opts, radii):
@@ -934,7 +935,7 @@ class TestGInterpolation:
         [
             ("hyperg_fixed_offset_alpha05", 100, BallOptions(method="exact")),
             ("zs_fixed_offset_alpha05", 400, BallOptions(method="exact")),
-            ("hyperg_fixed_offset_alpha05", 3200, SUITE_OPTIONS),
+            ("hyperg_fixed_offset_alpha05", 3200, CAPPED),
         ],
     )
     def test_interpolation_matrix(self, name, n, opts):
@@ -969,7 +970,7 @@ class TestGInterpolation:
 
     @pytest.mark.parametrize(
         "opts, ns, radii",
-        [(BallOptions(method="exact"), (100, 200, 400), CLI_RADII), (SUITE_OPTIONS, (200, 800, 3200), SUITE_RADII)],
+        [(BallOptions(method="exact"), (100, 200, 400), CLI_RADII), (CAPPED, (200, 800, 3200), SUITE_RADII)],
         ids=["cli_defaults", "suite_options"],
     )
     def test_matches_every_node_on_shipped_scenarios(self, opts, ns, radii):
@@ -1040,7 +1041,7 @@ class TestGInterpolation:
     @pytest.mark.parametrize(
         "n, opts, radii",
         [(n, BallOptions(method="exact"), SMALL_N_RADII) for n in (10, 16, 30, 100, 200, 400)]
-        + [(n, SUITE_OPTIONS, SUITE_RADII) for n in (200, 800, 3200)],
+        + [(n, CAPPED, SUITE_RADII) for n in (200, 800, 3200)],
         ids=[f"cli-{n}" for n in (10, 16, 30, 100, 200, 400)] + [f"suite-{n}" for n in (200, 800, 3200)],
     )
     def test_estimate_bounds_the_error(self, monkeypatch, n, opts, radii):
@@ -1066,8 +1067,8 @@ class TestGInterpolation:
                         checked += error > 1e-12
         assert estimated > 0
         # errors above rounding level, where the bound has teeth, occur at
-        # every CLI n; at suite options n >= 800 no level errs by 1e-12
-        assert checked > 0 or (opts == SUITE_OPTIONS and n >= 800)
+        # every CLI n; at the capped options n >= 800 no level errs by 1e-12
+        assert checked > 0 or (opts == CAPPED and n >= 800)
 
     def test_non_finite_point_falls_back(self, monkeypatch):
         pairs, _ = _count_kernel_pairs(monkeypatch)

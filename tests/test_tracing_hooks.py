@@ -16,6 +16,7 @@ import pytest
 
 import gprior_lab.cli as cli
 import gprior_lab.consistency_lab as consistency_lab
+import gprior_lab.g_regimes as g_regimes
 import gprior_lab.model_core as model_core
 from gprior_lab.g_regimes import GPosterior, HyperG
 from gprior_lab.model_core import DesignSpec
@@ -86,10 +87,10 @@ def _counting(monkeypatch):
 )
 def test_experiment_calls_through_every_cell_hook(monkeypatch, design, method):
     calls = _counting(monkeypatch)
+    monkeypatch.setattr(g_regimes, "_GRID_SIZE", 64)
     sc = make_scenario(name="hooks", design=design, regime=HyperG(c=3.0))
     report = consistency_lab.run_experiment(
-        sc, (40, 80), (0.5,), reps=2, threads=2, ball_options=BallOptions(mc_draws=200),
-        grid_size=64, include_lemmas=True,
+        sc, (40, 80), (0.5,), reps=2, threads=2, ball_options=BallOptions(mc_draws=200), include_lemmas=True,
     )
     assert {c["method"] for c in report.cells} == {method}
     lab = "gprior_lab.consistency_lab"
