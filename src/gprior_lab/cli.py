@@ -97,11 +97,7 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _add_common(sub, n_grid=True, reps=None, several=False):
-    if several:
-        sub.add_argument("--scenario", nargs="+", required=True, help="scenario JSON files; with several, each writes to --out/<name>/")
-    else:
-        sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
+def _add_common(sub, n_grid=True, reps=None):
     sub.add_argument("--seed", type=_int_at_least(0), default=None, help="master seed (default: $GPRIOR_LAB_SEED or 0)")
     if n_grid:
         sub.add_argument("--n-grid", type=_positive_int_list, required=True, help="comma-separated sample sizes")
@@ -114,12 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="draw datasets and print diagnostics")
+    sim.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     _add_common(sim, reps=1)
     sim.add_argument("--out", default=None, help="write JSON here instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
 
     exp = subs.add_parser("experiment", help="run a ball-probability experiment")
-    _add_common(exp, reps=20, several=True)
+    exp.add_argument("--scenario", nargs="+", required=True, help="scenario JSON files; with several, each writes to --out/<name>/")
+    _add_common(exp, reps=20)
     exp.add_argument("--eps-grid", type=_positive_float_list, required=True, help="comma-separated radii")
     exp.add_argument("--threads", type=_int_at_least(1), default=1)
     exp.add_argument("--out", required=True, help="output directory")
@@ -130,12 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=_cmd_experiment)
 
     thm = subs.add_parser("theorem", help="print the predicted verdict")
+    thm.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     _add_common(thm)
     thm.add_argument("--json", action="store_true", help="emit the full verdict with evidence as JSON")
     thm.add_argument("--out", default=None, help="directory to write verdict.json into")
     thm.set_defaults(func=_cmd_theorem)
 
     lem = subs.add_parser("lemmas", help="verify concentration properties by simulation")
+    lem.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     _add_common(lem, reps=100)
     lem.set_defaults(func=_cmd_lemmas)
 

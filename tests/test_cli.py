@@ -114,13 +114,21 @@ class TestExperimentCommand:
         stdout = capsys.readouterr().out
         assert "Verdict: Inconsistent (Theorem 2)" in stdout
         assert "Agreement:" in stdout
-        report = json.loads((out / "report.json").read_text())
+        text = (out / "report.json").read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert set(report) == {
+            "schema_version", "scenario", "n_grid", "eps_grid", "reps", "master_seed",
+            "cells", "aggregates", "verdict", "agreement", "lemmas", "wall_time_s",
+        }
         assert report["schema_version"] == 1
         assert report["master_seed"] == 7
+        assert report["n_grid"] == [50, 100] and report["eps_grid"] == [0.25, 0.5]
         assert len(report["cells"]) == 2 * 2 * 2
         lines = (out / "cells.csv").read_text().strip().split("\n")
         assert lines[0] == "scenario,regime,n,p,rep,eps,prob,se,seed"
         assert len(lines) == 1 + len(report["cells"])
+        assert all(line.startswith("cli_eb,eb,") for line in lines[1:])
 
     def test_format_csv_skips_report_json(self, eb_path, tmp_path):
         out = tmp_path / "csvonly"
