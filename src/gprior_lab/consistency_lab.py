@@ -49,6 +49,7 @@ from .g_regimes import (
     ZellnerSiowG,
     build_g_posterior,
     eb_ghat,
+    improper_reason,
 )
 from .posterior_engine import BallOptions, sup_ball_probability
 
@@ -432,25 +433,20 @@ def run_experiment(
     cells = [row for rows, _ in results for row in rows]
     cells.sort(key=lambda c: (c["n"], c["rep"], c["eps"]))
 
-    aggregates = []
-    for eps in eps_grid:
-        medians, q25s, q75s = [], [], []
-        for n in n_grid:
-            probs = np.array([c["prob"] for c in cells if c["n"] == n and c["eps"] == eps])
-            q25, med, q75 = np.quantile(probs, [0.25, 0.5, 0.75])
-            medians.append(float(med))
-            q25s.append(float(q25))
-            q75s.append(float(q75))
-        aggregates.append(
-            {
-                "eps": float(eps),
-                "n_grid": list(n_grid),
-                "prob_median": medians,
-                "prob_q25": q25s,
-                "prob_q75": q75s,
-                "trend": classify_trend(medians),
-            }
-        )
+    # (quartile, n, eps) from the cells in (n, rep, eps) order
+    probs = np.array([c["prob"] for c in cells]).reshape(len(n_grid), reps, len(eps_grid))
+    q25, med, q75 = np.quantile(probs, [0.25, 0.5, 0.75], axis=1).transpose(0, 2, 1).tolist()
+    aggregates = [
+        {
+            "eps": eps,
+            "n_grid": list(n_grid),
+            "prob_median": med[j],
+            "prob_q25": q25[j],
+            "prob_q75": q75[j],
+            "trend": classify_trend(med[j]),
+        }
+        for j, eps in enumerate(eps_grid)
+    ]
 
     norms = _offset_norms(scenario, n_grid)
     verdict = predict_verdict(scenario, n_grid, norms)
@@ -532,7 +528,7 @@ def _lemma_record(scenario: Scenario, n: int, stats, diag) -> dict:
         "scale_ratio": None,
         "sigma2_cover": None,
     }
-    if n - stats.p + prior.a - 2 > 0:
+    if improper_reason(EmpiricalBayesG(), n, stats.p, prior.a) is None:
         record["eb_ghat"] = eb_ghat(n, stats.p, prior.a, rb, q)
     if isinstance(scenario.regime, FixedG):
         g = scenario.regime.g_at(n)

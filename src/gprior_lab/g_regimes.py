@@ -24,6 +24,7 @@ Regimes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -37,7 +38,7 @@ __all__ = [
     "EmpiricalBayesG",
     "HyperG",
     "ZellnerSiowG",
-    "u_from_g",
+    "improper_reason",
     "g_from_u",
     "eb_ghat",
     "zs_log_density_u",
@@ -60,8 +61,8 @@ class FixedG:
         if self.rule != "n":
             if not isinstance(self.rule, (int, float)) or isinstance(self.rule, bool):
                 raise ValueError(f"fixed g rule must be 'n' or a number, got {self.rule!r}")
-            if float(self.rule) < 0:
-                raise ValueError(f"fixed g must be >= 0, got {self.rule}")
+            if not 0.0 <= float(self.rule) < math.inf:
+                raise ValueError(f"fixed g must be finite and >= 0, got {self.rule}")
             object.__setattr__(self, "rule", float(self.rule))
 
     def g_at(self, n: int) -> float:
@@ -90,20 +91,27 @@ class ZellnerSiowG:
     g^(-3/2) exp(-n / (2 g))."""
 
 
+def improper_reason(regime, n: int, p: int, a: float) -> Optional[str]:
+    """Why ``regime``'s posterior of g is improper at (n, p, a), or None.
+
+    Empirical Bayes needs n - p + a - 2 > 0 for its maximizer, and hyper-g
+    n - p + a - c > 0 for its Beta(shape1, shape2) u-posterior (shape2 =
+    (p + c - 2)/2 > 0 holds for every p >= 1 and c > 2); fixed g and
+    Zellner-Siow are proper at every (n, p, a)."""
+    if isinstance(regime, EmpiricalBayesG) and n - p + a - 2.0 <= 0:
+        return f"empirical Bayes needs n - p + a - 2 > 0, got n={n}, p={p}, a={a}"
+    if isinstance(regime, HyperG) and n - p + a - regime.c <= 0:
+        return f"hyper-g posterior is improper: needs n - p + a - c > 0, got n={n}, p={p}, a={a}, c={regime.c}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the u <-> g reparameterization
 
 
-def u_from_g(g, u_floor: float):
-    """Map g >= 0 to u in [u_floor, 1)."""
-    g = np.asarray(g, dtype=float)
-    w = u_floor
-    out = (g + 1.0) * w / ((g + 1.0) * w + (1.0 - w))
-    return out if out.ndim else float(out)
-
-
 def g_from_u(u, u_floor: float):
-    """Inverse of u_from_g; u must lie in [u_floor, 1)."""
+    """Map u in [u_floor, 1) to g >= 0, the inverse of
+    u = (g + 1) u_floor / ((g + 1) u_floor + 1 - u_floor)."""
     u = np.asarray(u, dtype=float)
     w = u_floor
     out = (u - w) / (w * (1.0 - u))
@@ -119,8 +127,9 @@ def eb_ghat(n: int, p: int, a: float, resid_plus_b: float, quad_form: float) -> 
 
         max(0, (n - p + a - 2) / (S + b) * (T / p) - 1).
     """
-    if n - p + a - 2.0 <= 0:
-        raise ValueError(f"empirical Bayes needs n - p + a - 2 > 0, got n={n}, p={p}, a={a}")
+    reason = improper_reason(EmpiricalBayesG(), n, p, a)
+    if reason:
+        raise ValueError(reason)
     if resid_plus_b <= 0:
         raise ValueError("resid_plus_b must be > 0")
     return max(0.0, (n - p + a - 2.0) / resid_plus_b * (quad_form / p) - 1.0)
@@ -198,55 +207,55 @@ class GPosterior:
             raise ValueError("quantile levels must lie in [0, 1]")
         return np.interp(q, self.cdf, self.u_nodes)
 
-    def sample_u(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.is_point:
-            return np.full(size, u_from_g(self.g_star, self.u_floor))
-        return np.interp(rng.random(size), self.cdf, self.u_nodes)
-
     def sample_g(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws of g: g_star itself for a point mass, as the exact
+        route uses it (the round trip through u moves its last bits), else
+        the piecewise-linear cdf inverted at uniform draws, mapped to g."""
         if self.is_point:
-            # g_star itself, as the exact route uses it: the round trip
-            # through u moves its last bits
             return np.full(size, self.g_star)
-        return g_from_u(self.sample_u(rng, size), self.u_floor)
+        return g_from_u(np.interp(rng.random(size), self.cdf, self.u_nodes), self.u_floor)
 
 
-def _grid_posterior(kind, u_nodes, log_density, a, u_floor, resid_plus_b, quad_form):
-    """Assemble a GPosterior from nodes and unnormalized log densities."""
-    f = np.asarray(log_density, dtype=float)
-    if np.any(np.isnan(f)):
-        raise ValueError("posterior density evaluated to NaN on the u-grid")
-    du = np.diff(u_nodes)
-    # log trapezoid masses per segment
-    seg = np.logaddexp(f[:-1], f[1:]) + np.log(du / 2.0)
-    log_norm = log_sum_exp(seg)
-    if not np.isfinite(log_norm):
+def _require_mass(mass: float, u_floor: float) -> None:
+    """Refuse a posterior whose mass above u_floor, or that of its Beta
+    envelope, is not positive (NaN included)."""
+    if not mass > 0.0:
         raise ValueError(
-            "posterior mass underflowed on the u-grid; the distribution is "
-            f"numerically degenerate at u_floor={u_floor!r}"
+            "posterior mass above the truncation point underflowed; the "
+            f"distribution is numerically degenerate at u_floor={u_floor!r}"
         )
-    # node weights: density times half-cell width, normalized
+
+
+def _trapezoid_masses(u_nodes, f):
+    """Node weights and cdf, each up to a positive factor, of the density
+    whose unnormalized log values at ``u_nodes`` are ``f``: trapezoid
+    masses per segment (cdf) and density times half-cell width (weights),
+    both in log space.  An all-(-inf) ``f`` gives a NaN cdf."""
+    du = np.diff(u_nodes)
+    seg = np.logaddexp(f[:-1], f[1:]) + np.log(du / 2.0)
     cell = np.empty_like(u_nodes)
     cell[0] = du[0] / 2.0
     cell[-1] = du[-1] / 2.0
     cell[1:-1] = (du[:-1] + du[1:]) / 2.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         logw = f + np.log(cell)
-    logw -= log_sum_exp(logw)
-    weights = np.exp(logw)
-    weights /= weights.sum()
-    cdf = np.concatenate([[0.0], np.cumsum(np.exp(seg - log_norm))])
-    cdf /= cdf[-1]
-    return GPosterior(
-        kind=kind,
-        a=a,
-        u_floor=u_floor,
-        resid_plus_b=resid_plus_b,
-        quad_form=quad_form,
-        u_nodes=u_nodes,
-        node_weights=weights,
-        cdf=cdf,
-    )
+        weights = np.exp(logw - log_sum_exp(logw))
+        cdf = np.concatenate([[0.0], np.cumsum(np.exp(seg - log_sum_exp(seg)))])
+    return weights, cdf
+
+
+def _beta_masses(u_nodes, shape1, shape2):
+    """Node weights and cdf, each up to a positive factor, of a
+    Beta(shape1, shape2) law truncated to the span of ``u_nodes``: segment
+    masses from the incomplete-beta CDF (differenced in whichever tail is
+    numerically stable), so they carry no quadrature error beyond node
+    placement, and each node weighs half its two segments."""
+    lower = betainc(shape1, shape2, u_nodes)
+    upper = betaincc(shape1, shape2, u_nodes)
+    mass = np.where(lower[1:] < 0.5, lower[1:] - lower[:-1], upper[:-1] - upper[1:])
+    mass = np.clip(mass, 0.0, None)
+    weights = np.concatenate([mass[:1], mass[:-1] + mass[1:], mass[-1:]]) / 2.0
+    return weights, np.concatenate([[0.0], np.cumsum(mass)])
 
 
 # quantile-spaced u-nodes of a hyper-g or Zellner-Siow posterior (the
@@ -271,49 +280,11 @@ def _quantile_spaced_nodes(u_floor, shape1, shape2, grid_size):
     """Nodes at Beta(shape1, shape2) quantiles of conditional probability
     levels above u_floor (edge-refined, see _conditional_mass_grid)."""
     fw = float(betainc(shape1, shape2, u_floor))
-    if 1.0 - fw <= 0.0:
-        raise ValueError(
-            "posterior mass above the truncation point underflowed; the "
-            f"distribution is numerically degenerate at u_floor={u_floor!r}"
-        )
+    _require_mass(1.0 - fw, u_floor)
     q = fw + (1.0 - fw) * _conditional_mass_grid(grid_size)
     u = betaincinv(shape1, shape2, q)
     lo = u_floor + (1.0 - u_floor) * 1e-13
     return np.clip(u, lo, 1.0 - 1e-12)
-
-
-def _beta_mass_posterior(kind, u_nodes, shape1, shape2, a, u_floor, resid_plus_b, quad_form):
-    """Assemble a GPosterior whose density is an exact truncated
-    Beta(shape1, shape2): segment masses come from the incomplete-beta CDF
-    (differenced in whichever tail is numerically stable), so weights and
-    cdf carry no quadrature error beyond node placement."""
-    lower = betainc(shape1, shape2, u_nodes)
-    upper = betaincc(shape1, shape2, u_nodes)
-    mass = np.where(lower[1:] < 0.5, lower[1:] - lower[:-1], upper[:-1] - upper[1:])
-    mass = np.clip(mass, 0.0, None)
-    total = float(mass.sum())
-    if total <= 0.0:
-        raise ValueError(
-            "posterior mass above the truncation point underflowed; the "
-            f"distribution is numerically degenerate at u_floor={u_floor!r}"
-        )
-    weights = np.empty_like(u_nodes)
-    weights[0] = mass[0] / 2.0
-    weights[-1] = mass[-1] / 2.0
-    weights[1:-1] = (mass[:-1] + mass[1:]) / 2.0
-    weights /= weights.sum()
-    cdf = np.concatenate([[0.0], np.cumsum(mass)])
-    cdf /= cdf[-1]
-    return GPosterior(
-        kind=kind,
-        a=a,
-        u_floor=u_floor,
-        resid_plus_b=resid_plus_b,
-        quad_form=quad_form,
-        u_nodes=u_nodes,
-        node_weights=weights,
-        cdf=cdf,
-    )
 
 
 def build_g_posterior(regime, stats, quad_form: float, prior) -> GPosterior:
@@ -331,43 +302,30 @@ def build_g_posterior(regime, stats, quad_form: float, prior) -> GPosterior:
     resid_plus_b = stats.resid_ss + b
     if resid_plus_b <= 0:
         raise ValueError("S + b must be > 0")
+    reason = improper_reason(regime, n, p, a)
+    if reason:
+        raise ValueError(reason)
     u_floor = resid_plus_b / (resid_plus_b + quad_form)
+    common = dict(a=a, u_floor=u_floor, resid_plus_b=resid_plus_b, quad_form=quad_form)
 
-    def point(g_star: float) -> GPosterior:
+    def continuous(kind, u_nodes, weights, cdf) -> GPosterior:
+        # weights and cdf at u_nodes, each known up to a positive factor
+        _require_mass(cdf[-1], u_floor)
         return GPosterior(
-            kind="point",
-            a=a,
-            u_floor=u_floor,
-            resid_plus_b=resid_plus_b,
-            quad_form=quad_form,
-            g_star=float(g_star),
+            kind=kind, u_nodes=u_nodes, node_weights=weights / weights.sum(), cdf=cdf / cdf[-1], **common
         )
 
     if isinstance(regime, FixedG):
-        return point(regime.g_at(n))
+        return GPosterior(kind="point", g_star=regime.g_at(n), **common)
     if isinstance(regime, EmpiricalBayesG):
-        return point(eb_ghat(n, p, a, resid_plus_b, quad_form))
+        return GPosterior(kind="point", g_star=eb_ghat(n, p, a, resid_plus_b, quad_form), **common)
     if isinstance(regime, HyperG):
-        c = regime.c
-        shape1 = 0.5 * (n - p + a - c)
-        shape2 = 0.5 * (p + c - 2.0)
-        if shape1 <= 0 or shape2 <= 0:
-            raise ValueError(
-                "hyper-g posterior is improper: need (n - p + a - c)/2 > 0 and "
-                f"(p + c - 2)/2 > 0, got n={n}, p={p}, a={a}, c={c}"
-            )
-        u = _quantile_spaced_nodes(u_floor, shape1, shape2, grid_size)
-        u = np.unique(u)
-        if u.size < 2:
-            raise ValueError(
-                "posterior mass above the truncation point underflowed; the "
-                f"distribution is numerically degenerate at u_floor={u_floor!r}"
-            )
         # the truncated density IS a Beta(shape1, shape2) kernel, so segment
         # masses from the incomplete-beta CDF are exact
-        return _beta_mass_posterior(
-            "hyper_g", u, shape1, shape2, a, u_floor, resid_plus_b, quad_form
-        )
+        shape1 = 0.5 * (n - p + a - regime.c)
+        shape2 = 0.5 * (p + regime.c - 2.0)
+        u = np.unique(_quantile_spaced_nodes(u_floor, shape1, shape2, grid_size))
+        return continuous("hyper_g", u, *_beta_masses(u, shape1, shape2))
     if isinstance(regime, ZellnerSiowG):
         shape1 = 0.5 * (n - p + a)
         shape2 = 0.5 * (p - 2.0)
@@ -387,11 +345,5 @@ def build_g_posterior(regime, stats, quad_form: float, prior) -> GPosterior:
         else:
             ladder = np.empty(0)
         u = np.unique(np.concatenate([ladder, base]))
-        f = zs_log_density_u(u, n, p, a, u_floor)
-        if np.all(np.isinf(f)):
-            raise ValueError(
-                "posterior mass above the truncation point underflowed; the "
-                f"distribution is numerically degenerate at u_floor={u_floor!r}"
-            )
-        return _grid_posterior("zellner_siow", u, f, a, u_floor, resid_plus_b, quad_form)
+        return continuous("zellner_siow", u, *_trapezoid_masses(u, zs_log_density_u(u, n, p, a, u_floor)))
     raise ValueError(f"unknown regime {regime!r}")

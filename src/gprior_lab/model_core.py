@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .numerics import RngStream
-from .g_regimes import FixedG, EmpiricalBayesG, HyperG, ZellnerSiowG
+from .g_regimes import FixedG, EmpiricalBayesG, HyperG, ZellnerSiowG, improper_reason
 
 SCHEMA_VERSION = 1
 
@@ -76,10 +76,10 @@ class PriorConstants:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.a < -2.0:
-            raise ScenarioError(f"prior constant a must be >= -2, got {self.a}")
-        if self.b < 0.0:
-            raise ScenarioError(f"prior constant b must be >= 0, got {self.b}")
+        if not -2.0 <= self.a < math.inf:
+            raise ScenarioError(f"prior constant a must be finite and >= -2, got {self.a}")
+        if not 0.0 <= self.b < math.inf:
+            raise ScenarioError(f"prior constant b must be finite and >= 0, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,14 @@ def _haar_orthonormal(p: int, rng: RngStream) -> np.ndarray:
 #
 # Each rule's values(n, p, start, stop) gives coordinates [start, stop) of
 # its length-p vector at n (stop defaults to p), bit for bit the slice of
-# the whole vector, so long vectors can be walked in blocks.
+# the whole vector, so long vectors can be walked in blocks.  Its numeric
+# fields must be finite.
+
+
+def _check_finite(rule, *names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(rule, name)):
+            raise ScenarioError(f"{type(rule).__name__}.{name} must be finite, got {getattr(rule, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +175,9 @@ class ZerosRule:
 @dataclass(frozen=True)
 class ConstantRule:
     v: float
+
+    def __post_init__(self):
+        _check_finite(self, "v")
 
     def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         stop = p if stop is None else stop
@@ -182,6 +192,7 @@ class FirstMRule:
     m: int
 
     def __post_init__(self):
+        _check_finite(self, "v")
         if self.m < 0:
             raise ScenarioError("first_m count must be >= 0")
 
@@ -207,8 +218,8 @@ class ScaledNormRule:
                 raise ScenarioError(
                     f"scaled_norm target must be a number or 'sqrt_n', got {self.target_sq_norm!r}"
                 )
-        elif self.target_sq_norm < 0:
-            raise ScenarioError("scaled_norm target must be >= 0")
+        elif not 0 <= self.target_sq_norm < math.inf:
+            raise ScenarioError(f"scaled_norm target must be finite and >= 0, got {self.target_sq_norm!r}")
 
     def _target(self, n: int) -> float:
         if self.target_sq_norm == "sqrt_n":
@@ -226,6 +237,9 @@ class DecayingRule:
 
     c: float
     rate: float
+
+    def __post_init__(self):
+        _check_finite(self, "c", "rate")
 
     def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         stop = p if stop is None else stop
@@ -293,8 +307,8 @@ class Scenario:
                 f"alpha={self.alpha} is invalid: the dimension fraction must satisfy "
                 "0 <= alpha < 1 so that p_n < n for large n (A2)"
             )
-        if self.sigma0_sq <= 0.0:
-            raise ScenarioError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
+        if not 0.0 < self.sigma0_sq < math.inf:
+            raise ScenarioError(f"sigma0_sq must be finite and > 0, got {self.sigma0_sq}")
         if not self.name or not self.name.isprintable():
             raise ScenarioError(f"name must be a nonempty printable string, got {self.name!r}")
 
@@ -330,17 +344,9 @@ class Scenario:
                 raise ScenarioError(f"variance posterior needs n + a - 2 > 0; fails at n={n}")
             self.beta0_at(n)
             self.gamma_at(n)
-            regime = self.regime
-            if isinstance(regime, EmpiricalBayesG) and n - p + a - 2 <= 0:
-                raise ScenarioError(f"eb regime needs n - p + a - 2 > 0; fails at n={n}")
-            if isinstance(regime, HyperG):
-                if p + regime.c - 2 <= 0 or n - p + a - regime.c <= 0:
-                    raise ScenarioError(
-                        f"hyper_g posterior propriety needs (p + c - 2)/2 > 0 and "
-                        f"(n - p + a - c)/2 > 0; fails at n={n}, p={p}, c={regime.c}"
-                    )
-            if isinstance(regime, FixedG) and regime.g_at(n) < 0:
-                raise ScenarioError(f"fixed g rule produced g < 0 at n={n}")
+            reason = improper_reason(self.regime, n, p, a)
+            if reason:
+                raise ScenarioError(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +383,19 @@ def design_at(scenario: Scenario, n: int, master_seed: int) -> GramSpectrum:
     return build_design(scenario.design, n, scenario.p_at(n), design_rng)
 
 
-def simulate_stats(
-    scenario: Scenario,
-    n: int,
-    rng: RngStream,
-    gram: Optional[GramSpectrum] = None,
-) -> SufficientStats:
+def simulate_stats(scenario: Scenario, n: int, rng: RngStream, gram: GramSpectrum) -> SufficientStats:
     """Draw sufficient statistics under the truth (beta0, sigma0_sq):
     beta_hat ~ N(beta0, sigma0^2 (X'X)^{-1}) and S ~ sigma0^2 chisq(n - p),
-    straight from their laws.  ``gram`` is the design at n; when omitted
-    it is drawn here as design_at(scenario, n, rng.master_seed) gives it.
+    straight from their laws.  ``gram`` is the design at n, as
+    design_at(scenario, n, rng.master_seed) gives it.
     """
     p = scenario.p_at(n)
-    if gram is None:
-        gram = design_at(scenario, n, rng.master_seed)
     beta0 = scenario.beta0_at(n)
     sigma0 = math.sqrt(scenario.sigma0_sq)
     z = rng.generator.standard_normal(p)
     scaled = z / np.sqrt(gram.eigenvalues)
     beta_hat = beta0 + sigma0 * (scaled if gram.q is None else gram.q @ scaled)
-    resid = scenario.sigma0_sq * rng.chi_square(n - p)
+    resid = scenario.sigma0_sq * rng.generator.chisquare(n - p)
     return SufficientStats(n=n, p=p, beta_hat=beta_hat, resid_ss=float(resid), gram=gram)
 
 

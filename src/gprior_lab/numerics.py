@@ -56,12 +56,6 @@ class RngStream:
 
     # -- samplers ----------------------------------------------------------
 
-    def chi_square(self, df: float, size=None):
-        """Chi-square via gamma: 2 * Gamma(df/2, 1)."""
-        if df < 0:
-            raise ValueError("df must be >= 0")
-        return 2.0 * self.generator.standard_gamma(df / 2.0, size)
-
     def inverse_gamma(self, shape: float, scale, size=None):
         """InverseGamma(shape, scale): reciprocal of Gamma(shape, 1/scale).
         ``scale`` may be an array, broadcast against the draw shape."""

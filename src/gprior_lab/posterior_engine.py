@@ -83,22 +83,16 @@ _SIGMA_NODES = 16
 _G_LEVELS = (9, 17, 33, 65)
 _G_TOLERANCE = 1e-11
 
-# draws per Monte Carlo batch, as elements of the batch's (draws x p)
-# normals: it fixes the order in which a cell's stream is read (each
-# batch's g, then its sigma^2, then its normals) and so the draws
-# themselves.  It depends on p alone, so the estimates do not depend on
-# the thread count or the eps grid.  No batch-sized array is held: the
-# normals are drawn and reduced in row blocks of _MC_BLOCK_ELEMENTS
-_MC_BATCH_ELEMENTS = 2**22
-
-# elements of one (rows x p) block of a batch's normals: two 2 MB block
-# buffers are the route's working set.  Filling blocks in turn reads the
-# stream as one fill would; only the basis product's last bits may depend
-# on the row count BLAS is given, and a count moves only if a sup distance
-# lies within those bits of a radius.  2**18 keeps at least 64 rows per
-# GEMM up to p = 4096; on one thread at p = 800 (EB, rotated, 20,000
-# draws) a call took a median 0.92 s, against 0.94 s at 2**17, 1.02 s at
-# 2**16, 1.19 s at 2**15 and 0.97 s with one block per batch
+# elements of one (draws x p) block of Monte Carlo normals.  A cell's
+# stream is read block by block, each block's g, then its sigma^2, then
+# its normals, so the block of max(1, min(mc_draws, this // p)) draws
+# defines the draws; it depends on p and mc_draws alone, so the estimates
+# do not depend on the thread count or the eps grid, and the basis product
+# is always handed the same row counts.  Two 2 MB block buffers are the
+# route's working set; 2**18 keeps at least 64 rows per GEMM up to p =
+# 4096.  On one thread at p = 800 (EB, rotated, 20,000 draws) a call took
+# a median 0.92 s, against 0.94 s at 2**17, 1.02 s at 2**16 and 1.19 s at
+# 2**15
 _MC_BLOCK_ELEMENTS = 2**18
 
 # elements of one (g-nodes x evaluated sigma^2 nodes x p) block of the exact
@@ -159,14 +153,6 @@ def _g_nodes_and_weights(post: GPosterior, g_quad: Optional[int]):
         return post.quadrature()
     q = (np.arange(g_quad) + 0.5) / g_quad
     return g_from_u(post.quantile_u(q), post.u_floor), np.full(g_quad, 1.0 / g_quad)
-
-
-def _sigma_grid_weights(m: int):
-    # equal-mass quantile midpoints: evaluating each probability bin at its
-    # edge instead of its midpoint biases small exceedances upward, because
-    # the top bin would be represented by a near-extreme sigma^2 quantile
-    probs = (np.arange(m) + 0.5) / m
-    return probs, np.full(m, 1.0 / m)
 
 
 def _chebyshev_lobatto(lo: float, hi: float, m: int) -> np.ndarray:
@@ -296,10 +282,13 @@ def _exact_ball_probabilities(
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
     shape = 0.5 * (stats.n + post.a - 2.0)
-    probs, sig_w = _sigma_grid_weights(opts.sigma_grid)
-    base_nodes = 1.0 / gammainccinv(shape, probs)  # IG(shape, 1) quantiles, ascending
+    # equal-mass quantile midpoints: evaluating each probability bin at its
+    # edge instead of its midpoint biases small exceedances upward, because
+    # the top bin would be represented by a near-extreme sigma^2 quantile
+    m = opts.sigma_grid
+    base_nodes = 1.0 / gammainccinv(shape, (np.arange(m) + 0.5) / m)  # IG(shape, 1) quantiles, ascending
     nodes, interp = _sigma_nodes(base_nodes)
-    log_sig_w = np.log(sig_w)
+    log_sig_w = np.log(np.full(m, 1.0 / m))
     inv_e = 1.0 / stats.gram.eigenvalues
     g_nodes, g_weights = _g_nodes_and_weights(post, opts.g_quad)
     with np.errstate(divide="ignore"):
@@ -417,12 +406,12 @@ def _mc_exceedances(
     """Draw opts.mc_draws (g, sigma^2, beta) samples and count, for each
     radius eps[k], the draws with max_i |beta_i - center_i| > eps[k].
 
-    Each batch draws its g and sigma^2, then its normals block by block,
-    reducing each block to its counts before drawing the next."""
+    The draws come in blocks of max(1, min(mc_draws, _MC_BLOCK_ELEMENTS //
+    p)): each block draws its g, then its sigma^2, then its normals, and is
+    reduced to its counts before the next block is drawn."""
     shape = 0.5 * (stats.n + post.a - 2.0)
     total, p = opts.mc_draws, stats.p
-    batch = max(1, min(total, _MC_BATCH_ELEMENTS // max(p, 1)))
-    rows = max(1, min(batch, _MC_BLOCK_ELEMENTS // max(p, 1)))
+    rows = max(1, min(total, _MC_BLOCK_ELEMENTS // p))
     # z / sqrt(eigenvalues), rotated back by q, has covariance (X'X)^{-1}
     inv_root_e = 1.0 / np.sqrt(stats.gram.eigenvalues)
     mix = None if stats.gram.q is None else stats.gram.q.T * inv_root_e[:, None]
@@ -431,26 +420,23 @@ def _mc_exceedances(
     shift = stats.beta_hat - gamma
     buffers = np.empty((2, rows, p))
     exceed = np.zeros(eps.shape, dtype=np.int64)
-    for done in range(0, total, batch):
-        m = min(batch, total - done)
+    for done in range(0, total, rows):
+        m = min(rows, total - done)
         g = post.sample_g(rng.generator, m)
         gg = g / (g + 1.0)
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = rng.inverse_gamma(shape, scale, m)
-        root = np.sqrt(gg * sigma2)
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            dev, scratch = buffers[0, : hi - lo], buffers[1, : hi - lo]
-            rng.generator.standard_normal(out=dev)
-            if mix is None:
-                dev *= inv_root_e
-            else:
-                dev, scratch = np.matmul(dev, mix, out=scratch), dev
-            dev *= root[lo:hi, None]
-            dev += np.multiply(gg[lo:hi, None], shift, out=scratch)
-            dev += offset
-            dist = np.max(np.abs(dev, out=dev), axis=1)
-            exceed += np.count_nonzero(dist[:, None] > eps, axis=0)
+        dev, scratch = buffers[0, :m], buffers[1, :m]
+        rng.generator.standard_normal(out=dev)
+        if mix is None:
+            dev *= inv_root_e
+        else:
+            dev, scratch = np.matmul(dev, mix, out=scratch), dev
+        dev *= np.sqrt(gg * sigma2)[:, None]
+        dev += np.multiply(gg[:, None], shift, out=scratch)
+        dev += offset
+        dist = np.max(np.abs(dev, out=dev), axis=1)
+        exceed += np.count_nonzero(dist[:, None] > eps, axis=0)
     return exceed
 
 

@@ -14,6 +14,7 @@ from gprior_lab.model_core import (
     Scenario,
     SufficientStats,
     ZerosRule,
+    design_at,
 )
 from gprior_lab.model_core import EmpiricalBayesG
 from gprior_lab.consistency_lab import _dataset
@@ -62,7 +63,7 @@ def axis_stats(n, beta_hat, resid_ss, eigenvalues=None) -> SufficientStats:
 
 def simulate_scenario_stats(scenario: Scenario, n: int, seed: int, rep: int = 0):
     """Dataset (n, rep) as run_experiment draws it."""
-    return _dataset(scenario, n, rep, None, seed)[1]
+    return _dataset(scenario, n, rep, design_at(scenario, n, seed), seed)[1]
 
 
 @pytest.fixture

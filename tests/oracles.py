@@ -12,6 +12,8 @@
   * simulate_full_stats, sufficient statistics reduced from an explicit
     n x p design and response, a cross-check at moderate n of the lab's
     draws straight from their laws.
+  * u_from_g, the map from g to the u-domain the lab's g-posteriors live
+    on; the lab itself only maps u back to g.
 """
 
 import math
@@ -192,3 +194,16 @@ def simulate_full_stats(scenario, n: int, rng: RngStream, gram=None) -> Sufficie
     beta_hat = coef if gram.q is None else gram.q @ coef
     resid = float(y @ y - uty @ uty)
     return SufficientStats(n=n, p=p, beta_hat=beta_hat, resid_ss=max(resid, 0.0), gram=gram)
+
+
+# ---------------------------------------------------------------------------
+# the u <-> g reparameterization
+
+
+def u_from_g(g, u_floor: float):
+    """Map g >= 0 to u = (g + 1) w / ((g + 1) w + 1 - w) in [w, 1), w =
+    u_floor: the inverse of g_regimes.g_from_u."""
+    g = np.asarray(g, dtype=float)
+    w = u_floor
+    out = (g + 1.0) * w / ((g + 1.0) * w + (1.0 - w))
+    return out if out.ndim else float(out)

@@ -27,6 +27,7 @@ from gprior_lab.model_core import (
     ZellnerSiowG,
     ZerosRule,
     DecayingRule,
+    design_at,
     diagnostics,
     scenario_from_dict,
     simulate_stats,
@@ -35,7 +36,6 @@ from gprior_lab.numerics import RngStream
 from gprior_lab.g_regimes import (
     build_g_posterior,
     eb_ghat,
-    u_from_g,
     zs_log_density_u,
 )
 from gprior_lab.posterior_engine import BallOptions, sup_ball_probability
@@ -45,7 +45,7 @@ from gprior_lab.consistency_lab import (
     verify_lemmas,
 )
 
-from oracles import beta_tail_bound_check, log_marginal_likelihood_g, shrinkage_spread_stat
+from oracles import beta_tail_bound_check, log_marginal_likelihood_g, shrinkage_spread_stat, u_from_g
 
 PRIOR = PriorConstants()
 SEED = 20260815
@@ -104,7 +104,7 @@ def test_ac1_exact_route_matches_monte_carlo():
     worst = 0.0
     for seed in range(10):
         stream = RngStream(seed, (sc.name, 200, 0))
-        stats = simulate_stats(sc, 200, stream.child("sim"))
+        stats = simulate_stats(sc, 200, stream.child("sim"), design_at(sc, 200, seed))
         assert stats.p == 50
         gamma = sc.gamma_at(200)
         beta0 = sc.beta0_at(200)
@@ -154,11 +154,12 @@ def test_ac2_eb_maximizer_matches_grid_search():
 def test_ac3_hyper_g_sampler_matches_truncated_beta():
     sc = _scenario("ac3_oracle", HyperG(c=3.0), alpha=0.25)
     stream = RngStream(11, (sc.name, 400, 0))
-    stats = simulate_stats(sc, 400, stream.child("sim"))
+    stats = simulate_stats(sc, 400, stream.child("sim"), design_at(sc, 400, 11))
     assert (stats.n, stats.p) == (400, 100)
     diag = diagnostics(stats, sc.gamma_at(400), PRIOR)
     post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
-    draws = post.sample_u(RngStream(77, ("ac3", "samples")).generator, 10_000)
+    # sample_g's draws mapped back to u
+    draws = u_from_g(post.sample_g(RngStream(77, ("ac3", "samples")).generator, 10_000), post.u_floor)
     s1 = 0.5 * (400 - 100 + PRIOR.a - 3.0)
     s2 = 0.5 * (100 + 3.0 - 2.0)
     cdf_floor = float(sp.betainc(s1, s2, post.u_floor))
@@ -176,7 +177,7 @@ def test_ac3_hyper_g_sampler_matches_truncated_beta():
 def test_ac4_zs_density_change_of_variables():
     sc = _scenario("ac4_oracle", ZellnerSiowG(), alpha=0.25)
     stream = RngStream(13, (sc.name, 400, 0))
-    stats = simulate_stats(sc, 400, stream.child("sim"))
+    stats = simulate_stats(sc, 400, stream.child("sim"), design_at(sc, 400, 13))
     diag = diagnostics(stats, sc.gamma_at(400), PRIOR)
     s_val = stats.resid_ss + PRIOR.b
     t_val = diag.quad_form
@@ -363,7 +364,7 @@ def test_ac9_shrinkage_spread_statistic_decreases():
             vals = []
             for rep in range(50):
                 rng = RngStream(SEED, (sc.name, n, rep)).child("sim")
-                stats = simulate_stats(sc, n, rng)
+                stats = simulate_stats(sc, n, rng, design_at(sc, n, SEED))
                 diag = diagnostics(stats, sc.gamma_at(n), PRIOR)
                 post = build_g_posterior(sc.regime, stats, diag.quad_form, PRIOR)
                 vals.append(shrinkage_spread_stat(post, n))

@@ -93,6 +93,21 @@ class TestScenarioValidation:
         assert capsys.readouterr().err.startswith(f"error: {key}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "regime, n", [({"kind": "eb"}, 12), ({"kind": "hyper_g", "c": 3.0}, 13)], ids=["eb", "hyper_g"]
+    )
+    def test_improper_regime_exits_2(self, tmp_path, capsys, regime, n):
+        # p = 10 and a = 0: n - p + a - 2 = 0 (eb) and n - p + a - c = 0 (hyper-g)
+        doc = scenario_to_dict(make_scenario(name="improper"))
+        doc.update(regime=regime, p_rule={"kind": "fixed", "m": 10})
+        path = tmp_path / "improper.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["experiment", "--scenario", str(path), "--n-grid", f"{n},{n + 1}", "--eps-grid", "0.5",
+                   "--reps", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "n - p + a" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_n_exits_2(self, eb_path, tmp_path, capsys):
         rc = main(["experiment", "--scenario", eb_path, "--n-grid", "100,100",
                    "--eps-grid", "0.5", "--reps", "1", "--out", str(tmp_path / "out")])

@@ -428,8 +428,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("entry", ["run_experiment", "verify_lemmas", "simulate"])
     def test_one_design_per_n(self, monkeypatch, tmp_path, entry):
         # every rep at n shares the design drawn once from its keyed
-        # stream, and its stats are those of a simulate_stats call that
-        # draws the design itself
+        # stream, and its stats are those of a simulate_stats call on a
+        # design drawn afresh
         built, drawn = [], []
         build, simulate = model_core.build_design, consistency_lab.simulate_stats
 
@@ -460,7 +460,8 @@ class TestRunExperiment:
         assert len(drawn) == 6
         monkeypatch.undo()
         for stream_path, stats in drawn:
-            own = simulate(sc, stream_path[1], RngStream(4, stream_path))
+            n = stream_path[1]
+            own = simulate(sc, n, RngStream(4, stream_path), model_core.design_at(sc, n, 4))
             assert own.beta_hat.tobytes() == stats.beta_hat.tobytes()
             assert own.resid_ss == stats.resid_ss
             assert np.array_equal(own.gram.q, stats.gram.q)
@@ -480,7 +481,9 @@ class TestRunExperiment:
             n = row["n"]
             _, stats, diag = consistency_lab._dataset(sc, n, row["rep"], model_core.design_at(sc, n, 6), 6)
             record = consistency_lab._lemma_record(sc, n, stats, diag)
-            own = model_core.simulate_stats(sc, n, RngStream(6, ("onedata", n, row["rep"], "sim")))
+            own = model_core.simulate_stats(
+                sc, n, RngStream(6, ("onedata", n, row["rep"], "sim")), model_core.design_at(sc, n, 6)
+            )
             assert (own.beta_hat.tobytes(), own.resid_ss) == (stats.beta_hat.tobytes(), stats.resid_ss)
             assert row == {
                 "n": n,

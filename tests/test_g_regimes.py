@@ -19,14 +19,13 @@ from gprior_lab.g_regimes import (
     build_g_posterior,
     eb_ghat,
     g_from_u,
-    u_from_g,
     zs_log_density_u,
 )
-from gprior_lab.model_core import PriorConstants, diagnostics
+from gprior_lab.model_core import FixedDimension, PriorConstants, ScenarioError, ZerosRule, diagnostics
 from gprior_lab.numerics import RngStream
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
-from oracles import log_marginal_likelihood_g
+from oracles import log_marginal_likelihood_g, u_from_g
 
 PRIOR = PriorConstants()
 
@@ -66,6 +65,54 @@ class TestUTransform:
     def test_range(self, w, g):
         u = u_from_g(g, w)
         assert w <= u < 1.0
+
+
+# ---------------------------------------------------------------------------
+# propriety: one rule per regime, read by every caller
+
+
+def _old_refusal(regime, n, p, a):
+    """The refusal conditions written out on their own, hyper-g's
+    p + c - 2 <= 0 half included although p >= 1 and c > 2 never meet it."""
+    if isinstance(regime, EmpiricalBayesG):
+        return n - p + a - 2 <= 0
+    if isinstance(regime, HyperG):
+        return p + regime.c - 2 <= 0 or n - p + a - regime.c <= 0
+    return False
+
+
+PROPRIETY_CASES = [
+    (regime, n, p, a)
+    for regime in (EmpiricalBayesG(), HyperG(c=2.5), HyperG(c=3.0), HyperG(c=4.0), FixedG(rule=1.0), ZellnerSiowG())
+    for p in (1, 4, 10)
+    for n in range(p + 1, p + 7)
+    for a in (-2.0, -1.0, 0.0, 0.5, 2.0)
+    if n + a - 2 > 0
+]
+
+
+def test_every_caller_refuses_the_old_grids():
+    refusals = 0
+    for regime, n, p, a in PROPRIETY_CASES:
+        refused = _old_refusal(regime, n, p, a)
+        refusals += refused
+        assert (g_regimes.improper_reason(regime, n, p, a) is not None) == refused, (regime, n, p, a)
+        sc = make_scenario(regime=regime, p_rule=FixedDimension(p), beta0_rule=ZerosRule(), prior=PriorConstants(a=a))
+        stats = axis_stats(n, np.zeros(p), 1.0)
+        # validate_grid's ScenarioError makes the CLI exit 2
+        callers = [
+            (ScenarioError, lambda: sc.validate_grid((n,))),
+            (ValueError, lambda: build_g_posterior(regime, stats, 1.0, PriorConstants(a=a))),
+        ]
+        if isinstance(regime, EmpiricalBayesG):
+            callers.append((ValueError, lambda: eb_ghat(n, p, a, 1.0, 1.0)))
+        for error, call in callers:
+            if refused:
+                with pytest.raises(error, match=r"n - p \+ a - (2|c) > 0"):
+                    call()
+            else:
+                call()
+    assert 0 < refusals < len(PROPRIETY_CASES)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +212,7 @@ class TestHyperGDensity:
         w = 0.3
         post = _hyperg_posterior(100, 20, 3.0, w)
         assert np.all((post.u_nodes > w) & (post.u_nodes < 1.0))
-        draws = post.sample_u(RngStream(12, ("hg-support",)).generator, 10_000)
+        draws = u_from_g(post.sample_g(RngStream(12, ("hg-support",)).generator, 10_000), w)
         assert np.all((draws > w) & (draws < 1.0))
 
     def test_flat_case(self):
@@ -270,12 +317,23 @@ class TestBuildPosterior:
             assert post.cdf[0] == 0.0 and post.cdf[-1] == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(post.cdf) >= 0.0)
 
-    def test_degenerate_truncation_raises(self):
-        # quad_form so small that essentially no beta mass lies above u_floor
+    @pytest.mark.parametrize("regime", [HyperG(c=3.0), ZellnerSiowG()], ids=["hyper_g", "zs"])
+    def test_degenerate_truncation_raises(self, regime):
+        # quad_form so small that essentially no beta mass lies above
+        # u_floor; for Zellner-Siow it is its Beta envelope's mass
         stats = axis_stats(400, np.full(100, 1e-8), 300.0, eigenvalues=np.full(100, 400.0))
         tiny_t = 3e-5  # u_floor = S / (S + T) = 1 - 1e-7
-        with pytest.raises(ValueError, match="u_floor"):
-            build_g_posterior(HyperG(c=3.0), stats, tiny_t, PRIOR)
+        with pytest.raises(ValueError, match="underflowed.*u_floor"):
+            build_g_posterior(regime, stats, tiny_t, PRIOR)
+
+    def test_empty_u_grid_mass_raises(self):
+        # every node's Zellner-Siow log density is -inf: its trapezoid cdf
+        # is NaN, which the one mass check refuses
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(g_regimes, "zs_log_density_u", lambda u, *args: np.full(u.shape, -np.inf))
+            _, stats, diag = _instance(regime=ZellnerSiowG())
+            with pytest.raises(ValueError, match="underflowed.*u_floor"):
+                build_g_posterior(ZellnerSiowG(), stats, diag.quad_form, PRIOR)
 
 
 class TestHyperGPosterior:
@@ -314,7 +372,7 @@ class TestHyperGPosterior:
         _, stats, diag = _instance()
         post = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR)
         rng = RngStream(21, ("samp",)).generator
-        u = post.sample_u(rng, 100_000)
+        u = u_from_g(post.sample_g(rng, 100_000), post.u_floor)
         sd = float(np.std(u))
         assert abs(float(np.mean(u)) - post.node_weights @ post.u_nodes) <= 4 * sd / math.sqrt(100_000)
 

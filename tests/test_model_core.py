@@ -235,6 +235,29 @@ class TestScenario:
         with pytest.raises(ValueError, match="proper"):
             HyperG(c=2.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: FixedG(rule=x),
+            lambda x: PriorConstants(a=x),
+            lambda x: PriorConstants(b=x),
+            lambda x: make_scenario(sigma0_sq=x),
+            lambda x: ConstantRule(x),
+            lambda x: FirstMRule(x, 2),
+            lambda x: ScaledNormRule(x),
+            lambda x: DecayingRule(x, 1.0),
+            lambda x: DecayingRule(1.0, x),
+        ],
+        ids=["fixed_g", "prior_a", "prior_b", "sigma0_sq", "constant_v", "first_m_v", "scaled_norm_target",
+             "decaying_c", "decaying_rate"],
+    )
+    def test_constructors_reject_non_finite(self, build, value):
+        # the JSON reader refuses these values itself; taken from the
+        # library, they gave plausible exceedances instead of an error
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
+
 
 # ---------------------------------------------------------------------------
 # simulation
@@ -282,7 +305,7 @@ class TestSimulateStats:
         sc = make_scenario(alpha=0.25, sigma0_sq=1.5)
         b1d, b1f, sd, sf = [], [], [], []
         for r in range(2000):
-            std = simulate_stats(sc, 40, RngStream(31, (sc.name, 40, r)).child("sim"))
+            std = simulate_stats(sc, 40, RngStream(31, (sc.name, 40, r)).child("sim"), design_at(sc, 40, 31))
             stf = simulate_full_stats(sc, 40, RngStream(32, (sc.name, 40, r)).child("sim"))
             b1d.append(std.beta_hat[0])
             b1f.append(stf.beta_hat[0])
@@ -300,7 +323,8 @@ class TestSimulateStats:
 
     @pytest.mark.parametrize("simulate", [simulate_stats, simulate_full_stats], ids=["direct", "full"])
     def test_given_design_gives_the_bits_of_a_drawn_one(self, simulate):
-        # a run draws each n's design once and hands it to every rep
+        # a run draws each n's design once and hands it to every rep; a
+        # design drawn afresh for the rep gives the same bits
         spec = DesignSpec("diagonal", (0.5, 1.0), lambda_min=0.5, lambda_max=2.0)
         sc = make_scenario(design=spec, alpha=0.25)
         gram = design_at(sc, 40, 5)
@@ -308,7 +332,7 @@ class TestSimulateStats:
             def stream():
                 return RngStream(5, (sc.name, 40, rep)).child("sim")
 
-            own = simulate(sc, 40, stream())
+            own = simulate(sc, 40, stream(), design_at(sc, 40, 5))
             given_design = simulate(sc, 40, stream(), gram)
             assert given_design.gram is gram
             assert np.array_equal(own.gram.q, gram.q)

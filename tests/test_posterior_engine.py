@@ -30,7 +30,7 @@ from gprior_lab.model_core import (
     diagnostics,
     load_scenario,
 )
-from gprior_lab.g_regimes import build_g_posterior, u_from_g
+from gprior_lab.g_regimes import build_g_posterior
 from gprior_lab.numerics import RngStream
 from gprior_lab.posterior_engine import (
     BallOptions,
@@ -41,7 +41,7 @@ from gprior_lab.posterior_engine import (
 )
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
-from oracles import simulate_full_stats
+from oracles import simulate_full_stats, u_from_g
 
 PRIOR = PriorConstants()
 
@@ -420,13 +420,13 @@ class TestRadiusGrid:
             assert one.value.tolist() == [grid.value[k]]
         assert grid.value[0] > 0.99 and grid.value[-1] == 0.0
 
-    @pytest.mark.parametrize("batch_draws", [None, 7])
-    def test_mc_grid_equals_fresh_single_radius_calls(self, monkeypatch, batch_draws):
-        # the rotated design takes the mc route; a 7-draw batch budget
-        # splits 500 draws into 72 batches with a short last one
+    @pytest.mark.parametrize("block_draws", [None, 7])
+    def test_mc_grid_equals_fresh_single_radius_calls(self, monkeypatch, block_draws):
+        # the rotated design takes the mc route; 7-draw blocks split 500
+        # draws into 72 blocks with a short last one
         stats, gamma, post, center = _rotated_instance()
-        if batch_draws is not None:
-            monkeypatch.setattr(posterior_engine, "_MC_BATCH_ELEMENTS", batch_draws * stats.p)
+        if block_draws is not None:
+            monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", block_draws * stats.p)
         opts = BallOptions(mc_draws=500)
         grid = sup_ball_probability(
             post, stats, gamma, center, self.GRID, opts, RngStream(4, ("grid",))
@@ -473,34 +473,51 @@ def _mc_call(instance, radii, mc_draws):
     )
 
 
+def _mc_oracle_counts(instance, radii, mc_draws, rows):
+    """_mc_call's exceedance counts redrawn from the stream layout the MC
+    route defines: blocks of ``rows`` draws, each block's g, then its
+    sigma^2, then its (rows x p) normals, which the basis turns into
+    beta's deviation from its conditional mean."""
+    stats, gamma, post, center = instance
+    rng = RngStream(8, ("blocks",))
+    shape = 0.5 * (stats.n + post.a - 2.0)
+    counts = np.zeros(radii.size, dtype=np.int64)
+    for done in range(0, mc_draws, rows):
+        m = min(rows, mc_draws - done)
+        g = post.sample_g(rng.generator, m)
+        sigma2 = rng.inverse_gamma(shape, 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0)), m)
+        z = rng.generator.standard_normal((m, stats.p)) / np.sqrt(stats.gram.eigenvalues)
+        noise = z if stats.gram.q is None else z @ stats.gram.q.T  # rows of q z / sqrt(e)
+        w = g / (g + 1.0)
+        beta = np.outer(w, stats.beta_hat) + np.outer(1.0 - w, gamma) + np.sqrt(w * sigma2)[:, None] * noise
+        counts += np.count_nonzero(np.max(np.abs(beta - center), axis=1)[:, None] > radii, axis=0)
+    return counts
+
+
 def _forced_mc_instance():
     stats, gamma, post = _hyper_g_instance()
     return stats, gamma, post, beta_posterior_mean(stats, gamma, 3.0)
 
 
 class TestMcBlocks:
-    """The normals of a Monte Carlo batch are drawn and reduced in row
-    blocks; the block size must change no bit of any estimate."""
+    """The MC route reads a cell's stream in blocks of draws, each block's
+    g, then its sigma^2, then its normals; the block size is part of the
+    sample's definition."""
 
     GRID = np.array([0.05, 0.3, 0.5, 0.8, 1.2])
 
-    @pytest.mark.parametrize("batch_draws", [None, 64])
-    @pytest.mark.parametrize("block_rows", [1, 7, "batch"])
+    @pytest.mark.parametrize("block_draws", [None, 7])
     @pytest.mark.parametrize("make", [_rotated_instance, _forced_mc_instance], ids=["rotated", "orthogonal"])
-    def test_block_size_changes_no_bit(self, monkeypatch, make, block_rows, batch_draws):
-        # 500 draws in batches of 64 end in a 52-draw batch; 7-row blocks
-        # leave a ragged last block in both
+    def test_counts_match_the_stream_layout_oracle(self, monkeypatch, make, block_draws):
+        # 500 draws are one block at the default size (p <= 20); 7-draw
+        # blocks end in a ragged 3-draw block
         instance = make()
-        p = instance[0].p
-        if batch_draws is not None:
-            monkeypatch.setattr(posterior_engine, "_MC_BATCH_ELEMENTS", batch_draws * p)
-        default = _mc_call(instance, self.GRID, 500)
-        rows = (batch_draws or 500) if block_rows == "batch" else block_rows
-        monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", rows * p)
-        blocked = _mc_call(instance, self.GRID, 500)
-        assert 0.0 < default.value[0] and default.value[-1] < 1.0
-        assert blocked.value.tolist() == default.value.tolist()
-        assert blocked.std_error.tolist() == default.std_error.tolist()
+        if block_draws is not None:
+            monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", block_draws * instance[0].p)
+        res = _mc_call(instance, self.GRID, 500)
+        counts = _mc_oracle_counts(instance, self.GRID, 500, block_draws or 500)
+        assert 0.0 < res.value[0] and res.value[-1] < 1.0
+        assert res.value.tolist() == (counts / 500).tolist()
 
     @staticmethod
     def _large_rotated_instance():
@@ -510,10 +527,10 @@ class TestMcBlocks:
         post = build_g_posterior(sc.regime, stats, diagnostics(stats, gamma, PRIOR).quad_form, PRIOR)
         return stats, gamma, post, sc.beta0_at(800)
 
-    def test_rotated_working_set_stays_small(self, monkeypatch):
-        # p = 400 and 20,000 draws: two batches of 10,485 and 9,515 draws.
-        # Whole batches held two (10,485 x 400) arrays, a 66 MB peak; the
-        # blocks hold two 2 MB buffers next to the 1.3 MB basis product
+    def test_rotated_working_set_stays_small(self):
+        # p = 400 and 20,000 draws: 30 blocks of 655 draws and a 350-draw
+        # one.  The blocks hold two 2 MB buffers next to the 1.3 MB basis
+        # product; two whole-sample (20,000 x 400) arrays would take 128 MB
         instance = self._large_rotated_instance()
         assert instance[0].p == 400
         radii = np.array([0.1, 0.2, 0.5])
@@ -526,11 +543,6 @@ class TestMcBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
-        # one block per batch reduces each batch whole
-        monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", posterior_engine._MC_BATCH_ELEMENTS)
-        whole = _mc_call(instance, radii, 20_000)
-        assert blocked.value.tolist() == whole.value.tolist()
-        assert blocked.std_error.tolist() == whole.std_error.tolist()
         assert 0.0 < blocked.value[1] < 1.0
 
 
@@ -703,7 +715,7 @@ class TestSigmaInterpolation:
     @pytest.mark.parametrize("shape", [0.5, 1.0, 49.0, 1600.0])
     @pytest.mark.parametrize("sigma_grid", [17, 65, 129])
     def test_interpolation_matrix(self, shape, sigma_grid):
-        probs, _ = posterior_engine._sigma_grid_weights(sigma_grid)
+        probs = (np.arange(sigma_grid) + 0.5) / sigma_grid
         base_nodes = 1.0 / sp.gammainccinv(shape, probs)
         nodes, interp = posterior_engine._sigma_nodes(base_nodes)
         m = posterior_engine._SIGMA_NODES
