@@ -15,8 +15,9 @@ name); 3 runtime failures (numerically degenerate posteriors, failed
 lemma checks, empty or malformed reports, unreadable or unwritable
 files).
 
-The master seed, an integer >= 0, comes from --seed, falling back to the
-GPRIOR_LAB_SEED environment variable, then 0.
+The master seed of simulate, experiment and lemmas, an integer >= 0,
+comes from --seed, falling back to the GPRIOR_LAB_SEED environment
+variable, then 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .consistency_lab import (
     REPORT_SCHEMA_VERSION,
     _datasets,
     _lemma_record,
+    check_radii,
     predict_verdict,
     run_experiment,
     verify_lemmas,
@@ -43,14 +45,11 @@ from .consistency_lab import (
 __all__ = ["main"]
 
 
-def _positive_int_list(text: str):
+def _int_list(text: str):
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values or any(v < 2 for v in values):
-        raise argparse.ArgumentTypeError("n values must be integers >= 2")
-    return values
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _int_at_least(low: int):
@@ -68,18 +67,16 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float_list(text: str):
+def _eps_grid(text: str) -> tuple:
+    """An argparse type: comma-separated radii, each grid error a usage error (exit 2)."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"eps values must be finite, got {text!r}")
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("eps values must be > 0")
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"duplicate eps values in {text!r}")
-    return values
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    try:
+        return check_radii(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_seed(args) -> int:
@@ -97,11 +94,11 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _add_common(sub, n_grid=True, reps=None):
-    sub.add_argument("--seed", type=_int_at_least(0), default=None, help="master seed (default: $GPRIOR_LAB_SEED or 0)")
-    if n_grid:
-        sub.add_argument("--n-grid", type=_positive_int_list, required=True, help="comma-separated sample sizes")
+def _add_common(sub, reps=None):
+    """--n-grid; with ``reps``, the --seed and --reps of a command that draws datasets."""
+    sub.add_argument("--n-grid", type=_int_list, required=True, help="comma-separated sample sizes")
     if reps is not None:
+        sub.add_argument("--seed", type=_int_at_least(0), default=None, help="master seed (default: $GPRIOR_LAB_SEED or 0)")
         sub.add_argument("--reps", type=_int_at_least(1), default=reps, help=f"replications per n (default {reps})")
 
 
@@ -118,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = subs.add_parser("experiment", help="run a ball-probability experiment")
     exp.add_argument("--scenario", nargs="+", required=True, help="scenario JSON files; with several, each writes to --out/<name>/")
     _add_common(exp, reps=20)
-    exp.add_argument("--eps-grid", type=_positive_float_list, required=True, help="comma-separated radii")
+    exp.add_argument("--eps-grid", type=_eps_grid, required=True, help="comma-separated radii")
     exp.add_argument("--threads", type=_int_at_least(1), default=1)
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -259,16 +256,12 @@ def _cmd_lemmas(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = _resolve_seed(args)
     outcomes = verify_lemmas(scenario, args.n_grid, reps=args.reps, master_seed=seed)
-    failed = 0
     for oc in outcomes:
         if oc.skipped:
             print(f"SKIP {oc.name}: {oc.reason}")
-        elif oc.passed:
-            print(f"PASS {oc.name} {json.dumps(oc.details, sort_keys=True)}")
         else:
-            failed += 1
-            print(f"FAIL {oc.name} {json.dumps(oc.details, sort_keys=True)}")
-    return 0 if failed == 0 else 3
+            print(f"{'PASS' if oc.passed else 'FAIL'} {oc.name} {json.dumps(oc.details, sort_keys=True)}")
+    return 3 if any(oc.passed is False for oc in outcomes) else 0
 
 
 def _cmd_plot(args) -> int:
@@ -277,37 +270,25 @@ def _cmd_plot(args) -> int:
     try:
         doc = json.loads(Path(args.report).read_text())
     except OSError as exc:
-        print(f"error: cannot read report {args.report}: {exc}", file=sys.stderr)
-        return 3
+        raise ValueError(f"cannot read report {args.report}: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON in {args.report} at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 3
+        raise ValueError(f"malformed JSON in {args.report} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict) or doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        print(
-            f"error: unsupported or missing report schema_version; expected {REPORT_SCHEMA_VERSION}",
-            file=sys.stderr,
-        )
-        return 3
+        raise ValueError(f"unsupported or missing report schema_version; expected {REPORT_SCHEMA_VERSION}")
     aggregates = doc.get("aggregates") or []
     cells = doc.get("cells") or []
     if not cells or not aggregates:
-        print("error: report contains no cells to plot", file=sys.stderr)
-        return 3
+        raise ValueError("report contains no cells to plot")
     scenario, verdict = doc.get("scenario", {}), doc.get("verdict", {})
     name = scenario.get("name", "scenario") if isinstance(scenario, dict) else None
     display = verdict.get("display", "") if isinstance(verdict, dict) else None
     labels_ok = all(isinstance(t, str) and t.isprintable() for t in (name, display))
     if not (labels_ok and all(map(_plottable, aggregates))):
-        print(
-            "error: malformed report: 'scenario' and 'verdict' must be objects whose name and display "
+        raise ValueError(
+            "malformed report: 'scenario' and 'verdict' must be objects whose name and display "
             "are printable strings, and each aggregate needs a numeric eps and an n_grid with "
-            "prob_median, prob_q25 and prob_q75 of its length",
-            file=sys.stderr,
+            "prob_median, prob_q25 and prob_q75 of its length"
         )
-        return 3
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for agg in aggregates:
@@ -408,12 +389,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ScenarioError) else 3
 
 
 if __name__ == "__main__":

@@ -62,6 +62,7 @@ __all__ = [
     "evaluate_theorem_subsequence_condition",
     "predict_verdict",
     "ExperimentReport",
+    "check_radii",
     "run_experiment",
     "LemmaOutcome",
     "verify_lemmas",
@@ -339,6 +340,43 @@ class ExperimentReport:
         return out.getvalue()
 
 
+def check_radii(eps_grid) -> tuple:
+    """The radii of an eps grid, ascending; a ValueError unless they are
+    distinct finite numbers > 0, at least one."""
+    radii = tuple(sorted(float(e) for e in eps_grid))
+    if not radii:
+        raise ValueError("empty eps grid")
+    if not all(math.isfinite(e) for e in radii):
+        raise ValueError("eps values must be finite")
+    if any(e <= 0 for e in radii):
+        raise ValueError("eps values must be > 0")
+    if len(set(radii)) != len(radii):
+        raise ValueError("duplicate eps values")
+    return radii
+
+
+def _checked_grid(scenario: Scenario, n_grid, reps: int) -> tuple:
+    """The n grid as a tuple of ints, once reps >= 1 and the scenario's
+    grid checks hold."""
+    n_grid = tuple(int(n) for n in n_grid)
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    scenario.validate_grid(n_grid)
+    return n_grid
+
+
+def _agreement(predicted: str, trends) -> Optional[bool]:
+    """Whether the per-radius trends bear out the predicted verdict; None
+    when the verdict is unknown or the trends decide nothing."""
+    if predicted == "unknown":
+        return None
+    if all(t == "vanishing" for t in trends):
+        return predicted == "consistent"
+    if any(t == "bounded_away" for t in trends):
+        return predicted == "inconsistent"
+    return None
+
+
 def _dataset(scenario, n, rep, gram, master_seed):
     """Dataset (n, rep) on the design ``gram`` at n, drawn from its keyed
     stream: the stream, the sufficient statistics and their diagnostics.
@@ -398,21 +436,10 @@ def run_experiment(
     agreement.  With include_lemmas the concentration checks judge the
     same datasets and are embedded in the report."""
     t0 = time.perf_counter()
-    n_grid = tuple(int(n) for n in n_grid)
-    eps_grid = tuple(sorted(float(e) for e in eps_grid))
-    if not eps_grid:
-        raise ValueError("empty eps grid")
-    if not all(math.isfinite(e) for e in eps_grid):
-        raise ValueError("eps values must be finite")
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps values must be > 0")
-    if len(set(eps_grid)) != len(eps_grid):
-        raise ValueError("duplicate eps values")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    eps_grid = check_radii(eps_grid)
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    scenario.validate_grid(n_grid)
+    n_grid = _checked_grid(scenario, n_grid, reps)
     opts = ball_options or BallOptions()
 
     # largest n (the costliest cells) first, so no thread is left with one
@@ -450,23 +477,6 @@ def run_experiment(
 
     norms = _offset_norms(scenario, n_grid)
     verdict = predict_verdict(scenario, n_grid, norms)
-    trends = [a["trend"] for a in aggregates]
-    if verdict.predicted == "unknown":
-        agreement = None
-    elif verdict.predicted == "consistent":
-        if all(t == "vanishing" for t in trends):
-            agreement = True
-        elif any(t == "bounded_away" for t in trends):
-            agreement = False
-        else:
-            agreement = None
-    else:
-        if any(t == "bounded_away" for t in trends):
-            agreement = True
-        elif all(t == "vanishing" for t in trends):
-            agreement = False
-        else:
-            agreement = None
 
     lemma_outcomes = (
         _judge_lemmas(scenario, n_grid, norms[2], [record for _, record in results])
@@ -483,7 +493,7 @@ def run_experiment(
         cells=cells,
         aggregates=aggregates,
         verdict=verdict,
-        agreement=agreement,
+        agreement=_agreement(verdict.predicted, [a["trend"] for a in aggregates]),
         wall_time_s=time.perf_counter() - t0,
         lemma_outcomes=lemma_outcomes,
     )
@@ -668,10 +678,7 @@ def verify_lemmas(
     those of run_experiment, drawn from the same per-(scenario, n, rep)
     streams, and judged exactly as its include_lemmas judges them.
     """
-    n_grid = tuple(int(n) for n in n_grid)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    scenario.validate_grid(n_grid)
+    n_grid = _checked_grid(scenario, n_grid, reps)
     records = [
         _lemma_record(scenario, n, stats, diag)
         for n, _, stats, diag in _datasets(scenario, n_grid, reps, master_seed)

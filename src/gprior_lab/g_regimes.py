@@ -81,8 +81,8 @@ class HyperG:
     c: float = 3.0
 
     def __post_init__(self):
-        if not (self.c > 2.0):
-            raise ValueError(f"hyper-g prior is proper only for c > 2, got c={self.c}")
+        if not 2.0 < self.c < math.inf:
+            raise ValueError(f"hyper-g prior is proper only for finite c > 2, got c={self.c}")
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,14 @@ class ZellnerSiowG:
 
 
 def improper_reason(regime, n: int, p: int, a: float) -> Optional[str]:
-    """Why ``regime``'s posterior of g is improper at (n, p, a), or None.
+    """Why the posterior under ``regime`` is improper at (n, p, a), or None.
 
-    Empirical Bayes needs n - p + a - 2 > 0 for its maximizer, and hyper-g
-    n - p + a - c > 0 for its Beta(shape1, shape2) u-posterior (shape2 =
-    (p + c - 2)/2 > 0 holds for every p >= 1 and c > 2); fixed g and
-    Zellner-Siow are proper at every (n, p, a)."""
+    Every regime needs n + a - 2 > 0, twice the shape of sigma^2's
+    InverseGamma law; empirical Bayes n - p + a - 2 > 0 for its maximizer,
+    and hyper-g n - p + a - c > 0 for its Beta(shape1, shape2) u-posterior
+    (shape2 = (p + c - 2)/2 > 0 holds for every p >= 1 and c > 2)."""
+    if n + a - 2.0 <= 0:
+        return f"variance posterior needs n + a - 2 > 0; fails at n={n}"
     if isinstance(regime, EmpiricalBayesG) and n - p + a - 2.0 <= 0:
         return f"empirical Bayes needs n - p + a - 2 > 0, got n={n}, p={p}, a={a}"
     if isinstance(regime, HyperG) and n - p + a - regime.c <= 0:
@@ -200,20 +202,21 @@ class GPosterior:
         g = g_from_u(self.u_nodes, self.u_floor)
         return g, self.node_weights
 
-    def quantile_u(self, q):
-        """u-quantiles of a continuous posterior at levels q in [0, 1]."""
+    def quantile_g(self, q):
+        """g-quantiles of a continuous posterior at levels q in [0, 1]: the
+        piecewise-linear u-cdf inverted, mapped to g."""
         q = np.asarray(q, dtype=float)
         if np.any((q < 0) | (q > 1)):
             raise ValueError("quantile levels must lie in [0, 1]")
-        return np.interp(q, self.cdf, self.u_nodes)
+        return g_from_u(np.interp(q, self.cdf, self.u_nodes), self.u_floor)
 
     def sample_g(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws of g: g_star itself for a point mass, as the exact
         route uses it (the round trip through u moves its last bits), else
-        the piecewise-linear cdf inverted at uniform draws, mapped to g."""
+        quantile_g at uniform draws."""
         if self.is_point:
             return np.full(size, self.g_star)
-        return g_from_u(np.interp(rng.random(size), self.cdf, self.u_nodes), self.u_floor)
+        return self.quantile_g(rng.random(size))
 
 
 def _require_mass(mass: float, u_floor: float) -> None:

@@ -88,8 +88,9 @@ class DesignSpec:
     gives eigenvalues n * d_i with d_i from ``spectrum`` (tiled to length p)
     and a seeded random orthonormal eigenbasis.
 
-    lambda_min/lambda_max bound the eigenvalues of n (X'X)^{-1}, i.e.
-    d_i must lie in [1/lambda_max, 1/lambda_min].
+    lambda_min/lambda_max, finite with 0 < lambda_min <= lambda_max, bound
+    the eigenvalues of n (X'X)^{-1}, i.e. d_i must lie in [1/lambda_max,
+    1/lambda_min] up to a relative 1e-12.
     """
 
     kind: str = "orthogonal"
@@ -100,15 +101,15 @@ class DesignSpec:
     def __post_init__(self):
         if self.kind not in ("orthogonal", "diagonal"):
             raise ScenarioError(f"unknown design kind {self.kind!r}")
-        if not (0 < self.lambda_min <= self.lambda_max):
-            raise ScenarioError("need 0 < lambda_min <= lambda_max")
+        if not 0 < self.lambda_min <= self.lambda_max < math.inf:
+            raise ScenarioError(f"need finite 0 < lambda_min <= lambda_max, got {self.lambda_min}, {self.lambda_max}")
         if self.kind == "diagonal":
             if not self.spectrum:
                 raise ScenarioError("diagonal design requires a spectrum")
             object.__setattr__(self, "spectrum", tuple(float(d) for d in self.spectrum))
             lo, hi = 1.0 / self.lambda_max, 1.0 / self.lambda_min
             for d in self.spectrum:
-                if not (lo - 1e-12 <= d <= hi + 1e-12):
+                if not lo * (1.0 - 1e-12) <= d <= hi * (1.0 + 1e-12):
                     raise ScenarioError(
                         f"spectrum entry {d} outside [1/lambda_max, 1/lambda_min] = [{lo}, {hi}]"
                     )
@@ -307,6 +308,11 @@ class Scenario:
                 f"alpha={self.alpha} is invalid: the dimension fraction must satisfy "
                 "0 <= alpha < 1 so that p_n < n for large n (A2)"
             )
+        if self.alpha > 0 and not isinstance(self.p_rule, LinearDimension):
+            raise ScenarioError(
+                f"alpha={self.alpha} needs the linear dimension rule: under {type(self.p_rule).__name__} "
+                "p/n -> 0, so alpha must be 0"
+            )
         if not 0.0 < self.sigma0_sq < math.inf:
             raise ScenarioError(f"sigma0_sq must be finite and > 0, got {self.sigma0_sq}")
         if not self.name or not self.name.isprintable():
@@ -340,13 +346,11 @@ class Scenario:
             if p < prev_p:
                 raise ScenarioError(f"dimension rule is not nondecreasing at n={n}")
             prev_p = p
-            if n + a - 2 <= 0:
-                raise ScenarioError(f"variance posterior needs n + a - 2 > 0; fails at n={n}")
-            self.beta0_at(n)
-            self.gamma_at(n)
             reason = improper_reason(self.regime, n, p, a)
             if reason:
                 raise ScenarioError(reason)
+            self.beta0_at(n)
+            self.gamma_at(n)
 
 
 # ---------------------------------------------------------------------------

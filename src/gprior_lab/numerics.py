@@ -54,16 +54,6 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.master_seed}, path={self.path!r})"
 
-    # -- samplers ----------------------------------------------------------
-
-    def inverse_gamma(self, shape: float, scale, size=None):
-        """InverseGamma(shape, scale): reciprocal of Gamma(shape, 1/scale).
-        ``scale`` may be an array, broadcast against the draw shape."""
-        scale = np.asarray(scale, dtype=float)
-        if shape <= 0 or np.any(scale <= 0):
-            raise ValueError("shape and scale must be positive")
-        return scale / self.generator.standard_gamma(shape, size)
-
 
 # ---------------------------------------------------------------------------
 # log-space helpers

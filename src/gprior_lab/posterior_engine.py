@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import gammainccinv, ndtr
 
 from .numerics import RngStream, log_sum_exp
-from .g_regimes import GPosterior, g_from_u
+from .g_regimes import GPosterior
 from .model_core import SufficientStats
 
 __all__ = [
@@ -151,8 +151,7 @@ class BallProbability:
 def _g_nodes_and_weights(post: GPosterior, g_quad: Optional[int]):
     if post.is_point or g_quad is None:
         return post.quadrature()
-    q = (np.arange(g_quad) + 0.5) / g_quad
-    return g_from_u(post.quantile_u(q), post.u_floor), np.full(g_quad, 1.0 / g_quad)
+    return post.quantile_g((np.arange(g_quad) + 0.5) / g_quad), np.full(g_quad, 1.0 / g_quad)
 
 
 def _chebyshev_lobatto(lo: float, hi: float, m: int) -> np.ndarray:
@@ -425,7 +424,7 @@ def _mc_exceedances(
         g = post.sample_g(rng.generator, m)
         gg = g / (g + 1.0)
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
-        sigma2 = rng.inverse_gamma(shape, scale, m)
+        sigma2 = scale / rng.generator.standard_gamma(shape, m)  # InverseGamma(shape, scale)
         dev, scratch = buffers[0, :m], buffers[1, :m]
         rng.generator.standard_normal(out=dev)
         if mix is None:

@@ -81,8 +81,10 @@ class TestScenarioValidation:
             ("beta0_rule", {"kind": "first_m", "v": 1.0, "m": 2.5}),
             ("regime", {"kind": "hyper_g", "c": 1}),
             ("name", "a\u0001b"),
+            # a zero entry lies within an absolute 1e-12 of 1/lambda_max = 1e-13
+            ("design", {"kind": "diagonal", "spectrum": [0, 1], "lambda_min": 1, "lambda_max": 1e13}),
         ],
-        ids=["sigma0_sq_infinity", "first_m_fractional_m", "hyper_g_c_1", "name_with_control"],
+        ids=["sigma0_sq_infinity", "first_m_fractional_m", "hyper_g_c_1", "name_with_control", "spectrum_entry_zero"],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, key, value):
         doc = scenario_to_dict(make_scenario(name="malformed"))
@@ -93,19 +95,39 @@ class TestScenarioValidation:
         assert capsys.readouterr().err.startswith(f"error: {key}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("p_rule", ["sqrt", {"kind": "fixed", "m": 20}], ids=["sqrt", "fixed"])
+    def test_positive_alpha_with_a_sublinear_p_rule_exits_2(self, tmp_path, capsys, p_rule):
+        # p/n -> 0 under these rules, so the verdict must not read alpha = 0.5
+        doc = json.loads((SCENARIOS / "eb_fixed_offset_alpha0_sqrtp.json").read_text())
+        doc.update(alpha=0.5, p_rule=p_rule)
+        path = tmp_path / "sublinear.json"
+        path.write_text(json.dumps(doc))
+        assert main(["theorem", "--scenario", str(path), "--n-grid", "200,800,3200"]) == 2
+        captured = capsys.readouterr()
+        assert "linear dimension rule" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize(
         "regime, n", [({"kind": "eb"}, 12), ({"kind": "hyper_g", "c": 3.0}, 13)], ids=["eb", "hyper_g"]
     )
     def test_improper_regime_exits_2(self, tmp_path, capsys, regime, n):
         # p = 10 and a = 0: n - p + a - 2 = 0 (eb) and n - p + a - c = 0 (hyper-g)
         doc = scenario_to_dict(make_scenario(name="improper"))
-        doc.update(regime=regime, p_rule={"kind": "fixed", "m": 10})
+        doc.update(regime=regime, p_rule={"kind": "fixed", "m": 10}, alpha=0.0)
         path = tmp_path / "improper.json"
         path.write_text(json.dumps(doc))
         rc = main(["experiment", "--scenario", str(path), "--n-grid", f"{n},{n + 1}", "--eps-grid", "0.5",
                    "--reps", "1", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "n - p + a" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment", "theorem", "lemmas"])
+    def test_n_below_2_exits_2(self, eb_path, tmp_path, capsys, command):
+        argv = [command, "--scenario", eb_path, "--n-grid", "1,100"]
+        if command == "experiment":
+            argv += ["--eps-grid", "0.5", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: need n >= 2, got n=1\n"
         assert not (tmp_path / "out").exists()
 
     def test_repeated_n_exits_2(self, eb_path, tmp_path, capsys):
@@ -401,6 +423,13 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--n-grid", "50"])
         assert exc.value.code == 2
+
+    def test_theorem_takes_no_seed(self, eb_path, capsys):
+        # theorem draws no dataset, so a seed would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["theorem", "--scenario", eb_path, "--n-grid", "100,200", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_unknown_command_is_systemexit_2(self):
         with pytest.raises(SystemExit) as exc:

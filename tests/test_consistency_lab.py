@@ -41,9 +41,11 @@ from gprior_lab.consistency_lab import (
     OFFSET_BLOCK,
     REPORT_SCHEMA_VERSION,
     VANISH_THRESHOLD,
+    _agreement,
     _classify_profile,
     _extended_grid,
     _offset_norms,
+    check_radii,
     classify_trend,
     evaluate_theorem1,
     evaluate_theorem_subsequence_condition,
@@ -507,17 +509,39 @@ class TestRunExperiment:
         assert any(o.skipped for o in report.lemma_outcomes)
         assert any(not o.skipped for o in report.lemma_outcomes)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",", "empty eps grid"),
+            ("nan,0.5", "eps values must be finite"),
+            ("inf,0.5", "eps values must be finite"),
+            ("0,0.5", "eps values must be > 0"),
+            ("0.5,0.5", "duplicate eps values"),
+        ],
+        ids=["empty", "nan", "inf", "not_positive", "duplicate"],
+    )
+    def test_one_radius_rule(self, tmp_path, capsys, text, message):
+        # check_radii's message, whether run_experiment or --eps-grid meets the grid
+        radii = [float(tok) for tok in text.split(",") if tok]
+        with pytest.raises(ValueError) as direct:
+            check_radii(radii)
+        with pytest.raises(ValueError) as run:
+            run_experiment(make_scenario(name="bad"), (50,), radii, reps=1)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model_core.scenario_to_dict(make_scenario(name="bad"))))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["experiment", "--scenario", str(path), "--n-grid", "50", "--eps-grid", text,
+                      "--out", str(tmp_path / "out")])
+        assert str(direct.value) == str(run.value) == message
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --eps-grid: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_radii_come_back_sorted(self):
+        assert check_radii([0.5, 0.1, 2]) == (0.1, 0.5, 2.0)
+
     def test_grid_validation(self):
         sc = make_scenario(name="bad")
-        with pytest.raises(ValueError, match="empty eps grid"):
-            run_experiment(sc, (50,), (), reps=1)
-        with pytest.raises(ValueError, match="eps values must be > 0"):
-            run_experiment(sc, (50,), (0.0, 0.5), reps=1)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="eps values must be finite"):
-                run_experiment(sc, (50,), (bad, 0.5), reps=1)
-        with pytest.raises(ValueError, match="duplicate eps"):
-            run_experiment(sc, (50,), (0.5, 0.5), reps=1)
         with pytest.raises(ValueError, match="reps must be >= 1"):
             run_experiment(sc, (50,), (0.5,), reps=0)
         with pytest.raises(ValueError, match="threads must be >= 1"):
@@ -563,6 +587,24 @@ class TestRunExperiment:
         assert rep.agreement is True
         small_n = [c["prob"] for c in rep.cells if c["n"] == 200]
         assert small_n and all(p < 0.5 for p in small_n)
+
+
+# trend lists -> agreement under a consistent, an inconsistent and an
+# unknown verdict
+AGREEMENT = {
+    "all_vanishing": (("vanishing", "vanishing"), (True, False, None)),
+    "some_bounded_away": (("vanishing", "bounded_away"), (False, True, None)),
+    "all_indeterminate": (("indeterminate", "indeterminate"), (None, None, None)),
+    "vanishing_and_indeterminate": (("vanishing", "indeterminate"), (None, None, None)),
+}
+
+
+@pytest.mark.parametrize("predicted", ["consistent", "inconsistent", "unknown"])
+@pytest.mark.parametrize("case", sorted(AGREEMENT))
+def test_agreement_rule(case, predicted):
+    trends, outcomes = AGREEMENT[case]
+    expected = outcomes[("consistent", "inconsistent", "unknown").index(predicted)]
+    assert _agreement(predicted, list(trends)) is expected
 
 
 LEMMA_NAMES = {

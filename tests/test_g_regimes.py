@@ -91,13 +91,25 @@ PROPRIETY_CASES = [
 ]
 
 
+@pytest.mark.parametrize("regime", [FixedG(rule=1.0), ZellnerSiowG()], ids=["fixed", "zs"])
+def test_variance_posterior_needs_spare_df(regime):
+    # n + a - 2 = 0: sigma^2 | g, data ~ InverseGamma(0, .) is improper for every g
+    stats = axis_stats(2, np.array([0.5]), 1.0)
+    with pytest.raises(ScenarioError, match=r"n \+ a - 2 > 0"):
+        make_scenario(regime=regime, alpha=0.0, p_rule=FixedDimension(1)).validate_grid((2,))
+    with pytest.raises(ValueError, match=r"n \+ a - 2 > 0"):
+        build_g_posterior(regime, stats, 0.5, PriorConstants())
+
+
 def test_every_caller_refuses_the_old_grids():
     refusals = 0
     for regime, n, p, a in PROPRIETY_CASES:
         refused = _old_refusal(regime, n, p, a)
         refusals += refused
         assert (g_regimes.improper_reason(regime, n, p, a) is not None) == refused, (regime, n, p, a)
-        sc = make_scenario(regime=regime, p_rule=FixedDimension(p), beta0_rule=ZerosRule(), prior=PriorConstants(a=a))
+        sc = make_scenario(
+            regime=regime, alpha=0.0, p_rule=FixedDimension(p), beta0_rule=ZerosRule(), prior=PriorConstants(a=a)
+        )
         stats = axis_stats(n, np.zeros(p), 1.0)
         # validate_grid's ScenarioError makes the CLI exit 2
         callers = [
@@ -360,7 +372,7 @@ class TestHyperGPosterior:
         _, stats, diag = _instance()
         post = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR)
         qs = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
-        us = post.quantile_u(qs)
+        us = u_from_g(post.quantile_g(qs), post.u_floor)
         s1 = 0.5 * (stats.n - stats.p + PRIOR.a - 3.0)
         s2 = 0.5 * (stats.p + 3.0 - 2.0)
         w = post.u_floor
@@ -380,7 +392,13 @@ class TestHyperGPosterior:
         _, stats, diag = _instance()
         post = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR)
         with pytest.raises(ValueError):
-            post.quantile_u(1.5)
+            post.quantile_g(1.5)
+
+    def test_sampling_is_quantile_g_at_uniform_draws(self):
+        _, stats, diag = _instance()
+        post = build_g_posterior(HyperG(c=3.0), stats, diag.quad_form, PRIOR)
+        draws = post.sample_g(RngStream(5, ("q",)).generator, 1000)
+        assert draws.tolist() == post.quantile_g(RngStream(5, ("q",)).generator.random(1000)).tolist()
 
 
 class TestZsPosterior:

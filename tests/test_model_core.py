@@ -184,6 +184,13 @@ class TestScenario:
         with pytest.raises(ScenarioError, match=r"\(A2\)"):
             make_scenario(alpha=1.0)
 
+    @pytest.mark.parametrize("p_rule", [SqrtDimension(), FixedDimension(20)], ids=["sqrt", "fixed"])
+    def test_positive_alpha_needs_the_linear_rule(self, p_rule):
+        # under these rules p/n -> 0, but the verdict would read alpha > 0
+        with pytest.raises(ScenarioError, match="linear dimension rule"):
+            make_scenario(alpha=0.5, p_rule=p_rule)
+        assert make_scenario(alpha=0.0, p_rule=p_rule).p_at(400) == 20
+
     def test_sigma0_positive(self):
         with pytest.raises(ScenarioError):
             make_scenario(sigma0_sq=0.0)
@@ -223,7 +230,7 @@ class TestScenario:
 
     def test_validate_grid_eb_needs_spare_df(self):
         # n - p + a - 2 <= 0 at n = 2, p = 1, a = 0
-        sc = make_scenario(regime=EmpiricalBayesG(), p_rule=FixedDimension(1))
+        sc = make_scenario(regime=EmpiricalBayesG(), alpha=0.0, p_rule=FixedDimension(1))
         with pytest.raises(ScenarioError):
             sc.validate_grid((2,))
 
@@ -248,9 +255,12 @@ class TestScenario:
             lambda x: ScaledNormRule(x),
             lambda x: DecayingRule(x, 1.0),
             lambda x: DecayingRule(1.0, x),
+            lambda x: HyperG(c=x),
+            lambda x: DesignSpec(lambda_min=x),
+            lambda x: DesignSpec(lambda_max=x),
         ],
         ids=["fixed_g", "prior_a", "prior_b", "sigma0_sq", "constant_v", "first_m_v", "scaled_norm_target",
-             "decaying_c", "decaying_rate"],
+             "decaying_c", "decaying_rate", "hyper_g_c", "lambda_min", "lambda_max"],
     )
     def test_constructors_reject_non_finite(self, build, value):
         # the JSON reader refuses these values itself; taken from the

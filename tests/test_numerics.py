@@ -1,12 +1,12 @@
-"""Numeric kernels (keyed streams, samplers, log_sum_exp) and the Beta
+"""Numeric kernels (keyed streams, log_sum_exp) and the Beta
 lower-tail oracles in oracles.py."""
+
 
 import math
 
 import numpy as np
 import pytest
 import scipy.special as sp
-import scipy.stats as st
 from hypothesis import given
 from hypothesis import strategies as hst
 
@@ -209,17 +209,6 @@ class TestRngStream:
     def test_bad_path_component_type(self):
         with pytest.raises(TypeError):
             RngStream(1, (3.5,))
-
-    def test_inverse_gamma_mean(self):
-        # IG(10, 9) has mean 1 and sd 9 / (9 sqrt(8))
-        draws = RngStream(4, ("ig",)).inverse_gamma(10.0, 9.0, 100_000)
-        se = (1.0 / math.sqrt(8.0)) / math.sqrt(100_000)
-        assert abs(draws.mean() - 1.0) <= 4 * se
-
-    def test_inverse_gamma_matches_cdf(self):
-        draws = RngStream(8, ("igks",)).inverse_gamma(6.0, 4.0, 20_000)
-        ks = st.kstest(draws, st.invgamma(6.0, scale=4.0).cdf).statistic
-        assert ks < 0.02
 
 
 # ---------------------------------------------------------------------------

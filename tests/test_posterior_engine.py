@@ -167,8 +167,11 @@ class TestSigma2Posterior:
         p, d = stats.p, gamma - sc.beta0_at(2000)
         target = (2000 - p) * sc.sigma0_sq + PRIOR.b + (p * sc.sigma0_sq + 2000.0 * float(d @ d)) / 2001.0
         assert post.cdf(2 * target / 2000) - post.cdf(target / (2 * 2000)) > 0.99
-        draws = RngStream(9, ("mc",)).inverse_gamma(post.args[0], post.kwds["scale"], 100_000)
+        # the MC route's sigma^2 draws, scale / Gamma(shape, 1), follow
+        # scipy's InverseGamma(shape, scale)
+        draws = post.kwds["scale"] / RngStream(9, ("mc",)).generator.standard_gamma(post.args[0], 100_000)
         assert abs(float(draws.mean()) - post.mean()) / post.mean() < 0.01
+        assert st.kstest(draws, post.cdf).statistic < 0.01
         # g -> inf: the quadratic-form contribution to the scale vanishes
         limit = sigma2_posterior(stats, gamma, PRIOR, 1e12)
         assert limit.kwds["scale"] == pytest.approx((stats.resid_ss + PRIOR.b) / 2, rel=1e-9)
@@ -485,7 +488,7 @@ def _mc_oracle_counts(instance, radii, mc_draws, rows):
     for done in range(0, mc_draws, rows):
         m = min(rows, mc_draws - done)
         g = post.sample_g(rng.generator, m)
-        sigma2 = rng.inverse_gamma(shape, 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0)), m)
+        sigma2 = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0)) / rng.generator.standard_gamma(shape, m)
         z = rng.generator.standard_normal((m, stats.p)) / np.sqrt(stats.gram.eigenvalues)
         noise = z if stats.gram.q is None else z @ stats.gram.q.T  # rows of q z / sqrt(e)
         w = g / (g + 1.0)
