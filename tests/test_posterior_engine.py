@@ -523,30 +523,32 @@ class TestMcBlocks:
         assert res.value.tolist() == (counts / 500).tolist()
 
     @staticmethod
-    def _large_rotated_instance():
-        sc = make_scenario(name="rot400", design=DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0))
-        stats = simulate_scenario_stats(sc, 800, 5)
-        gamma = sc.gamma_at(800)
+    def _large_rotated_instance(n):
+        sc = make_scenario(name="rot", design=DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0))
+        stats = simulate_scenario_stats(sc, n, 5)
+        gamma = sc.gamma_at(n)
         post = build_g_posterior(sc.regime, stats, diagnostics(stats, gamma, PRIOR).quad_form, PRIOR)
-        return stats, gamma, post, sc.beta0_at(800)
+        return stats, gamma, post, sc.beta0_at(n)
 
     def test_rotated_working_set_stays_small(self):
-        # p = 400 and 20,000 draws: 30 blocks of 655 draws and a 350-draw
-        # one.  The blocks hold two 2 MB buffers next to the 1.3 MB basis
-        # product; two whole-sample (20,000 x 400) arrays would take 128 MB
-        instance = self._large_rotated_instance()
-        assert instance[0].p == 400
+        # p = 400 and 800 with 2,000 draws: blocks of 655 and 327 draws.
+        # The two 2 MB block buffers are the whole working set, whatever p
+        # is: the basis is read through a view (a scaled p x p copy of it
+        # per call peaked at 5.4 and 9.0 MiB)
         radii = np.array([0.1, 0.2, 0.5])
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            blocked = _mc_call(instance, radii, 20_000)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
-        assert 0.0 < blocked.value[1] < 1.0
+        for n in (800, 1600):
+            instance = self._large_rotated_instance(n)
+            assert instance[0].p == n // 2
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                blocked = _mc_call(instance, radii, 2_000)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 4.5 * 2**20, f"p = {n // 2}: peak {peak / 2**20:.2f} MiB"
+            assert 0.0 < blocked.value[1] < 1.0
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
