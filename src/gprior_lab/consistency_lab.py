@@ -171,14 +171,18 @@ class TheoremVerdict:
 def _offset_norms(scenario: Scenario, n_grid) -> tuple:
     """(ns, sup, sq): the extended grid with ||gamma - beta0||_inf and
     ||gamma - beta0||_2^2 at each n, building each coordinate of each
-    offset once, OFFSET_BLOCK coordinates at a time."""
+    offset at most once, OFFSET_BLOCK coordinates at a time.  The walk
+    stops after the block that holds the end of the longer of the two
+    rules' nonzero prefixes: the blocks after it would add only 0.0, and
+    the blocks walked are the whole walk's, so every bit is the whole
+    walk's."""
     ns = _extended_grid(n_grid)
     gamma, beta0 = scenario.gamma_rule, scenario.beta0_rule
     sup, sq = [], []
     for n in ns:
         p = scenario.p_at(n)
         top = total = 0.0
-        for start in range(0, p, OFFSET_BLOCK):
+        for start in range(0, max(gamma.nonzero_end(n, p), beta0.nonzero_end(n, p)), OFFSET_BLOCK):
             stop = min(start + OFFSET_BLOCK, p)
             d = gamma.values(n, p, start, stop) - beta0.values(n, p, start, stop)
             top = max(top, float(np.max(np.abs(d))))

@@ -179,8 +179,9 @@ def _haar_orthonormal(p: int, rng: RngStream) -> np.ndarray:
 #
 # Each rule's values(n, p, start, stop) gives coordinates [start, stop) of
 # its length-p vector at n (stop defaults to p), bit for bit the slice of
-# the whole vector, so long vectors can be walked in blocks.  Its numeric
-# fields must be finite.
+# the whole vector, so long vectors can be walked in blocks, and
+# nonzero_end(n, p) the end of its nonzero prefix: every coordinate from
+# there on is 0.  Its numeric fields must be finite.
 
 
 def _check_finite(rule, *names) -> None:
@@ -195,6 +196,9 @@ class ZerosRule:
         stop = p if stop is None else stop
         return np.zeros(stop - start)
 
+    def nonzero_end(self, n: int, p: int) -> int:
+        return 0
+
 
 @dataclass(frozen=True)
 class ConstantRule:
@@ -206,6 +210,9 @@ class ConstantRule:
     def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         stop = p if stop is None else stop
         return np.full(stop - start, float(self.v))
+
+    def nonzero_end(self, n: int, p: int) -> int:
+        return p
 
 
 @dataclass(frozen=True)
@@ -227,6 +234,9 @@ class FirstMRule:
         out = np.zeros(stop - start)
         out[: max(0, self.m - start)] = float(self.v)
         return out
+
+    def nonzero_end(self, n: int, p: int) -> int:
+        return min(self.m, p)
 
 
 @dataclass(frozen=True)
@@ -254,6 +264,9 @@ class ScaledNormRule:
         stop = p if stop is None else stop
         return np.full(stop - start, math.sqrt(self._target(n) / p))
 
+    def nonzero_end(self, n: int, p: int) -> int:
+        return p
+
 
 @dataclass(frozen=True)
 class DecayingRule:
@@ -268,6 +281,9 @@ class DecayingRule:
     def values(self, n: int, p: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         stop = p if stop is None else stop
         return float(self.c) * np.arange(start + 1, stop + 1, dtype=float) ** (-float(self.rate))
+
+    def nonzero_end(self, n: int, p: int) -> int:
+        return p
 
 
 # ---------------------------------------------------------------------------

@@ -16,22 +16,25 @@ normal interval probabilities in log space on a sigma^2 quantile grid and
 complements the result, and an 'mc' route that samples (g, sigma^2, beta)
 once and counts, for every radius, the draws whose sup distance exceeds
 it.  The exact route's rule is sigma_grid equal-mass quantile midpoints;
-it evaluates the log-space integrand on min(16, sigma_grid) Chebyshev
-nodes of log sigma^2 spanning the grid and interpolates it onto the grid's
-nodes, with one kernel call per block of g values and radius.  At each
-radius it evaluates log P(inside | g) at nested levels of 9, 17, 33 and 65
-Chebyshev points of the log g span of the g-nodes that take part, and
-interpolates the first level whose coefficient estimate puts the error at
-most 1e-11 onto them; where none does, it evaluates every node.  Given g
-the routes share nothing but the conditional laws above, so each checks
-the other's sigma^2 and beta integration.  Both read the same GPosterior,
-though: exact takes its nodes and weights, mc samples its piecewise-linear
-cdf.  A wrong law of g moves both routes alike and their agreement cannot
-reveal it.
+it evaluates each (g value, radius) row of the log-space integrand at
+nested levels of 9 and 17 Chebyshev points of log sigma^2 spanning the
+grid and interpolates the first level whose coefficient estimate puts the
+error at most 1e-11 onto the grid's nodes (where none does, or the grid
+has at most 9 nodes, it evaluates the grid), with one kernel call per
+block of g values, radius and level.  At each radius it evaluates
+log P(inside | g) at nested levels of 9, 17, 33 and 65 Chebyshev points of
+the log g span of the g-nodes that take part, and interpolates the first
+level whose estimate passes the same test onto them; where none does, it
+evaluates every node.  Given g the routes share nothing but the
+conditional laws above, so each checks the other's sigma^2 and beta
+integration.  Both read the same GPosterior, though: exact takes its
+nodes and weights, mc samples its piecewise-linear cdf.  A wrong law of g
+moves both routes alike and their agreement cannot reveal it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -59,14 +62,20 @@ _ACTIVE_SET_SIGMAS = 8.5
 # together, far below the ~1e-16 rounding of the log-space sum
 _SKIP_MASS = 2.0**-60
 
-# sigma^2 nodes on which the exact route evaluates a pair's integrand: the
-# sum over coordinates of the log interval mass is analytic in log sigma^2,
-# so its values at this many Chebyshev points of the grid's log sigma^2
-# span, interpolated onto the grid, give exceedances within 8.9e-16 of the
-# whole grid's on the shipped scenarios at the defaults and at g_quad=64,
-# sigma_grid=65 and within 6.1e-11 at n = 10 (README "Performance
-# notes").  A grid of at most this many nodes is evaluated itself
-_SIGMA_NODES = 16
+# Chebyshev-Lobatto levels of log sigma^2 at which the exact route
+# evaluates a (g value, radius) row, the sum over coordinates of the log
+# interval mass: it is analytic in log sigma^2, and every g value's sigma^2
+# nodes are one grid scaled by a constant, so its values at a level's
+# points of the grid's log sigma^2 span, interpolated onto the grid, give
+# exceedances within 8.9e-16 of the whole grid's on the shipped scenarios
+# (README "Performance notes").  A row keeps a level when its values are
+# finite and its error estimate, the last three Chebyshev coefficients'
+# magnitudes times the row's largest P(inside | sigma^2), is at most
+# _LEVEL_TOLERANCE; otherwise the next level's new points are evaluated
+# for it, and a row that keeps no level is evaluated on the whole grid, as
+# is every row of a grid of at most 9 nodes.  The levels are nested as
+# _G_LEVELS are
+_SIGMA_LEVELS = (9, 17)
 
 # Chebyshev-Lobatto levels of log g at which the exact route evaluates
 # log P(inside | g) at a radius: it is analytic in log g, so its values at a
@@ -75,13 +84,15 @@ _SIGMA_NODES = 16
 # 2.4e-13 of every node's on the shipped scenarios (README "Performance
 # notes").  A level is kept when every value is finite and its error
 # estimate, the last three Chebyshev coefficients' magnitudes times
-# P(inside), is at most _G_TOLERANCE; otherwise the next level is tried.
-# Each level is the previous one plus its midpoints, whose points it shares
-# bit for bit, so it evaluates only its new points.  Where no level with
-# fewer points than nodes is kept, as for most radii at n <= 30, every node
-# is evaluated
+# P(inside), is at most _LEVEL_TOLERANCE; otherwise the next level is
+# tried.  Each level is the previous one plus its midpoints, whose points
+# it shares bit for bit, so it evaluates only its new points.  Where no
+# level with fewer points than nodes is kept, as for most radii at n <= 30,
+# every node is evaluated
 _G_LEVELS = (9, 17, 33, 65)
-_G_TOLERANCE = 1e-11
+
+# the error estimate at which both axes keep a level
+_LEVEL_TOLERANCE = 1e-11
 
 # elements of one (draws x p) block of Monte Carlo normals.  A cell's
 # stream is read block by block, each block's g, then its sigma^2, then
@@ -97,11 +108,11 @@ _G_TOLERANCE = 1e-11
 # 2**15
 _MC_BLOCK_ELEMENTS = 2**18
 
-# elements of one (g-nodes x evaluated sigma^2 nodes x p) block of the exact
-# route: a block of max(1, this // (sigma^2 nodes x p)) g-nodes shares one
-# kernel call per radius, and five block-sized buffers (hi, lo and the
-# kernel's three scratch slots) are its working set.  The block size
-# changes no bit.  On perfbench's cli_defaults (two threads) 2**15 ran
+# elements of one (g values x first level's sigma^2 points x p) block of
+# the exact route: a block of max(1, this // (points x p)) g values shares
+# one kernel call per radius and level, and five block-sized buffers (hi,
+# lo and the kernel's three scratch slots) are its working set.  The block
+# size changes no bit.  On perfbench's cli_defaults (two threads) 2**15 ran
 # 17.0-20.2 cells/s at 66.0-66.7 MB peak RSS, against 15.4-16.2 at 2**14
 # and 21.2-22.3 at 2**16, whose buffers alone take 2.5 MiB (70 MB RSS)
 _EXACT_BLOCK_ELEMENTS = 2**15
@@ -118,9 +129,10 @@ class BallOptions:
     method: 'auto' (exact when the design is axis-aligned, else mc),
     'exact', or 'mc'.  mc_draws is the Monte Carlo sample size; sigma_grid
     the number of sigma^2 quantile nodes of the exact route's rule (its
-    integrand is evaluated on min(16, sigma_grid) nodes and interpolated
-    onto them); g_quad, if set, subsamples the g-posterior to that many
-    equal-weight quantile nodes instead of using its full grid.
+    integrand is evaluated at 9 or 17 Chebyshev points of log sigma^2 and
+    interpolated onto them, or on the nodes themselves); g_quad, if set,
+    subsamples the g-posterior to that many equal-weight quantile nodes
+    instead of using its full grid.
     """
 
     method: str = "auto"
@@ -180,34 +192,43 @@ def _barycentric_matrix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return interp
 
 
-def _chebyshev_tail(values: np.ndarray) -> float:
-    """|c_{m-3}| + |c_{m-2}| + |c_{m-1}|: the last three Chebyshev
-    coefficients of the polynomial through ``values`` at m Chebyshev-Lobatto
-    points (a discrete cosine transform of type I)."""
-    m = values.size
+@functools.cache
+def _tail_weights(m: int) -> np.ndarray:
+    """The (3 x m) matrix that maps values at m Chebyshev-Lobatto points to
+    the last three Chebyshev coefficients of the polynomial through them
+    (a discrete cosine transform of type I), shared read-only by every
+    caller."""
     c = np.cos(np.pi * np.outer(np.arange(m - 3, m), np.arange(m)) / (m - 1))
     c[:, [0, -1]] *= 0.5
-    coef = (2.0 / (m - 1)) * (c @ values)
-    coef[-1] *= 0.5
-    return float(np.sum(np.abs(coef)))
+    c *= 2.0 / (m - 1)
+    c[-1] *= 0.5
+    c.flags.writeable = False
+    return c
 
 
-def _sigma_nodes(base_nodes: np.ndarray):
-    """The sigma^2 nodes the exact route evaluates and the matrix that maps
-    values on them to the grid ``base_nodes`` (None: the grid itself).
+def _chebyshev_tail(values: np.ndarray) -> np.ndarray:
+    """|c_{m-3}| + |c_{m-2}| + |c_{m-1}| for each row of ``values`` (m
+    values at m Chebyshev-Lobatto points).  Each row's products are summed
+    on their own, so its tail does not depend on the other rows."""
+    return np.sum(np.abs(np.sum(values[..., None, :] * _tail_weights(values.shape[-1]), axis=-1)), axis=-1)
 
-    The nodes are min(_SIGMA_NODES, grid size) Chebyshev-Lobatto points of
-    log sigma^2 spanning the grid, whose first and last are the grid's own
-    end nodes bit for bit; the (grid x nodes) barycentric matrix
+
+def _sigma_levels(base_nodes: np.ndarray) -> list:
+    """(points, matrix) for each level of _SIGMA_LEVELS with fewer points
+    than the grid ``base_nodes``: the level's Chebyshev-Lobatto points of log
+    sigma^2 spanning the grid, whose first and last are the grid's own end
+    nodes bit for bit, and the (grid x points) barycentric matrix that
     interpolates a polynomial of log sigma^2 through them."""
-    m = min(_SIGMA_NODES, base_nodes.size)
-    if m == base_nodes.size:
-        return base_nodes, None
     x = np.log(base_nodes)
-    t = _chebyshev_lobatto(x[0], x[-1], m)
-    nodes = np.exp(t)
-    nodes[0], nodes[-1] = base_nodes[0], base_nodes[-1]
-    return nodes, _barycentric_matrix(x, t)
+    levels = []
+    for m in _SIGMA_LEVELS:
+        if m >= base_nodes.size:
+            break
+        t = _chebyshev_lobatto(x[0], x[-1], m)
+        points = np.exp(t)
+        points[[0, -1]] = base_nodes[[0, -1]]
+        levels.append((points, _barycentric_matrix(x, t)))
+    return levels
 
 
 def _block_log_values(epsilon: float, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -269,16 +290,23 @@ def _exact_ball_probabilities(
     previous level lacks, and a barycentric matrix interpolates the m
     values onto the nodes.  The first level whose values are finite and
     whose last three Chebyshev coefficients' magnitudes times P(inside) are
-    at most _G_TOLERANCE is kept; if none is, the helper runs on every
+    at most _LEVEL_TOLERANCE is kept; if none is, the helper runs on every
     node.  Each radius is decided on its own, so a one-radius call gives
     the bits of a grid call.
 
     The helper takes g values in blocks of max(1, _EXACT_BLOCK_ELEMENTS //
-    (evaluated sigma^2 nodes x p)) and runs the kernel once per block, over
-    the union of the block's active coordinates, with the conditional sds
-    of just those nodes and coordinates.  Each node's sum runs over its own
-    active coordinates in their order, as a one-node block's would, so no
-    bit depends on the block a node falls in.
+    (first level's sigma^2 points x p)).  A block's rows (one per g value,
+    over sigma^2) are evaluated at the first level of _SIGMA_LEVELS with
+    fewer points than the grid; the rows whose values are finite and whose
+    estimate, as for g but times the row's largest P(inside | sigma^2), is
+    at most _LEVEL_TOLERANCE are interpolated onto the grid, and the others
+    take the next level's new points, one kernel run for all of them, and
+    the same test.  A row no level keeps is evaluated on the whole grid.
+    Every kernel run covers the union of its g values' active coordinates,
+    with the conditional sds of just those values and coordinates, but each
+    g value's sum runs over its own active coordinates in their order and
+    each row is decided from its own values, as in a one-value block, so no
+    bit depends on the block a g value falls in.
     """
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
@@ -288,65 +316,93 @@ def _exact_ball_probabilities(
     # the top bin would be represented by a near-extreme sigma^2 quantile
     m = opts.sigma_grid
     base_nodes = 1.0 / gammainccinv(shape, (np.arange(m) + 0.5) / m)  # IG(shape, 1) quantiles, ascending
-    nodes, interp = _sigma_nodes(base_nodes)
+    levels = _sigma_levels(base_nodes)
     log_sig_w = np.log(np.full(m, 1.0 / m))
     inv_e = 1.0 / stats.gram.eigenvalues
     g_nodes, g_weights = _g_nodes_and_weights(post, opts.g_quad)
     with np.errstate(divide="ignore"):
         log_g_w = np.log(g_weights)
     skip_below = math.log(_SKIP_MASS / g_nodes.size)
-    s, p = nodes.size, stats.p
+    # a block's first kernel run evaluates the first level's points, or the
+    # grid where no level is tried
+    s, p = (levels[0][0] if levels else base_nodes).size, stats.p
     block = max(1, _EXACT_BLOCK_ELEMENTS // (s * p))
-    # reused by every block: hi, lo and the kernel's scratch (two tails,
-    # result), where the result slot holds the conditional sds until the
-    # kernel overwrites it
+    # reused by every kernel run that fits them: hi, lo and the kernel's
+    # scratch (two tails, result), where the result slot holds the
+    # conditional sds until the kernel overwrites it
     buffers = np.empty(5 * s * block * p)
 
     def geometry(g):
         gg = g / (g + 1.0)
         delta = gg[:, None] * stats.beta_hat + (1.0 - gg)[:, None] * gamma - center
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
-        sigma2 = scale[:, None] * nodes
-        reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg[:, None] * sigma2[:, -1:] * inv_e)
-        return gg, delta, scale, sigma2, reach
+        reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg[:, None] * (scale * base_nodes[-1])[:, None] * inv_e)
+        return gg, delta, scale, reach
+
+    def rows_at(nodes, epsilon, gg, delta, scale, act):
+        # (g values x nodes): each g value's sum over its own active
+        # coordinates (its row of act) of the log interval mass at the
+        # sigma^2 nodes, one kernel run per chunk of g values that fits the
+        # buffers (a lone g value too large for them gets its own), over the
+        # union of the chunk's active coordinates
+        rows = np.empty((gg.size, nodes.size))
+        per = max(1, buffers.size // (5 * nodes.size * p))
+        for start in range(0, gg.size, per):
+            chunk = slice(start, start + per)
+            own = np.count_nonzero(act[chunk], axis=1)
+            cols = slice(None) if np.max(own) == p else np.flatnonzero(np.any(act[chunk], axis=0))
+            inv_e_cols = inv_e[cols]
+            dims = (5, own.size, nodes.size, inv_e_cols.size)
+            size = math.prod(dims)
+            work = (buffers[:size] if size <= buffers.size else np.empty(size)).reshape(dims)
+            sd = np.multiply(np.multiply.outer(scale[chunk], nodes)[:, :, None], inv_e_cols, out=work[4])
+            np.sqrt(np.multiply(gg[chunk, None, None], sd, out=sd), out=sd)
+            values = _block_log_values(epsilon, delta[chunk][:, cols], sd, work)
+            rows[chunk] = np.sum(values, axis=2)
+            for i in np.flatnonzero(own < inv_e_cols.size):
+                rows[start + i] = np.sum(np.take(values[i], np.flatnonzero(act[start + i][cols]), axis=1), axis=1)
+        return rows
+
+    def grid_rows(epsilon, gg, delta, scale, act):
+        # each g value's row on the grid, from the first level that keeps it
+        rows = np.empty((gg.size, base_nodes.size))
+        todo, values = np.arange(gg.size), None
+        for points, interp in levels:
+            if todo.size == 0:
+                break
+            if values is None:
+                values = rows_at(points, epsilon, gg, delta, scale, act)
+            else:
+                # the previous level's points are this one's even-index points
+                finer = np.empty((todo.size, points.size))
+                finer[:, ::2] = values
+                finer[:, 1::2] = rows_at(points[1::2], epsilon, gg[todo], delta[todo], scale[todo], act[todo])
+                values = finer
+            finite = np.all(np.isfinite(values), axis=1)
+            safe = np.where(finite[:, None], values, 0.0)
+            keep = finite & (_chebyshev_tail(safe) * np.exp(np.max(safe, axis=1)) <= _LEVEL_TOLERANCE)
+            # one matrix-vector product per row, as for a one-row block
+            rows[todo[keep]] = np.matmul(interp, values[keep][:, :, None])[:, :, 0]
+            todo, values = todo[~keep], values[~keep]
+        # a row no level keeps, a -inf one among them (no polynomial passes
+        # through it), is evaluated on the grid
+        if todo.size:
+            rows[todo] = rows_at(base_nodes, epsilon, gg[todo], delta[todo], scale[todo], act[todo])
+        return rows
 
     def log_p_inside(g_values, epsilon):
         # log P(inside | g) at radius epsilon for each g > 0 of g_values
         out = np.zeros(g_values.size)
         for start in range(0, g_values.size, block):
-            gg, delta, scale, sigma2, reach = geometry(g_values[start : start + block])
+            gg, delta, scale, reach = geometry(g_values[start : start + block])
             active = (epsilon - np.abs(delta)) < reach
-            counts = np.count_nonzero(active, axis=1)
-            run = np.flatnonzero(counts)
+            run = np.flatnonzero(np.any(active, axis=1))
             if run.size == 0:
                 continue
-            # views, not copies, where every node or every coordinate takes part
-            sel = slice(None) if run.size == counts.size else run
-            act, own = active[sel], counts[sel]
-            cols = slice(None) if np.max(own) == p else np.flatnonzero(np.any(act, axis=0))
-            inv_e_cols = inv_e[cols]
-            m = inv_e_cols.size
-            work = buffers[: 5 * run.size * s * m].reshape(5, run.size, s, m)
-            sd = np.multiply(sigma2[sel, :, None], inv_e_cols, out=work[4])
-            np.sqrt(np.multiply(gg[sel, None, None], sd, out=sd), out=sd)
-            values = _block_log_values(epsilon, delta[sel][:, cols], sd, work)
-            log_rows = np.sum(values, axis=2)
-            for i in np.flatnonzero(own < m):
-                log_rows[i] = np.sum(np.take(values[i], np.flatnonzero(act[i][cols]), axis=1), axis=1)
-            if interp is not None:
-                finite = np.all(np.isfinite(log_rows), axis=1)
-                # one matrix-vector product per node, as for a one-node block
-                grid_rows = np.matmul(interp, np.where(finite[:, None], log_rows, 0.0)[:, :, None])[:, :, 0]
-                for i in np.flatnonzero(~finite):
-                    # a -inf row has no polynomial through it: the node is
-                    # evaluated on the whole grid
-                    k, own_cols = run[i], np.flatnonzero(act[i])
-                    full = np.empty((5, 1, base_nodes.size, own_cols.size))
-                    np.multiply.outer(scale[k] * base_nodes, inv_e[own_cols], out=full[4, 0])
-                    np.sqrt(np.multiply(gg[k], full[4], out=full[4]), out=full[4])
-                    grid_rows[i] = np.sum(_block_log_values(epsilon, delta[k, own_cols][None], full[4], full), axis=2)[0]
-                log_rows = grid_rows
-            out[start : start + block][sel] = log_sum_exp(log_sig_w + log_rows, axis=1)
+            # views, not copies, where every g value takes part
+            sel = slice(None) if run.size == gg.size else run
+            rows = grid_rows(epsilon, gg[sel], delta[sel], scale[sel], active[sel])
+            out[start : start + block][sel] = log_sum_exp(log_sig_w + rows, axis=1)
         return out
 
     # log P(inside | g-node) per radius; at g = 0 beta sits at gamma
@@ -357,7 +413,7 @@ def _exact_ball_probabilities(
     positive = live[g_nodes[live] > 0.0]
     some = np.empty((eps.size, positive.size), dtype=bool)
     for start in range(0, positive.size, block):
-        _, delta, _, _, reach = geometry(g_nodes[positive[start : start + block]])
+        _, delta, _, reach = geometry(g_nodes[positive[start : start + block]])
         active = (eps[:, None, None] - np.abs(delta)) < reach
         some[:, start : start + block] = np.any(active, axis=2)
 
@@ -379,7 +435,7 @@ def _exact_ball_probabilities(
             if not np.all(np.isfinite(values)):
                 return False
             log_total[j, run] = _barycentric_matrix(x, t) @ values
-            if _chebyshev_tail(values) * math.exp(log_sum_exp(log_g_w + log_total[j])) <= _G_TOLERANCE:
+            if _chebyshev_tail(values) * math.exp(log_sum_exp(log_g_w + log_total[j])) <= _LEVEL_TOLERANCE:
                 return True
         return False
 

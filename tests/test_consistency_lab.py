@@ -3,6 +3,7 @@ runner, and the simulation-backed concentration checks."""
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -121,31 +122,39 @@ class TestLimitClassification:
 
 
 class _CountingRule:
-    """A coefficient rule that records (n, start, stop) of every evaluation."""
+    """A coefficient rule that records (n, start, stop) of every evaluation.
+    With ``whole`` it says its nonzero prefix is its whole vector, so the
+    offset walk covers every coordinate."""
 
-    def __init__(self, rule):
+    def __init__(self, rule, whole=False):
         self.rule = rule
+        self.whole = whole
         self.calls = []
 
     def values(self, n, p, start=0, stop=None):
         self.calls.append((n, start, p if stop is None else stop))
         return self.rule.values(n, p, start, stop)
 
+    def nonzero_end(self, n, p):
+        return p if self.whole else self.rule.nonzero_end(n, p)
+
 
 class TestVerdicts:
     @pytest.mark.parametrize("regime", [FixedG(rule="n"), EmpiricalBayesG(), ZellnerSiowG()])
     def test_offset_built_once_per_n(self, regime):
-        # every coordinate of each n's offset is built once, in blocks
-        # that tile [0, p) in order
-        beta0, gamma = _CountingRule(FirstMRule(1.0, 3)), _CountingRule(ZerosRule())
-        sc = make_scenario(regime=regime, beta0_rule=beta0, gamma_rule=gamma)
-        predict_verdict(sc, GRID)
-        expected = []
-        for n in _extended_grid(GRID):
-            p = sc.p_at(n)
-            expected += [(n, lo, min(lo + OFFSET_BLOCK, p)) for lo in range(0, p, OFFSET_BLOCK)]
-        assert beta0.calls == expected
-        assert gamma.calls == expected
+        # every coordinate of each n's offset is built at most once, in
+        # blocks that tile [0, p) in order up to the one holding the last
+        # coordinate of either rule's nonzero prefix
+        for end, beta0 in [(3, FirstMRule(1.0, 3)), (None, ConstantRule(0.5))]:
+            beta0, gamma = _CountingRule(beta0), _CountingRule(ZerosRule())
+            sc = make_scenario(regime=regime, beta0_rule=beta0, gamma_rule=gamma)
+            predict_verdict(sc, GRID)
+            expected = []
+            for n in _extended_grid(GRID):
+                p = sc.p_at(n)
+                expected += [(n, lo, min(lo + OFFSET_BLOCK, p)) for lo in range(0, end or p, OFFSET_BLOCK)]
+            assert beta0.calls == expected
+            assert gamma.calls == expected
 
     def test_fixed_growing_g_is_consistent(self):
         v = predict_verdict(make_scenario(regime=FixedG(rule="n")), GRID)
@@ -271,6 +280,39 @@ class TestOffsetNorms:
         sc = make_scenario(beta0_rule=beta0, gamma_rule=gamma, alpha=0.0, p_rule=FixedDimension(50))
         _assert_norms_match_oracle(sc, (100, 400))
 
+    @pytest.mark.parametrize(
+        "beta0, gamma",
+        [
+            (ZerosRule(), ZerosRule()),
+            (FirstMRule(1.0, 3), ZerosRule()),
+            (ZerosRule(), FirstMRule(-0.5, 20)),
+            (FirstMRule(1.0, 3), FirstMRule(0.5, 20)),
+            (FirstMRule(2.0, 0), ConstantRule(0.2)),
+            (ScaledNormRule("sqrt_n"), FirstMRule(1.0, 9)),
+            (DecayingRule(1.0, 0.5), ZerosRule()),
+        ],
+    )
+    def test_walk_stops_at_the_last_nonzero_block(self, monkeypatch, beta0, gamma):
+        # against the whole walk, bit for bit, in blocks of 7 over p = 50:
+        # a first_m run of 20 spans three blocks, and mixed rules walk to
+        # the larger of their ends
+        monkeypatch.setattr(consistency_lab, "OFFSET_BLOCK", 7)
+        kw = dict(alpha=0.0, p_rule=FixedDimension(50))
+
+        def walk(whole):
+            # the profile and the number of blocks walked per n
+            rule = _CountingRule(beta0, whole)
+            norms = _offset_norms(make_scenario(beta0_rule=rule, gamma_rule=_CountingRule(gamma, whole), **kw), (100, 400))
+            return norms, len(rule.calls) // len(norms[0])
+
+        (short, walked), (full, every) = walk(False), walk(True)
+        assert short == full
+        end = max(beta0.nonzero_end(100, 50), gamma.nonzero_end(100, 50))
+        assert (walked, every) == (-(-end // 7), 8)
+        # first_m still refuses m > p
+        with pytest.raises(model_core.ScenarioError, match="needs p >= 51"):
+            _offset_norms(make_scenario(beta0_rule=FirstMRule(1.0, 51), gamma_rule=gamma, **kw), (100, 400))
+
     def test_verdict_working_set_stays_small(self):
         # the extended grid reaches p = 1,638,400: whole offset vectors
         # would hold tens of megabytes
@@ -310,6 +352,18 @@ def report_pair():
     return r1, r8
 
 
+# sha256 of each shipped scenario's canonical_json() in
+# TestRunExperiment::test_shipped_reports_keep_their_bytes
+SHIPPED_DIGESTS = {
+    "eb_diverging_norm_alpha05": "6c1c2b23df1955f82d092bb1efdfcccbd67cb15b102a9cd2d091a55f1ec098b2",
+    "eb_fixed_offset_alpha05": "0571e9aa0332c137ff8749094e89b9faae3c91815d2fcc231cb7e724686d2ff2",
+    "eb_fixed_offset_alpha0_sqrtp": "45f28d0955c0025af432516c9d9e4d74d8c5753a64e0e4c79babd66d9b0f0d5a",
+    "fixed_gn_unit_info_alpha05": "395c84ca0fa7bffc8ad94169b1b81425586224509a50e54ddb6db58ee78fd9bb",
+    "hyperg_fixed_offset_alpha05": "96fa8245fbb297aa452272856a7b420858845f9a372df4f062ceed418acd9d82",
+    "zs_fixed_offset_alpha05": "cc0735b68d09f3ed5d5a1389ec9b1f4746611cf591db23458970cd3ef98b157c",
+}
+
+
 class TestRunExperiment:
 
     def test_thread_count_does_not_change_payload(self, report_pair):
@@ -339,6 +393,21 @@ class TestRunExperiment:
         cells = json.loads(runs[0])["cells"]
         assert {c["method"] for c in cells} == {"mc"}
         assert any(0.0 < c["prob"] < 1.0 for c in cells)
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+    def test_shipped_reports_keep_their_bytes(self, path):
+        # the sha256 of canonical_json() on a small exact-route grid, with
+        # lemmas, at threads 1 and 8.  A change that moves a bit on purpose
+        # updates the digest and says why; rotated (Monte Carlo) runs are
+        # left out, since their last bits depend on the BLAS build
+        runs = [
+            run_experiment(
+                load_scenario(path), (50, 100, 200), (0.1, 0.5), reps=2, master_seed=20260815,
+                threads=threads, ball_options=BallOptions(method="exact"), include_lemmas=True,
+            ).canonical_json()
+            for threads in (1, 8)
+        ]
+        assert {hashlib.sha256(run.encode()).hexdigest() for run in runs} == {SHIPPED_DIGESTS[path.stem]}
 
     def test_cells_are_handed_out_largest_n_first(self, monkeypatch):
         # the costliest cells start first, so no thread is left with one

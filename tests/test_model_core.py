@@ -192,6 +192,12 @@ class TestRules:
         assert np.array_equal(whole, rule.values(1000, p, 0, p))
         block = rule.values(1000, p, start, stop)
         assert block.dtype == whole.dtype and block.tobytes() == whole[start:stop].tobytes()
+        # every coordinate past the nonzero prefix is 0: zeros has none,
+        # first_m ends at m, the others at p
+        end = rule.nonzero_end(1000, p)
+        kind = type(rule)
+        assert end == (0 if kind is ZerosRule else min(rule.m, p) if kind is FirstMRule else p)
+        assert not np.any(whole[end:])
 
     @pytest.mark.parametrize("start, stop", [(0, None), (0, 2), (2, 3), (3, 3)])
     def test_first_m_exceeding_p_raises_for_any_block(self, start, stop):

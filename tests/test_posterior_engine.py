@@ -555,8 +555,16 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 CLI_RADII = np.array([0.05, 0.1, 0.2, 0.5])
 MIXTURES = ("hyperg_fixed_offset_alpha05", "zs_fixed_offset_alpha05")
 # as _G_LEVELS there is no level to try, so the route evaluates every
-# g-node: the oracle for its interpolation in log g
-EVERY_G_NODE = ()
+# g-node: the oracle for its interpolation in log g; as _SIGMA_LEVELS it
+# evaluates every sigma^2 grid node, the oracle for its interpolation in
+# log sigma^2
+EVERY_G_NODE = WHOLE_GRID = ()
+
+
+def _first_sigma_points(opts: BallOptions) -> int:
+    """The sigma^2 points of a g value's first kernel run: the first
+    level's, or the grid's where no level has fewer points than it."""
+    return min(posterior_engine._SIGMA_LEVELS[0], opts.sigma_grid)
 
 
 @functools.cache
@@ -589,16 +597,17 @@ def _cli_unskipped(name: str, n: int = 100) -> np.ndarray:
 
 
 def _count_kernel_pairs(monkeypatch) -> tuple:
-    """Record every run of the exact kernel proper, a _log_interval_prob
-    call on one (g values, evaluated sigma^2 nodes, active p) block, as its
-    number of (g value, radius) pairs, where a g value is a g-node or a
-    Chebyshev point of log g; a whole-grid evaluation of a pair with a
-    non-finite row is not a kernel run.  Also record the level (number of
-    Chebyshev points) of every set of log g values whose error the route
-    estimates.  Returns the two lists (pairs, levels)."""
+    """Record every run of the exact kernel at the first sigma^2 level, a
+    _log_interval_prob call on one (g values, 9 sigma^2 points, active p)
+    block, which every (g value, radius) pair reaching the kernel takes
+    once, as its number of such pairs, where a g value is a g-node or a
+    Chebyshev point of log g; a pair's runs at the second level's
+    midpoints or on the whole grid are not counted.  Also record the level
+    (number of Chebyshev points) of every set of log g values whose error
+    the route estimates.  Returns the two lists (pairs, levels)."""
     pairs, levels = [], []
     kernel, tail = posterior_engine._log_interval_prob, posterior_engine._chebyshev_tail
-    rows = min(posterior_engine._SIGMA_NODES, BallOptions().sigma_grid)
+    rows = _first_sigma_points(BallOptions())
 
     def counting(hi, lo, scratch):
         if hi.ndim == 3 and hi.shape[1] == rows:
@@ -606,7 +615,9 @@ def _count_kernel_pairs(monkeypatch) -> tuple:
         return kernel(hi, lo, scratch)
 
     def estimating(values):
-        levels.append(values.size)
+        # a 2-D array holds sigma^2 rows
+        if values.ndim == 1:
+            levels.append(values.size)
         return tail(values)
 
     monkeypatch.setattr(posterior_engine, "_log_interval_prob", counting)
@@ -671,17 +682,17 @@ class TestSkipRule:
 CAPPED = BallOptions(method="exact", g_quad=64, sigma_grid=65)
 
 
-def _exact_with_rows(cell, radii, opts, sigma_nodes=None, levels=None):
-    """The exact route's exceedances, and the first and last row of every
-    (g value, radius) pair that reaches the kernel, over the columns of its
-    block's kernel call.  ``sigma_nodes`` overrides the evaluated node
-    count, with the block elements scaled so that the blocks hold the same
-    g values; at sigma_grid or above the route evaluates the whole grid,
-    the oracle for the rest.  ``levels`` overrides _G_LEVELS."""
+def _exact_with_rows(cell, radii, opts, whole_grid=False, levels=None):
+    """The exact route's exceedances, and the first and last sigma^2 point
+    of every (g value, radius) pair that reaches the kernel, over the
+    columns of its first kernel run.  With ``whole_grid`` the route
+    evaluates every sigma^2 grid node, the oracle for the rest, with the
+    block elements scaled so that the blocks hold the same g values.
+    ``levels`` overrides _G_LEVELS."""
     rows = []
     kernel = posterior_engine._log_interval_prob
-    default = min(posterior_engine._SIGMA_NODES, opts.sigma_grid)
-    evaluated = min(sigma_nodes or posterior_engine._SIGMA_NODES, opts.sigma_grid)
+    first = _first_sigma_points(opts)
+    evaluated = opts.sigma_grid if whole_grid else first
 
     def recording(hi, lo, scratch):
         out = kernel(hi, lo, scratch)
@@ -692,18 +703,20 @@ def _exact_with_rows(cell, radii, opts, sigma_nodes=None, levels=None):
     with pytest.MonkeyPatch.context() as mp:
         if levels is not None:
             mp.setattr(posterior_engine, "_G_LEVELS", levels)
-        if sigma_nodes is not None:
-            mp.setattr(posterior_engine, "_SIGMA_NODES", sigma_nodes)
-            block = posterior_engine._EXACT_BLOCK_ELEMENTS * evaluated // default
+        if whole_grid:
+            mp.setattr(posterior_engine, "_SIGMA_LEVELS", WHOLE_GRID)
+            block = posterior_engine._EXACT_BLOCK_ELEMENTS * evaluated // first
             mp.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", block)
         mp.setattr(posterior_engine, "_log_interval_prob", recording)
         value = sup_ball_probability(*cell, radii, opts).value
     return value, rows
 
 
-# the bits of sigma^2 grids of at most _SIGMA_NODES nodes, which the route
-# evaluates node by node, when every g-node is evaluated too (rep 0,
-# n = 100, CLI radii); they predate both interpolations
+# the bits of the whole-grid rule on sigma^2 grids of 3 and 16 nodes when
+# every g-node is evaluated too (rep 0, n = 100, CLI radii); they predate
+# both interpolations.  A grid of 3 nodes is evaluated itself; on one of
+# 16 each row keeps the 9-point level or is evaluated on the grid, which
+# here moves no bit
 SMALL_GRID_BITS = {
     ("hyperg_fixed_offset_alpha05", 3): ["0x1.fffffffffd5c2p-1", "0x1.fde31ad3f0ebcp-1", "0x1.1bc422a514321p-8"],
     ("hyperg_fixed_offset_alpha05", 16): ["0x1.fffffffffd58dp-1", "0x1.fde2909564cefp-1", "0x1.298f703fcda3dp-8"],
@@ -713,27 +726,32 @@ SMALL_GRID_BITS = {
 
 
 class TestSigmaInterpolation:
-    """The exact route evaluates each pair's integrand on _SIGMA_NODES
-    Chebyshev nodes of log sigma^2 and interpolates it onto the quantile
-    grid; the oracle is the same route evaluating every grid node."""
+    """The exact route evaluates each pair's integrand at nested levels of
+    Chebyshev points of log sigma^2 (_SIGMA_LEVELS) and interpolates the
+    first level its estimate keeps onto the quantile grid; the oracle is
+    the same route evaluating every grid node."""
 
     @pytest.mark.parametrize("shape", [0.5, 1.0, 49.0, 1600.0])
     @pytest.mark.parametrize("sigma_grid", [17, 65, 129])
     def test_interpolation_matrix(self, shape, sigma_grid):
         probs = (np.arange(sigma_grid) + 0.5) / sigma_grid
         base_nodes = 1.0 / sp.gammainccinv(shape, probs)
-        nodes, interp = posterior_engine._sigma_nodes(base_nodes)
-        m = posterior_engine._SIGMA_NODES
-        assert nodes.shape == (m,) and interp.shape == (sigma_grid, m)
-        assert nodes[0] == base_nodes[0] and nodes[-1] == base_nodes[-1]
-        assert np.all(np.diff(nodes) > 0.0)
-        assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
-        # every polynomial of degree < m in log sigma^2, as Chebyshev
-        # polynomials on the grid's span (so each is bounded by 1 there)
-        x, t = np.log(base_nodes), np.log(nodes)
-        for degree in range(m):
-            poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
-            assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12
+        levels = posterior_engine._sigma_levels(base_nodes)
+        # a level is tried only while it has fewer points than the grid
+        assert [nodes.size for nodes, _ in levels] == [m for m in posterior_engine._SIGMA_LEVELS if m < sigma_grid]
+        x = np.log(base_nodes)
+        for nodes, interp in levels:
+            m = nodes.size
+            assert interp.shape == (sigma_grid, m)
+            assert nodes[0] == base_nodes[0] and nodes[-1] == base_nodes[-1]
+            assert np.all(np.diff(nodes) > 0.0)
+            assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
+            # every polynomial of degree < m in log sigma^2, as Chebyshev
+            # polynomials on the grid's span (so each is bounded by 1 there)
+            t = np.log(nodes)
+            for degree in range(m):
+                poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
+                assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12
 
     @pytest.mark.parametrize(
         "opts, ns, radii",
@@ -748,20 +766,21 @@ class TestSigmaInterpolation:
             for n in ns:
                 cell = _cli_default_cell(path.stem, n)
                 value, rows = _exact_with_rows(cell, radii, opts)
-                grid, grid_rows = _exact_with_rows(cell, radii, opts, sigma_nodes=opts.sigma_grid)
+                grid, grid_rows = _exact_with_rows(cell, radii, opts, whole_grid=True)
                 assert np.max(np.abs(value - grid)) <= 1e-12, (path.stem, n)
                 assert rows and rows == grid_rows, (path.stem, n)
 
     @pytest.mark.parametrize("n", [10, 16, 30])
     def test_matches_the_whole_grid_at_small_n(self, n):
         # at small n the sigma^2 posterior is wide and the integrand least
-        # polynomial: the worst seen was 6.1e-11 at n = 10
+        # polynomial, and most rows take 17 points or the whole grid: the
+        # worst seen was 2.2e-14 at n = 16
         radii = np.array([0.05, 0.1, 0.2, 0.5, 1.0, 2.0])
         opts = BallOptions(method="exact")
         for path in sorted(SCENARIOS.glob("*.json")):
             cell = _cli_default_cell(path.stem, n)
             value, _ = _exact_with_rows(cell, radii, opts)
-            grid, _ = _exact_with_rows(cell, radii, opts, sigma_nodes=opts.sigma_grid)
+            grid, _ = _exact_with_rows(cell, radii, opts, whole_grid=True)
             assert np.max(np.abs(value - grid)) <= 1e-9, path.stem
 
     @pytest.mark.parametrize("name, sigma_grid", sorted(SMALL_GRID_BITS))
@@ -788,7 +807,7 @@ class TestSigmaInterpolation:
             value, rows = _exact_with_rows(cell, radii, opts)
         (first, last), = [np.frombuffer(r).reshape(2, 2) for r in rows]
         assert first[0] == -np.inf and np.isfinite(last[0])
-        grid, _ = _exact_with_rows(cell, radii, opts, sigma_nodes=opts.sigma_grid)
+        grid, _ = _exact_with_rows(cell, radii, opts, whole_grid=True)
         assert np.isfinite(value[0]) and 0.0 < value[0] < 1.0
         assert value.tobytes() == grid.tobytes()
 
@@ -852,7 +871,7 @@ class TestExactBlocks:
         cell, opts, radii = self.CELLS[key]()
         post, stats = cell[0], cell[1]
         nodes = opts.g_quad or post.quadrature()[0].size
-        rows = min(posterior_engine._SIGMA_NODES, opts.sigma_grid) * stats.p
+        rows = _first_sigma_points(opts) * stats.p
         default = sup_ball_probability(*cell, radii, opts).value
         assert np.any((0.0 < default) & (default < 1.0))
         for per_block in (1, 7, nodes):
@@ -866,7 +885,7 @@ class TestExactBlocks:
 
         def recording(hi, lo, scratch):
             out = kernel(hi, lo, scratch)
-            if hi.ndim == 3 and hi.shape[1] == posterior_engine._SIGMA_NODES:
+            if hi.ndim == 3 and hi.shape[1] == _first_sigma_points(BallOptions()):
                 first_rows.append(np.isfinite(out[:, 0]).all(axis=1).tolist())
             return out
 
@@ -909,14 +928,15 @@ SUITE_RADII = np.array([0.1, 0.5])
 
 
 def _record_tails(monkeypatch) -> list:
-    """Record the coefficient tail of every set of Chebyshev values of log
-    g, one per level that the route estimates."""
+    """Record (values, tail) of every level the route estimates: the
+    Chebyshev values of one level of log g (1-D, one tail), or the rows of
+    one level of log sigma^2 (2-D, one tail per row)."""
     tails = []
     tail = posterior_engine._chebyshev_tail
 
     def recording(values):
-        tails.append(tail(values))
-        return tails[-1]
+        tails.append((values, tail(values)))
+        return tails[-1][1]
 
     monkeypatch.setattr(posterior_engine, "_chebyshev_tail", recording)
     return tails
@@ -932,11 +952,34 @@ def _narrow_cell():
     return post, stats, np.zeros(1), np.array([1e-3])
 
 
+# the estimate checks keep every level whatever its estimate, on one axis
+# at a time: the other axis is held at one level, kept wherever its values
+# are finite, so that both runs compared evaluate the same function there
+HELD_SIGMA_LEVELS, HELD_G_LEVELS = (17,), (9,)
+
+
 @functools.cache
 def _every_node(name: str, n: int, opts: BallOptions, radii: tuple) -> np.ndarray:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(posterior_engine, "_G_LEVELS", EVERY_G_NODE)
+        mp.setattr(posterior_engine, "_SIGMA_LEVELS", HELD_SIGMA_LEVELS)
+        mp.setattr(posterior_engine, "_LEVEL_TOLERANCE", math.inf)
         return sup_ball_probability(*_cli_default_cell(name, n), np.array(radii), opts).value
+
+
+def _grid_rows(monkeypatch, sigma_grid: int) -> list:
+    """Record the sigma^2 rows on the grid, with their log weights added,
+    that the route sums into log P(inside | g), one array per block."""
+    rows = []
+    log_sum_exp = posterior_engine.log_sum_exp
+
+    def recording(values, axis=None):
+        if axis == 1 and values.shape[1] == sigma_grid:
+            rows.append(values)
+        return log_sum_exp(values, axis)
+
+    monkeypatch.setattr(posterior_engine, "log_sum_exp", recording)
+    return rows
 
 
 class TestGInterpolation:
@@ -976,14 +1019,24 @@ class TestGInterpolation:
     @given(lo=hst.floats(-50.0, 50.0), width=hst.floats(1e-6, 100.0))
     def test_levels_are_nested(self, lo, width):
         # each level's points are the next level's even-index points, bit
-        # for bit, so the route evaluates only the new ones
+        # for bit, so the route evaluates only the new ones: on log g and
+        # on log sigma^2, whose points run from the grid's own end nodes
         hi = lo + width
-        for m, finer in zip(LEVELS, LEVELS[1:]):
-            assert finer == 2 * m - 1
-            coarse = posterior_engine._chebyshev_lobatto(lo, hi, m)
-            fine = posterior_engine._chebyshev_lobatto(lo, hi, finer)
+        sigma_levels = posterior_engine._SIGMA_LEVELS
+        for levels in (LEVELS, sigma_levels):
+            for m, finer in zip(levels, levels[1:]):
+                assert finer == 2 * m - 1
+                coarse = posterior_engine._chebyshev_lobatto(lo, hi, m)
+                fine = posterior_engine._chebyshev_lobatto(lo, hi, finer)
+                assert coarse.tobytes() == fine[::2].tobytes()
+                assert np.exp(coarse).tobytes() == np.exp(fine[::2]).tobytes()
+        grid = np.exp(np.linspace(lo, hi, 129))
+        points = [nodes for nodes, _ in posterior_engine._sigma_levels(grid)]
+        assert [nodes.size for nodes in points] == list(sigma_levels)
+        for coarse, fine in zip(points, points[1:]):
             assert coarse.tobytes() == fine[::2].tobytes()
-            assert np.exp(coarse).tobytes() == np.exp(fine[::2]).tobytes()
+        for nodes in points:
+            assert (nodes[0], nodes[-1]) == (grid[0], grid[-1])
 
     @pytest.mark.parametrize(
         "opts, ns, radii",
@@ -1062,11 +1115,15 @@ class TestGInterpolation:
         ids=[f"cli-{n}" for n in (10, 16, 30, 100, 200, 400)] + [f"suite-{n}" for n in (200, 800, 3200)],
     )
     def test_estimate_bounds_the_error(self, monkeypatch, n, opts, radii):
-        # each level kept whatever its estimate: the estimate (the last
-        # three coefficients' magnitudes times P(inside)) is at least its
-        # true error, but where that error is at rounding level
+        # each level kept whatever its estimate: the estimate is at least
+        # its true error, but where that error is at rounding level.  For
+        # log g the estimate is the last three coefficients' magnitudes
+        # times P(inside), against the exceedance's error; for log sigma^2
+        # it is theirs times the row's largest P(inside | sigma^2), against
+        # the error of the row's P(inside | g)
         tails = _record_tails(monkeypatch)
-        estimated = checked = 0
+        monkeypatch.setattr(posterior_engine, "_LEVEL_TOLERANCE", math.inf)
+        estimated, checked = {"g": 0, "sigma2": 0}, {"g": 0, "sigma2": 0}
         for name in MIXTURES:
             cell = _cli_default_cell(name, n)
             every = _every_node(name, n, opts, tuple(radii))
@@ -1074,18 +1131,41 @@ class TestGInterpolation:
                 for j, eps in enumerate(radii):
                     tails.clear()
                     with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(posterior_engine, "_G_TOLERANCE", math.inf)
                         mp.setattr(posterior_engine, "_G_LEVELS", (m,))
+                        mp.setattr(posterior_engine, "_SIGMA_LEVELS", HELD_SIGMA_LEVELS)
                         kept = sup_ball_probability(*cell, np.array([eps]), opts).value[0]
-                    for estimate in (t * (1.0 - every[j]) for t in tails):
+                    for estimate in (t * (1.0 - every[j]) for values, t in tails if values.ndim == 1):
                         error = abs(kept - every[j])
                         assert estimate >= error or error <= 1e-15, (name, m, eps, estimate, error)
-                        estimated += 1
-                        checked += error > 1e-12
-        assert estimated > 0
-        # errors above rounding level, where the bound has teeth, occur at
-        # every CLI n; at the capped options n >= 800 no level errs by 1e-12
-        assert checked > 0 or (opts == CAPPED and n >= 800)
+                        estimated["g"] += 1
+                        checked["g"] += error > 1e-12
+            monkeypatch.setattr(posterior_engine, "_G_LEVELS", HELD_G_LEVELS)
+            runs = {}
+            for sigma_levels in [(m,) for m in posterior_engine._SIGMA_LEVELS if m < opts.sigma_grid] + [WHOLE_GRID]:
+                tails.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    rows = _grid_rows(mp, opts.sigma_grid)
+                    mp.setattr(posterior_engine, "_SIGMA_LEVELS", sigma_levels)
+                    sup_ball_probability(*cell, radii, opts)
+                estimates = [t * np.exp(np.max(v, axis=1)) for v, t in tails if v.ndim == 2]
+                runs[sigma_levels] = np.sum(np.exp(np.concatenate(rows)), axis=1), np.concatenate(estimates or [[]])
+            every_row = runs.pop(WHOLE_GRID)[0]
+            for (m,), (p_inside, estimates) in runs.items():
+                # the same (g value, radius) rows in the same order
+                assert p_inside.shape == every_row.shape == estimates.shape
+                error = np.abs(p_inside - every_row)
+                bad = (estimates < error) & (error > 1e-15)
+                assert not np.any(bad), (name, m, estimates[bad], error[bad])
+                estimated["sigma2"] += estimates.size
+                checked["sigma2"] += np.count_nonzero(error > 1e-12)
+        assert min(estimated.values()) > 0
+        # errors above rounding level, where the bound has teeth, occur for
+        # log g at every CLI n, and at the capped options n >= 800 no level
+        # errs by 1e-12; for log sigma^2 the 9-point rows err by more than
+        # 1e-12 at CLI n <= 200, and the smallest ratio of estimate to
+        # error was about 40, at n = 10
+        assert checked["g"] > 0 or (opts == CAPPED and n >= 800)
+        assert checked["sigma2"] > 0 or n >= 400 or opts == CAPPED
 
     def test_non_finite_point_falls_back(self, monkeypatch):
         pairs, _ = _count_kernel_pairs(monkeypatch)
@@ -1110,12 +1190,26 @@ class TestGInterpolation:
     @pytest.mark.parametrize("name, n", [("hyperg_fixed_offset_alpha05", 400), ("hyperg_fixed_offset_alpha05", 10), ("zs_fixed_offset_alpha05", 16)])
     def test_block_layouts_change_no_bit(self, monkeypatch, name, n):
         # one g value per block, 7 (a ragged last block), a level's new
-        # points in one block, and the whole cell
+        # points in one block, and the whole cell.  Each sigma^2 row is
+        # decided on its own too: in these cells some rows keep 9 points,
+        # some 17, and at n <= 16 some are evaluated on the whole grid
         cell = _cli_default_cell(name, n)
         tails = _record_tails(monkeypatch)
+        grid_rows = []
+        kernel = posterior_engine._log_interval_prob
+
+        def recording(hi, lo, scratch):
+            if hi.shape[1] == BallOptions().sigma_grid:
+                grid_rows.append(hi.shape[0])
+            return kernel(hi, lo, scratch)
+
+        monkeypatch.setattr(posterior_engine, "_log_interval_prob", recording)
         default = sup_ball_probability(*cell, SMALL_N_RADII, BallOptions(method="exact")).value
-        assert tails
-        rows = min(posterior_engine._SIGMA_NODES, BallOptions().sigma_grid) * cell[1].p
+        reached = {m: sum(v.shape[0] for v, _ in tails if v.ndim == 2 and v.shape[1] == m) for m in (9, 17)}
+        # every row reaches 9 points; those that keep them do not reach 17
+        assert reached[9] > reached[17] > sum(grid_rows)
+        assert (sum(grid_rows) > 0) == (n <= 16)
+        rows = _first_sigma_points(BallOptions()) * cell[1].p
         for per_block in (1, 7, LEVELS[0], LEVELS[-1] // 2, cell[0].quadrature()[0].size):
             monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", per_block * rows)
             value = sup_ball_probability(*cell, SMALL_N_RADII, BallOptions(method="exact")).value
