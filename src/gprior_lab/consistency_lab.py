@@ -450,7 +450,9 @@ def run_experiment(
     # long cell at the end; each cell has its own stream, so order is moot
     tasks = [(n, rep) for n in reversed(n_grid) for rep in range(reps)]
     # one design per n, shared by all its reps; drawn one at a time, so at
-    # most one basis factorisation is in memory
+    # most one basis factorisation is in memory.  A rotated design keeps
+    # its basis and the float32 copy of its transpose that every rep's MC
+    # route rotates its draws through: 1.5 times the basis per n
     designs = {n: design_at(scenario, n, master_seed) for n in n_grid}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(

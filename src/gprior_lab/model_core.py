@@ -120,10 +120,21 @@ class DesignSpec:
 @dataclass(frozen=True)
 class GramSpectrum:
     """Eigendecomposition of X'X: eigenvalues, and eigenbasis q (None means
-    the identity, the axis-aligned case)."""
+    the identity, the axis-aligned case).  qt32 is q.T in float32,
+    C-ordered and read-only (None where q is), made once with the spectrum:
+    the MC route rotates its draws through it, so every rep and thread at
+    one n shares it."""
 
     q: Optional[np.ndarray]
     eigenvalues: np.ndarray
+    qt32: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        qt32 = None
+        if self.q is not None:
+            qt32 = np.ascontiguousarray(self.q.T, dtype=np.float32)
+            qt32.flags.writeable = False
+        object.__setattr__(self, "qt32", qt32)
 
 
 def build_design(spec: DesignSpec, n: int, p: int, rng: RngStream) -> GramSpectrum:

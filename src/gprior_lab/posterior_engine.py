@@ -30,6 +30,11 @@ conditional laws above, so each checks the other's sigma^2 and beta
 integration.  Both read the same GPosterior, though: exact takes its
 nodes and weights, mc samples its piecewise-linear cdf.  A wrong law of g
 moves both routes alike and their agreement cannot reveal it.
+
+On a rotated design the mc route rotates its draws in float32 and bounds
+each sup distance's rounding error; a draw whose float32 distance lies
+within that bound of a radius is decided in float64, so every count is
+the one float64 arithmetic gives.
 """
 
 from __future__ import annotations
@@ -100,12 +105,15 @@ _LEVEL_TOLERANCE = 1e-11
 # defines the draws; it depends on p and mc_draws alone, so the estimates
 # do not depend on the thread count or the eps grid, and the basis product
 # is always handed the same row counts.  Two 2 MB block buffers are the
-# route's whole working set at any p: a rotated design's basis is read
-# through a view, never copied per cell (a traced call peaks at 4.2 MiB at
-# p = 400, 800 and 1600).  2**18 keeps at least 64 rows per GEMM up to p =
-# 4096.  On one thread at p = 800 (EB, rotated, 20,000 draws) a call took
-# a median 0.92 s, against 0.94 s at 2**17, 1.02 s at 2**16 and 1.19 s at
-# 2**15
+# route's whole working set at any p: the first holds the float64 normals,
+# the second a rotated block's float32 rows and their rotation through the
+# design's float32 basis, shared by every cell at that n and never copied
+# per cell (a traced call peaks at 4.2 MiB at p = 400, 800 and 1600).
+# 2**18 keeps at least 64 rows per GEMM up to p = 4096.  On one thread at
+# p = 800 (EB, rotated, 20,000 draws) a call took a median 0.60 s, against
+# 0.63-0.66 s at 2**17, 0.61-0.64 s at 2**16, 0.71 s at 2**15 and 0.54-0.58
+# s at 2**19 (0.81 s at 2**18 with the rotation in float64); the size
+# defines the draws, so it is not changed for a few percent
 _MC_BLOCK_ELEMENTS = 2**18
 
 # elements of one (g values x first level's sigma^2 points x p) block of
@@ -231,13 +239,14 @@ def _sigma_levels(base_nodes: np.ndarray) -> list:
     return levels
 
 
-def _block_log_values(epsilon: float, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """log P(|d_i + sd_i Z| <= eps) for a block of g-nodes: d has shape
-    (nodes, m), sd (nodes, sigma^2 nodes, m); ``work`` has shape (5,) +
-    sd.shape and sd may be its last slot, which the kernel overwrites."""
+def _block_log_values(epsilon: np.ndarray, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """log P(|d_i + sd_i Z| <= eps) for a block of (g-node, radius) rows:
+    epsilon has shape (rows,), d (rows, m), sd (rows, sigma^2 nodes, m);
+    ``work`` has shape (5,) + sd.shape and sd may be its last slot, which
+    the kernel overwrites."""
     hi, lo = work[0], work[1]
-    np.divide((epsilon - d)[:, None, :], sd, out=hi)
-    np.divide((-epsilon - d)[:, None, :], sd, out=lo)
+    np.divide((epsilon[:, None] - d)[:, None, :], sd, out=hi)
+    np.divide((-epsilon[:, None] - d)[:, None, :], sd, out=lo)
     return _log_interval_prob(hi, lo, work[2:])
 
 
@@ -290,23 +299,24 @@ def _exact_ball_probabilities(
     previous level lacks, and a barycentric matrix interpolates the m
     values onto the nodes.  The first level whose values are finite and
     whose last three Chebyshev coefficients' magnitudes times P(inside) are
-    at most _LEVEL_TOLERANCE is kept; if none is, the helper runs on every
-    node.  Each radius is decided on its own, so a one-radius call gives
-    the bits of a grid call.
+    at most _LEVEL_TOLERANCE is kept; if none is, every node is evaluated,
+    in one helper call for all such radii whose rows are (g value, radius)
+    pairs (a one-node posterior's radii all take it).  Each radius is
+    decided on its own, so a one-radius call gives the bits of a grid call.
 
-    The helper takes g values in blocks of max(1, _EXACT_BLOCK_ELEMENTS //
-    (first level's sigma^2 points x p)).  A block's rows (one per g value,
-    over sigma^2) are evaluated at the first level of _SIGMA_LEVELS with
+    The helper takes (g value, radius) rows in blocks of max(1,
+    _EXACT_BLOCK_ELEMENTS // (first level's sigma^2 points x p)).  A block's
+    rows (each over sigma^2) are evaluated at the first level of _SIGMA_LEVELS with
     fewer points than the grid; the rows whose values are finite and whose
     estimate, as for g but times the row's largest P(inside | sigma^2), is
     at most _LEVEL_TOLERANCE are interpolated onto the grid, and the others
     take the next level's new points, one kernel run for all of them, and
     the same test.  A row no level keeps is evaluated on the whole grid.
-    Every kernel run covers the union of its g values' active coordinates,
-    with the conditional sds of just those values and coordinates, but each
-    g value's sum runs over its own active coordinates in their order and
-    each row is decided from its own values, as in a one-value block, so no
-    bit depends on the block a g value falls in.
+    Every kernel run covers the union of its rows' active coordinates, with
+    the conditional sds of just those rows and coordinates, but each row's
+    sum runs over its own active coordinates in their order and each row
+    is decided from its own values, as in a one-row block, so no bit
+    depends on the block a row falls in.
     """
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
@@ -340,10 +350,10 @@ def _exact_ball_probabilities(
         return gg, delta, scale, reach
 
     def rows_at(nodes, epsilon, gg, delta, scale, act):
-        # (g values x nodes): each g value's sum over its own active
-        # coordinates (its row of act) of the log interval mass at the
-        # sigma^2 nodes, one kernel run per chunk of g values that fits the
-        # buffers (a lone g value too large for them gets its own), over the
+        # (rows x nodes): each (g value, radius) row's sum over its own
+        # active coordinates (its row of act) of the log interval mass at
+        # the sigma^2 nodes, one kernel run per chunk of rows that fits the
+        # buffers (a lone row too large for them gets its own), over the
         # union of the chunk's active coordinates
         rows = np.empty((gg.size, nodes.size))
         per = max(1, buffers.size // (5 * nodes.size * p))
@@ -357,14 +367,15 @@ def _exact_ball_probabilities(
             work = (buffers[:size] if size <= buffers.size else np.empty(size)).reshape(dims)
             sd = np.multiply(np.multiply.outer(scale[chunk], nodes)[:, :, None], inv_e_cols, out=work[4])
             np.sqrt(np.multiply(gg[chunk, None, None], sd, out=sd), out=sd)
-            values = _block_log_values(epsilon, delta[chunk][:, cols], sd, work)
+            values = _block_log_values(epsilon[chunk], delta[chunk][:, cols], sd, work)
             rows[chunk] = np.sum(values, axis=2)
             for i in np.flatnonzero(own < inv_e_cols.size):
                 rows[start + i] = np.sum(np.take(values[i], np.flatnonzero(act[start + i][cols]), axis=1), axis=1)
         return rows
 
     def grid_rows(epsilon, gg, delta, scale, act):
-        # each g value's row on the grid, from the first level that keeps it
+        # each (g value, radius) row on the grid, from the first level that
+        # keeps it
         rows = np.empty((gg.size, base_nodes.size))
         todo, values = np.arange(gg.size), None
         for points, interp in levels:
@@ -376,7 +387,7 @@ def _exact_ball_probabilities(
                 # the previous level's points are this one's even-index points
                 finer = np.empty((todo.size, points.size))
                 finer[:, ::2] = values
-                finer[:, 1::2] = rows_at(points[1::2], epsilon, gg[todo], delta[todo], scale[todo], act[todo])
+                finer[:, 1::2] = rows_at(points[1::2], epsilon[todo], gg[todo], delta[todo], scale[todo], act[todo])
                 values = finer
             finite = np.all(np.isfinite(values), axis=1)
             safe = np.where(finite[:, None], values, 0.0)
@@ -387,21 +398,24 @@ def _exact_ball_probabilities(
         # a row no level keeps, a -inf one among them (no polynomial passes
         # through it), is evaluated on the grid
         if todo.size:
-            rows[todo] = rows_at(base_nodes, epsilon, gg[todo], delta[todo], scale[todo], act[todo])
+            rows[todo] = rows_at(base_nodes, epsilon[todo], gg[todo], delta[todo], scale[todo], act[todo])
         return rows
 
     def log_p_inside(g_values, epsilon):
-        # log P(inside | g) at radius epsilon for each g > 0 of g_values
+        # log P(inside | g) for each g > 0 of g_values at its radius, one
+        # of epsilon (a radius for all, or one per g value)
+        epsilon = np.broadcast_to(epsilon, g_values.shape)
         out = np.zeros(g_values.size)
         for start in range(0, g_values.size, block):
             gg, delta, scale, reach = geometry(g_values[start : start + block])
-            active = (epsilon - np.abs(delta)) < reach
+            radii = epsilon[start : start + block]
+            active = (radii[:, None] - np.abs(delta)) < reach
             run = np.flatnonzero(np.any(active, axis=1))
             if run.size == 0:
                 continue
             # views, not copies, where every g value takes part
             sel = slice(None) if run.size == gg.size else run
-            rows = grid_rows(epsilon, gg[sel], delta[sel], scale[sel], active[sel])
+            rows = grid_rows(radii[sel], gg[sel], delta[sel], scale[sel], active[sel])
             out[start : start + block][sel] = log_sum_exp(log_sig_w + rows, axis=1)
         return out
 
@@ -439,16 +453,75 @@ def _exact_ball_probabilities(
                 return True
         return False
 
+    # the (radius, node) pairs of the radii no level is kept for, a
+    # point-mass posterior's among them, in one call
+    radius_of, node_of = [], []
     for j in range(eps.size):
         run = positive[some[j]]
         if not from_levels(j, run):
-            log_total[j, run] = log_p_inside(g_nodes[run], eps[j])
+            radius_of.append(np.full(run.size, j))
+            node_of.append(run)
+    if node_of:
+        radius_of, node_of = np.concatenate(radius_of), np.concatenate(node_of)
+        log_total[radius_of, node_of] = log_p_inside(g_nodes[node_of], eps[radius_of])
     # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1,
     # and a radius that no live node can miss is inside whatever the
     # rounding of the weights' sum
     log_inside = np.minimum(log_sum_exp(log_g_w + log_total, axis=1), 0.0)
     log_inside[np.all(log_total[:, live] == 0.0, axis=1)] = 0.0
     return np.array([max(0.0, -math.expm1(x)) for x in log_inside])
+
+
+def _sup_distances(dev, scratch, s, gg, shift, offset) -> np.ndarray:
+    """Row maxima of |offset + gg shift + s dev| for a block of rows dev
+    of beta's noise: dev is scaled by s in place, then takes gg shift
+    (formed in ``scratch``) and offset, each step rounded to dev's dtype.
+    Overwrites dev and scratch."""
+    dtype = dev.dtype
+    dev *= s.astype(dtype, copy=False)[:, None]
+    dev += np.multiply(gg.astype(dtype, copy=False)[:, None], shift.astype(dtype, copy=False), out=scratch)
+    dev += offset.astype(dtype, copy=False)
+    return np.max(np.abs(dev, out=dev), axis=1)
+
+
+def _distance_bound(unit, dev, s, gg, shift, offset, dist) -> np.ndarray:
+    """For each row w of ``dev``, a bound on how far the sup distance
+    ``dist`` that _sup_distances gives for dev @ q.T, rounded with unit
+    roundoff ``unit``, lies from the exact one.
+
+    Rounding q and w (to float32) and their product (Higham 2002, section
+    3.1, in any summation order) moves row i of q w by at most (p + 2) u
+    ||w||_2, since ||q_i||_2 = 1; scaling by s adds 2 u s ||w||_2, the shift
+    3 u gg |shift_i| for its product and u (s ||w||_2 + gg |shift_i|) for
+    the sum, and the offset u |offset_i| for its rounding and u times the
+    distance for the sum.  Each coefficient below is one more than that
+    and the sum is divided by 1 - (p + 8) u: that covers the higher-order
+    terms, the float64 route's own rounding (the same form with 2**-53)
+    when u is float32's, the norm, the bound's own arithmetic and its
+    comparison with a radius.  The last term covers products that
+    underflow, even where they are flushed to zero."""
+    p = dev.shape[1]
+    norm = np.sqrt(np.einsum("ij,ij->i", dev, dev))
+    shift_max, offset_max = np.max(np.abs(shift)), np.max(np.abs(offset))
+    bound = unit * ((p + 6) * s * norm + 5 * gg * shift_max + 2 * offset_max + 2 * dist) / (1.0 - (p + 8) * unit)
+    return bound + 2.0**-120 * (1.0 + p * s + norm + shift_max)
+
+
+def _rotated_distances_f32(dev, qt32, s, gg, shift, offset, work):
+    """The sup distances _sup_distances gives for dev @ q.T, computed in
+    float32 through qt32 (q.T in float32), and for each a bound on its
+    distance from the float64 one.  ``work`` is a float32 array of shape
+    (2,) + dev.shape; dev is left as it is."""
+    w, qw = work
+    np.copyto(w, dev, casting="same_kind")
+    dist = _sup_distances(np.matmul(w, qt32, out=qw), w, s, gg, shift, offset).astype(float)
+    return dist, _distance_bound(2.0**-24, dev, s, gg, shift, offset, dist)
+
+
+def _clear_of(dist, eps, bound) -> np.ndarray:
+    """Whether each distance lies more than its bound from every radius (a
+    NaN does not)."""
+    return np.all(np.abs(eps[:, None] - dist) > bound, axis=0)
 
 
 def _mc_exceedances(
@@ -465,7 +538,12 @@ def _mc_exceedances(
 
     The draws come in blocks of max(1, min(mc_draws, _MC_BLOCK_ELEMENTS //
     p)): each block draws its g, then its sigma^2, then its normals, and is
-    reduced to its counts before the next block is drawn."""
+    reduced to its counts before the next block is drawn.  A rotated
+    block is rotated and reduced in float32.  The draws whose float32
+    distance lies within its error bound of a radius are reduced again in
+    float64 from a product of their own rows, or, where that product's own
+    rounding could decide, of the whole block, as the float64 route
+    computes it; so every count is the float64 route's."""
     shape = 0.5 * (stats.n + post.a - 2.0)
     total, p = opts.mc_draws, stats.p
     rows = max(1, min(total, _MC_BLOCK_ELEMENTS // p))
@@ -476,6 +554,8 @@ def _mc_exceedances(
     offset = gamma - center
     shift = stats.beta_hat - gamma
     buffers = np.empty((2, rows, p))
+    # the float32 rows and their rotation share the second buffer
+    halves = buffers[1].view(np.float32).reshape(2, rows, p)
     exceed = np.zeros(eps.shape, dtype=np.int64)
     for done in range(0, total, rows):
         m = min(rows, total - done)
@@ -483,17 +563,29 @@ def _mc_exceedances(
         gg = g / (g + 1.0)
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = scale / rng.generator.standard_gamma(shape, m)  # InverseGamma(shape, scale)
+        s = np.sqrt(gg * sigma2)
         dev, scratch = buffers[0, :m], buffers[1, :m]
         rng.generator.standard_normal(out=dev)
         dev *= inv_root_e
-        if q is not None:
-            # rows of q z / sqrt(e); q.T is a view, C-ordered for a
-            # Fortran-ordered q
-            dev, scratch = np.matmul(dev, q.T, out=scratch), dev
-        dev *= np.sqrt(gg * sigma2)[:, None]
-        dev += np.multiply(gg[:, None], shift, out=scratch)
-        dev += offset
-        dist = np.max(np.abs(dev, out=dev), axis=1)
+        if q is None:
+            dist = _sup_distances(dev, scratch, s, gg, shift, offset)
+        else:
+            dist, guard = _rotated_distances_f32(dev, stats.gram.qt32, s, gg, shift, offset, halves[:, :m])
+            near = np.flatnonzero(~_clear_of(dist, eps, guard))
+            if near.size:
+                # the draws near a radius in float64: rows of q z / sqrt(e),
+                # q.T a view, C-ordered for a Fortran-ordered q
+                w, args = dev[near], (s[near], gg[near], shift, offset)
+                rows64 = np.matmul(w, q.T)
+                dist64 = _sup_distances(rows64, np.empty_like(rows64), *args)
+                # their product's last bits can differ from the block's; a
+                # draw within both products' bounds of a radius is decided
+                # by the block's product, whose row count is the float64
+                # route's
+                if np.all(_clear_of(dist64, eps, 2.0 * _distance_bound(2.0**-53, w, *args, dist64))):
+                    dist[near] = dist64
+                else:
+                    dist = _sup_distances(np.matmul(dev, q.T, out=scratch), dev, s, gg, shift, offset)
         exceed += np.count_nonzero(dist[:, None] > eps, axis=0)
     return exceed
 

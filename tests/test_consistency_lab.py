@@ -394,6 +394,25 @@ class TestRunExperiment:
         assert {c["method"] for c in cells} == {"mc"}
         assert any(0.0 < c["prob"] < 1.0 for c in cells)
 
+    def test_rotated_cells_share_their_design_float32_basis(self, monkeypatch):
+        # one float32 basis per n, built with its design, read by every
+        # rep on every thread
+        seen = []
+        ball = consistency_lab.sup_ball_probability
+
+        def spy(post, stats, *args, **kwargs):
+            seen.append((stats.n, stats.gram.qt32))
+            return ball(post, stats, *args, **kwargs)
+
+        monkeypatch.setattr(consistency_lab, "sup_ball_probability", spy)
+        sc = make_scenario(name="rotated", design=DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0))
+        run_experiment(sc, (100, 200), (0.1, 0.5), reps=3, threads=2, ball_options=BallOptions(mc_draws=200))
+        assert sorted(n for n, _ in seen) == [100] * 3 + [200] * 3
+        first = {}
+        for n, basis in seen:
+            assert basis is first.setdefault(n, basis) and basis is not None
+        assert first[100] is not first[200]
+
     @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
     def test_shipped_reports_keep_their_bytes(self, path):
         # the sha256 of canonical_json() on a small exact-route grid, with

@@ -105,6 +105,19 @@ class TestDesignSpec:
         g2 = build_design(spec, 8, 4, RngStream(9, ("d",)))
         assert np.array_equal(g1.q, g2.q)
 
+    @pytest.mark.parametrize("p", [1, 6, 300])
+    def test_float32_basis_is_a_read_only_copy_of_q_transposed(self, p):
+        # the MC route rotates its draws through it; every rep and thread
+        # at one n reads the one copy built with the design
+        spec = DesignSpec("diagonal", (0.5, 0.8, 1.0), lambda_min=0.5, lambda_max=2.0)
+        gram = build_design(spec, 2 * p + 1, p, RngStream(3, ("d",)))
+        assert gram.qt32.dtype == np.float32 and gram.qt32.flags.c_contiguous
+        assert np.array_equal(gram.qt32, gram.q.T.astype(np.float32))
+        assert not gram.qt32.flags.writeable
+        with pytest.raises(ValueError):
+            gram.qt32[0, 0] = 0.0
+        assert build_design(DesignSpec(), 10, 3, RngStream(0, ("d",))).qt32 is None
+
 
 class TestHaarBasis:
     """_haar_orthonormal factorizes its draw in place: the same basis as the

@@ -22,6 +22,9 @@ from hypothesis import given, strategies as hst
 import gprior_lab.posterior_engine as posterior_engine
 from gprior_lab.model_core import (
     DesignSpec,
+    EmpiricalBayesG,
+    FirstMRule,
+    FixedDimension,
     FixedG,
     GramSpectrum,
     HyperG,
@@ -41,7 +44,7 @@ from gprior_lab.posterior_engine import (
 )
 
 from conftest import axis_stats, make_scenario, simulate_scenario_stats
-from oracles import simulate_full_stats, u_from_g
+from oracles import mc_blocks_float64, simulate_full_stats, u_from_g
 
 PRIOR = PriorConstants()
 
@@ -549,6 +552,84 @@ class TestMcBlocks:
                 tracemalloc.stop()
             assert peak < 4.5 * 2**20, f"p = {n // 2}: peak {peak / 2**20:.2f} MiB"
             assert 0.0 < blocked.value[1] < 1.0
+
+
+def _rotated_instance_at(p, regime):
+    """A rotated design at dimension p (n = max(20, 2p)), with the truth
+    (beta0 = e_1) as the centre, so the offset gamma - center is nonzero."""
+    n = max(20, 2 * p)
+    sc = make_scenario(
+        name="rot32", alpha=0.0, p_rule=FixedDimension(p), regime=regime, beta0_rule=FirstMRule(1.0, 1),
+        design=DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0),
+    )
+    stats = simulate_scenario_stats(sc, n, 11)
+    gamma = sc.gamma_at(n)
+    post = build_g_posterior(sc.regime, stats, diagnostics(stats, gamma, PRIOR).quad_form, PRIOR)
+    return stats, gamma, post, sc.beta0_at(n)
+
+
+class TestFloat32Rotation:
+    """A rotated block is rotated and reduced in float32; a draw whose
+    float32 sup distance lies within its error bound of a radius is
+    decided in float64, so every count is the float64 route's."""
+
+    @pytest.mark.parametrize("p", [1, 3, 100, 400, 800])
+    @pytest.mark.parametrize("regime", [EmpiricalBayesG(), HyperG()], ids=["eb", "hyper_g"])
+    def test_bound_dominates_the_float32_error(self, p, regime):
+        # every draw of three blocks of at most 1,000 draws
+        stats, gamma, post, center = _rotated_instance_at(p, regime)
+        rows = min(1000, posterior_engine._MC_BLOCK_ELEMENTS // p)
+        offset, shift = gamma - center, stats.beta_hat - gamma
+        worst = 0.0
+        for w, s, gg, dist64 in mc_blocks_float64(post, stats, gamma, center, 3 * rows, RngStream(3, ("f32",)), rows):
+            work = np.empty((2,) + w.shape, dtype=np.float32)
+            dist32, guard = posterior_engine._rotated_distances_f32(w, stats.gram.qt32, s, gg, shift, offset, work)
+            assert np.all(np.abs(dist32 - dist64) <= guard)
+            worst = max(worst, np.max(guard) / np.median(dist64))
+        # a float32 bound, a few p float32 ulps of the distances' scale
+        assert worst < 1e-3
+
+    @staticmethod
+    def _float64_distances(instance, draws):
+        stats, gamma, post, center = instance
+        rows = min(draws, posterior_engine._MC_BLOCK_ELEMENTS // stats.p)
+        blocks = mc_blocks_float64(post, stats, gamma, center, draws, RngStream(8, ("blocks",)), rows)
+        return np.concatenate([dist for *_, dist in blocks]), rows
+
+    @pytest.mark.parametrize("p", [3, 400])
+    @pytest.mark.parametrize(
+        "move, whole_block",
+        [
+            # a tie, or a radius within the last bits of a distance: the
+            # row products could round across it, so the block's product
+            # decides
+            (lambda d: np.concatenate([d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]), True),
+            # well clear of float64 rounding, within the float32 bound:
+            # the near draws' own rows decide
+            (lambda d: np.concatenate([d * (1.0 - 1e-9), d * (1.0 + 1e-9)]), False),
+        ],
+        ids=["ties", "near"],
+    )
+    def test_near_radius_draws_are_decided_in_float64(self, monkeypatch, p, move, whole_block):
+        instance = _rotated_instance_at(p, HyperG())
+        draws = 1500
+        dist, rows = self._float64_distances(instance, draws)
+        radii = np.sort(move(dist[[0, 1, draws // 2, draws - 1]]))
+        float64_rows = []
+        reduce = posterior_engine._sup_distances
+
+        def spy(dev, *args):
+            if dev.dtype == np.float64:
+                float64_rows.append(dev.shape[0])
+            return reduce(dev, *args)
+
+        monkeypatch.setattr(posterior_engine, "_sup_distances", spy)
+        res = _mc_call(instance, radii, draws)
+        counts = np.count_nonzero(dist[:, None] > radii, axis=0)
+        assert res.value.tolist() == (counts / draws).tolist()
+        assert float64_rows, "no draw was decided in float64"
+        blocks = {rows, draws % rows or rows}
+        assert any(k in blocks for k in float64_rows) == whole_block
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
