@@ -12,24 +12,16 @@ OUTSIDE the closed sup-norm ball of radius eps around a reference point,
 i.e. P(max_i |beta_i - center_i| > eps | data), integrated over sigma^2
 and over the posterior of g.  Two routes compute it: a deterministic
 'exact' route (axis-aligned designs only) that multiplies per-coordinate
-normal interval probabilities in log space on a sigma^2 quantile grid and
-complements the result, and an 'mc' route that samples (g, sigma^2, beta)
-once and counts, for every radius, the draws whose sup distance exceeds
-it.  The exact route's rule is sigma_grid equal-mass quantile midpoints;
-it evaluates each (g value, radius) row of the log-space integrand at
-nested levels of 9 and 17 Chebyshev points of log sigma^2 spanning the
-grid and interpolates the first level whose coefficient estimate puts the
-error at most 1e-11 onto the grid's nodes (where none does, or the grid
-has at most 9 nodes, it evaluates the grid), with one kernel call per
-block of g values, radius and level.  At each radius it evaluates
-log P(inside | g) at nested levels of 9, 17, 33 and 65 Chebyshev points of
-the log g span of the g-nodes that take part, and interpolates the first
-level whose estimate passes the same test onto them; where none does, it
-evaluates every node.  Given g the routes share nothing but the
-conditional laws above, so each checks the other's sigma^2 and beta
-integration.  Both read the same GPosterior, though: exact takes its
-nodes and weights, mc samples its piecewise-linear cdf.  A wrong law of g
-moves both routes alike and their agreement cannot reveal it.
+normal interval probabilities in log space, integrates them over a
+sigma^2 quantile grid and the g-nodes through nested Chebyshev levels of
+log sigma^2 and log g (_exact_ball_probabilities), and complements the
+result, and an 'mc' route that samples (g, sigma^2, beta) once and
+counts, for every radius, the draws whose sup distance exceeds it.  Given
+g the routes share nothing but the conditional laws above, so each checks
+the other's sigma^2 and beta integration.  Both read the same GPosterior,
+though: exact takes its nodes and weights, mc samples its piecewise-linear
+cdf.  A wrong law of g moves both routes alike and their agreement cannot
+reveal it.
 
 On a rotated design the mc route rotates its draws in float32 and bounds
 each sup distance's rounding error; a draw whose float32 distance lies
@@ -67,33 +59,25 @@ _ACTIVE_SET_SIGMAS = 8.5
 # together, far below the ~1e-16 rounding of the log-space sum
 _SKIP_MASS = 2.0**-60
 
-# Chebyshev-Lobatto levels of log sigma^2 at which the exact route
-# evaluates a (g value, radius) row, the sum over coordinates of the log
-# interval mass: it is analytic in log sigma^2, and every g value's sigma^2
-# nodes are one grid scaled by a constant, so its values at a level's
-# points of the grid's log sigma^2 span, interpolated onto the grid, give
-# exceedances within 8.9e-16 of the whole grid's on the shipped scenarios
-# (README "Performance notes").  A row keeps a level when its values are
-# finite and its error estimate, the last three Chebyshev coefficients'
-# magnitudes times the row's largest P(inside | sigma^2), is at most
-# _LEVEL_TOLERANCE; otherwise the next level's new points are evaluated
-# for it, and a row that keeps no level is evaluated on the whole grid, as
-# is every row of a grid of at most 9 nodes.  The levels are nested as
-# _G_LEVELS are
+# Chebyshev-Lobatto levels of log sigma^2 for a (g value, radius) row, the
+# sum over coordinates of the log interval mass.  The row is analytic in
+# log sigma^2 and every g value's sigma^2 nodes are one grid scaled by a
+# constant, so one span serves every row; the levels give exceedances
+# within 8.9e-16 of the whole grid's on the shipped scenarios (README
+# "Performance notes").  A row's estimate is its last three Chebyshev
+# coefficients' magnitudes times its largest P(inside | sigma^2): the row
+# enters P(inside | g) through exp, with weights summing to 1, so that
+# bounds how far its error moves P(inside | g).  P(inside) itself is not
+# known until every row is decided
 _SIGMA_LEVELS = (9, 17)
 
-# Chebyshev-Lobatto levels of log g at which the exact route evaluates
-# log P(inside | g) at a radius: it is analytic in log g, so its values at a
-# level's points of the log g span of the g-nodes with an active
-# coordinate, interpolated onto those nodes, give exceedances within
-# 2.4e-13 of every node's on the shipped scenarios (README "Performance
-# notes").  A level is kept when every value is finite and its error
-# estimate, the last three Chebyshev coefficients' magnitudes times
-# P(inside), is at most _LEVEL_TOLERANCE; otherwise the next level is
-# tried.  Each level is the previous one plus its midpoints, whose points
-# it shares bit for bit, so it evaluates only its new points.  Where no
-# level with fewer points than nodes is kept, as for most radii at n <= 30,
-# every node is evaluated
+# Chebyshev-Lobatto levels of log g for log P(inside | g) at a radius, over
+# the g-nodes with an active coordinate.  It is analytic in log g; the
+# levels give exceedances within 2.4e-13 of every node's on the shipped
+# scenarios (README "Performance notes").  A radius's estimate is the last
+# three Chebyshev coefficients' magnitudes times P(inside): the nodes enter
+# P(inside) through exp, weighted, so that scales the interpolant's error
+# to the exceedance's
 _G_LEVELS = (9, 17, 33, 65)
 
 # the error estimate at which both axes keep a level
@@ -176,14 +160,6 @@ def _g_nodes_and_weights(post: GPosterior, g_quad: Optional[int]):
     return post.quantile_g((np.arange(g_quad) + 0.5) / g_quad), np.full(g_quad, 1.0 / g_quad)
 
 
-def _chebyshev_lobatto(lo: float, hi: float, m: int) -> np.ndarray:
-    """m Chebyshev-Lobatto points of [lo, hi], ascending, whose first and
-    last are lo and hi bit for bit."""
-    t = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(m) / (m - 1))
-    t[0], t[-1] = lo, hi
-    return t
-
-
 def _barycentric_matrix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The (x.size x t.size) matrix that maps values at the Chebyshev-Lobatto
     points ``t`` to the polynomial through them at ``x``; a row whose x is
@@ -221,22 +197,36 @@ def _chebyshev_tail(values: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.sum(values[..., None, :] * _tail_weights(values.shape[-1]), axis=-1)), axis=-1)
 
 
-def _sigma_levels(base_nodes: np.ndarray) -> list:
-    """(points, matrix) for each level of _SIGMA_LEVELS with fewer points
-    than the grid ``base_nodes``: the level's Chebyshev-Lobatto points of log
-    sigma^2 spanning the grid, whose first and last are the grid's own end
-    nodes bit for bit, and the (grid x points) barycentric matrix that
-    interpolates a polynomial of log sigma^2 through them."""
-    x = np.log(base_nodes)
-    levels = []
-    for m in _SIGMA_LEVELS:
-        if m >= base_nodes.size:
-            break
-        t = _chebyshev_lobatto(x[0], x[-1], m)
+def _levels(nodes: np.ndarray, counts: tuple):
+    """Yield (points, matrix) for each level m of ``counts`` with fewer
+    points than the ascending positive ``nodes``, as the walk asks for it:
+    the m Chebyshev-Lobatto points of the nodes' log span, whose first and
+    last are the end nodes bit for bit, and the (nodes x m) barycentric
+    matrix that interpolates a polynomial of the log through them onto the
+    nodes.  Where each count is twice the previous one less one, a level's
+    points are the next level's even-index points bit for bit."""
+    x = np.log(nodes)
+    for m in counts:
+        if m >= nodes.size:
+            return
+        t = 0.5 * (x[0] + x[-1]) - 0.5 * (x[-1] - x[0]) * np.cos(np.pi * np.arange(m) / (m - 1))
+        t[0], t[-1] = x[0], x[-1]
         points = np.exp(t)
-        points[[0, -1]] = base_nodes[[0, -1]]
-        levels.append((points, _barycentric_matrix(x, t)))
-    return levels
+        points[[0, -1]] = nodes[[0, -1]]
+        yield points, _barycentric_matrix(x, t)
+
+
+def _refine(values, points: np.ndarray, evaluate) -> np.ndarray:
+    """Values along the last axis at a level's ``points``: ``evaluate``'s at
+    every point on the first level (``values`` None), else the previous
+    level's ``values`` at the even-index points and ``evaluate``'s at the
+    odd-index ones."""
+    if values is None:
+        return evaluate(points)
+    finer = np.empty(values.shape[:-1] + points.shape)
+    finer[..., ::2] = values
+    finer[..., 1::2] = evaluate(points[1::2])
+    return finer
 
 
 def _block_log_values(epsilon: np.ndarray, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -292,31 +282,30 @@ def _exact_ball_probabilities(
     has log P(inside | g_k) = 0 there, and a radius at which every node
     left in has it gives exceedance 0 exactly.
 
-    At each radius the nodes with an active coordinate take log P(inside |
-    g) from one helper.  For each level m of _G_LEVELS with fewer points
-    than those nodes, the helper runs on the m Chebyshev-Lobatto points of
-    their log g span (whose ends are the span's end nodes) that the
-    previous level lacks, and a barycentric matrix interpolates the m
-    values onto the nodes.  The first level whose values are finite and
-    whose last three Chebyshev coefficients' magnitudes times P(inside) are
-    at most _LEVEL_TOLERANCE is kept; if none is, every node is evaluated,
-    in one helper call for all such radii whose rows are (g value, radius)
-    pairs (a one-node posterior's radii all take it).  Each radius is
-    decided on its own, so a one-radius call gives the bits of a grid call.
+    Both integrals walk nested Chebyshev levels the same way: log g at each
+    radius over the span of the nodes with an active coordinate
+    (_G_LEVELS), log sigma^2 for each (g value, radius) row over the grid
+    (_SIGMA_LEVELS).  _levels builds each level with fewer points than the
+    nodes; a level evaluates only the midpoints the previous one lacks,
+    and its values are interpolated onto the nodes.  The first level whose
+    error estimate (the constants say which) is at most _LEVEL_TOLERANCE
+    is kept.  A non-finite value leaves the walk at once, since no
+    polynomial passes through it and every finer level shares the point;
+    such a walk, and one that keeps no level, evaluates the nodes
+    themselves: a sigma^2 row the whole grid, and the radii's g-nodes one
+    call of log_p_inside, which gives log P(inside | g) for (g value,
+    radius) rows (a one-node posterior's radii all take that call).  Each
+    radius is decided on its own, so a one-radius call gives the bits of a
+    grid call.
 
-    The helper takes (g value, radius) rows in blocks of max(1,
-    _EXACT_BLOCK_ELEMENTS // (first level's sigma^2 points x p)).  A block's
-    rows (each over sigma^2) are evaluated at the first level of _SIGMA_LEVELS with
-    fewer points than the grid; the rows whose values are finite and whose
-    estimate, as for g but times the row's largest P(inside | sigma^2), is
-    at most _LEVEL_TOLERANCE are interpolated onto the grid, and the others
-    take the next level's new points, one kernel run for all of them, and
-    the same test.  A row no level keeps is evaluated on the whole grid.
-    Every kernel run covers the union of its rows' active coordinates, with
-    the conditional sds of just those rows and coordinates, but each row's
-    sum runs over its own active coordinates in their order and each row
-    is decided from its own values, as in a one-row block, so no bit
-    depends on the block a row falls in.
+    log_p_inside takes its rows in blocks of max(1,
+    _EXACT_BLOCK_ELEMENTS // (first level's sigma^2 points x p)) and walks
+    a block's rows together, one kernel run per level for the rows still
+    walking.  Every kernel run covers the union of its rows' active
+    coordinates, with the conditional sds of just those rows and
+    coordinates, but each row's sum runs over its own active coordinates
+    in their order and each row is decided from its own values, as in a
+    one-row block, so no bit depends on the block a row falls in.
     """
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
@@ -326,7 +315,7 @@ def _exact_ball_probabilities(
     # the top bin would be represented by a near-extreme sigma^2 quantile
     m = opts.sigma_grid
     base_nodes = 1.0 / gammainccinv(shape, (np.arange(m) + 0.5) / m)  # IG(shape, 1) quantiles, ascending
-    levels = _sigma_levels(base_nodes)
+    levels = list(_levels(base_nodes, _SIGMA_LEVELS))
     log_sig_w = np.log(np.full(m, 1.0 / m))
     inv_e = 1.0 / stats.gram.eigenvalues
     g_nodes, g_weights = _g_nodes_and_weights(post, opts.g_quad)
@@ -375,30 +364,28 @@ def _exact_ball_probabilities(
 
     def grid_rows(epsilon, gg, delta, scale, act):
         # each (g value, radius) row on the grid, from the first level that
-        # keeps it
+        # keeps it or from the grid itself
         rows = np.empty((gg.size, base_nodes.size))
-        todo, values = np.arange(gg.size), None
+        todo, values, on_grid = np.arange(gg.size), None, np.zeros(gg.size, dtype=bool)
+
+        def at(nodes):
+            return rows_at(nodes, epsilon[todo], gg[todo], delta[todo], scale[todo], act[todo])
+
         for points, interp in levels:
             if todo.size == 0:
                 break
-            if values is None:
-                values = rows_at(points, epsilon, gg, delta, scale, act)
-            else:
-                # the previous level's points are this one's even-index points
-                finer = np.empty((todo.size, points.size))
-                finer[:, ::2] = values
-                finer[:, 1::2] = rows_at(points[1::2], epsilon[todo], gg[todo], delta[todo], scale[todo], act[todo])
-                values = finer
+            values = _refine(values, points, at)
             finite = np.all(np.isfinite(values), axis=1)
-            safe = np.where(finite[:, None], values, 0.0)
-            keep = finite & (_chebyshev_tail(safe) * np.exp(np.max(safe, axis=1)) <= _LEVEL_TOLERANCE)
+            on_grid[todo[~finite]] = True
+            todo, values = todo[finite], values[finite]
+            keep = _chebyshev_tail(values) * np.exp(np.max(values, axis=1)) <= _LEVEL_TOLERANCE
             # one matrix-vector product per row, as for a one-row block
             rows[todo[keep]] = np.matmul(interp, values[keep][:, :, None])[:, :, 0]
             todo, values = todo[~keep], values[~keep]
-        # a row no level keeps, a -inf one among them (no polynomial passes
-        # through it), is evaluated on the grid
+        on_grid[todo] = True
+        todo = np.flatnonzero(on_grid)
         if todo.size:
-            rows[todo] = rows_at(base_nodes, epsilon[todo], gg[todo], delta[todo], scale[todo], act[todo])
+            rows[todo] = at(base_nodes)
         return rows
 
     def log_p_inside(g_values, epsilon):
@@ -434,21 +421,12 @@ def _exact_ball_probabilities(
     def from_levels(j, run):
         # writes the first kept level's interpolant into log_total[j, run];
         # False where no level is kept
-        x, values = np.log(g_nodes[run]), None
-        for m in _G_LEVELS:
-            if run.size <= m:
-                return False
-            t = _chebyshev_lobatto(x[0], x[-1], m)
-            points = np.exp(t)
-            points[[0, -1]] = g_nodes[run[[0, -1]]]
-            if values is None:
-                values = log_p_inside(points, eps[j])
-            else:
-                # the previous level's points are this one's even-index points
-                values = np.insert(values, np.arange(1, values.size), log_p_inside(points[1::2], eps[j]))
+        values = None
+        for points, interp in _levels(g_nodes[run], _G_LEVELS):
+            values = _refine(values, points, functools.partial(log_p_inside, epsilon=eps[j]))
             if not np.all(np.isfinite(values)):
                 return False
-            log_total[j, run] = _barycentric_matrix(x, t) @ values
+            log_total[j, run] = interp @ values
             if _chebyshev_tail(values) * math.exp(log_sum_exp(log_g_w + log_total[j])) <= _LEVEL_TOLERANCE:
                 return True
         return False

@@ -14,9 +14,10 @@
     draws straight from their laws.
   * u_from_g, the map from g to the u-domain the lab's g-posteriors live
     on; the lab itself only maps u back to g.
-  * mc_blocks_float64, the MC route's draws on a rotated design reduced
-    to sup distances wholly in float64, as the route did before it
-    rotated them in float32.
+  * mc_blocks_float64, the MC route's draws reduced to sup distances
+    wholly in float64: as the route reduces them on an axis-aligned
+    design, and as it did on a rotated one before it rotated them in
+    float32.
 """
 
 import math
@@ -204,14 +205,14 @@ def simulate_full_stats(scenario, n: int, rng: RngStream, gram=None) -> Sufficie
 
 
 def mc_blocks_float64(post, stats: SufficientStats, gamma, center, mc_draws: int, rng: RngStream, rows: int):
-    """Yield (w, s, gg, dist) for each block of ``rows`` MC draws on a
-    rotated design, read from ``rng`` as the MC route reads it (the
-    block's g, then its sigma^2, then its normals): the rows w = z /
-    sqrt(e) (scaled by 1/sqrt(e)), s = sqrt(gg sigma^2), gg = g / (g + 1)
-    and the sup distances |offset + gg shift + s q w| in float64, with
-    offset = gamma - center and shift = beta_hat - gamma: one product
-    w @ q.T of the whole block, then the scaling, the shift and the
-    offset, in that order."""
+    """Yield (w, s, gg, dist) for each block of ``rows`` MC draws, read
+    from ``rng`` as the MC route reads it (the block's g, then its
+    sigma^2, then its normals): the rows w = z / sqrt(e) (scaled by
+    1/sqrt(e)), s = sqrt(gg sigma^2), gg = g / (g + 1) and the sup
+    distances |offset + gg shift + s q w| in float64, with offset = gamma
+    - center and shift = beta_hat - gamma: one product w @ q.T of the
+    whole block (none on an axis-aligned design, where q w is w), then the
+    scaling, the shift and the offset, in that order."""
     shape = 0.5 * (stats.n + post.a - 2.0)
     inv_root_e = 1.0 / np.sqrt(stats.gram.eigenvalues)
     offset, shift = gamma - center, stats.beta_hat - gamma
@@ -222,7 +223,7 @@ def mc_blocks_float64(post, stats: SufficientStats, gamma, center, mc_draws: int
         sigma2 = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0)) / rng.generator.standard_gamma(shape, m)
         w = rng.generator.standard_normal((m, stats.p)) * inv_root_e
         s = np.sqrt(gg * sigma2)
-        noise = w @ stats.gram.q.T
+        noise = w.copy() if stats.gram.q is None else w @ stats.gram.q.T
         noise *= s[:, None]
         noise += gg[:, None] * shift
         noise += offset

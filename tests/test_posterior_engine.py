@@ -479,25 +479,13 @@ def _mc_call(instance, radii, mc_draws):
     )
 
 
-def _mc_oracle_counts(instance, radii, mc_draws, rows):
-    """_mc_call's exceedance counts redrawn from the stream layout the MC
-    route defines: blocks of ``rows`` draws, each block's g, then its
-    sigma^2, then its (rows x p) normals, which the basis turns into
-    beta's deviation from its conditional mean."""
+def _float64_distances(instance, draws):
+    """_mc_call's sup distances from the stream-layout oracle, in blocks of
+    the route's size, and that size."""
     stats, gamma, post, center = instance
-    rng = RngStream(8, ("blocks",))
-    shape = 0.5 * (stats.n + post.a - 2.0)
-    counts = np.zeros(radii.size, dtype=np.int64)
-    for done in range(0, mc_draws, rows):
-        m = min(rows, mc_draws - done)
-        g = post.sample_g(rng.generator, m)
-        sigma2 = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0)) / rng.generator.standard_gamma(shape, m)
-        z = rng.generator.standard_normal((m, stats.p)) / np.sqrt(stats.gram.eigenvalues)
-        noise = z if stats.gram.q is None else z @ stats.gram.q.T  # rows of q z / sqrt(e)
-        w = g / (g + 1.0)
-        beta = np.outer(w, stats.beta_hat) + np.outer(1.0 - w, gamma) + np.sqrt(w * sigma2)[:, None] * noise
-        counts += np.count_nonzero(np.max(np.abs(beta - center), axis=1)[:, None] > radii, axis=0)
-    return counts
+    rows = min(draws, posterior_engine._MC_BLOCK_ELEMENTS // stats.p)
+    blocks = mc_blocks_float64(post, stats, gamma, center, draws, RngStream(8, ("blocks",)), rows)
+    return np.concatenate([dist for *_, dist in blocks]), rows
 
 
 def _forced_mc_instance():
@@ -521,7 +509,9 @@ class TestMcBlocks:
         if block_draws is not None:
             monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", block_draws * instance[0].p)
         res = _mc_call(instance, self.GRID, 500)
-        counts = _mc_oracle_counts(instance, self.GRID, 500, block_draws or 500)
+        dist, rows = _float64_distances(instance, 500)
+        assert rows == (block_draws or 500)
+        counts = np.count_nonzero(dist[:, None] > self.GRID, axis=0)
         assert 0.0 < res.value[0] and res.value[-1] < 1.0
         assert res.value.tolist() == (counts / 500).tolist()
 
@@ -589,13 +579,6 @@ class TestFloat32Rotation:
         # a float32 bound, a few p float32 ulps of the distances' scale
         assert worst < 1e-3
 
-    @staticmethod
-    def _float64_distances(instance, draws):
-        stats, gamma, post, center = instance
-        rows = min(draws, posterior_engine._MC_BLOCK_ELEMENTS // stats.p)
-        blocks = mc_blocks_float64(post, stats, gamma, center, draws, RngStream(8, ("blocks",)), rows)
-        return np.concatenate([dist for *_, dist in blocks]), rows
-
     @pytest.mark.parametrize("p", [3, 400])
     @pytest.mark.parametrize(
         "move, whole_block",
@@ -613,7 +596,7 @@ class TestFloat32Rotation:
     def test_near_radius_draws_are_decided_in_float64(self, monkeypatch, p, move, whole_block):
         instance = _rotated_instance_at(p, HyperG())
         draws = 1500
-        dist, rows = self._float64_distances(instance, draws)
+        dist, rows = _float64_distances(instance, draws)
         radii = np.sort(move(dist[[0, 1, draws // 2, draws - 1]]))
         float64_rows = []
         reduce = posterior_engine._sup_distances
@@ -806,33 +789,80 @@ SMALL_GRID_BITS = {
 }
 
 
+def _sigma_grid(shape: float, size: int) -> np.ndarray:
+    """The exact route's sigma^2 quantile grid of ``size`` nodes at IG shape ``shape``."""
+    return 1.0 / sp.gammainccinv(shape, (np.arange(size) + 0.5) / size)
+
+
+def _g_grid(name: str, n: int, opts: BallOptions) -> np.ndarray:
+    """The g-nodes the exact route reads for a shipped scenario's cell."""
+    return posterior_engine._g_nodes_and_weights(_cli_default_cell(name, n)[0], opts.g_quad)[0]
+
+
+class TestChebyshevLevels:
+    """_levels builds the nested Chebyshev levels of both axes of the exact
+    route: of log sigma^2 over the quantile grid, of log g over g-nodes."""
+
+    @pytest.mark.parametrize(
+        "axis, make",
+        [
+            pytest.param("sigma2", functools.partial(_sigma_grid, shape, size), id=f"sigma2-{shape}-{size}")
+            for shape in (0.5, 1.0, 49.0, 1600.0)
+            for size in (17, 65, 129)
+        ]
+        + [
+            pytest.param("g", functools.partial(_g_grid, name, n, opts), id=f"g-{name}-{n}")
+            for name, n, opts in (
+                ("hyperg_fixed_offset_alpha05", 100, BallOptions(method="exact")),
+                ("zs_fixed_offset_alpha05", 400, BallOptions(method="exact")),
+                ("hyperg_fixed_offset_alpha05", 3200, CAPPED),
+            )
+        ],
+    )
+    def test_interpolation_matrix(self, axis, make):
+        nodes = make()
+        counts = posterior_engine._SIGMA_LEVELS if axis == "sigma2" else posterior_engine._G_LEVELS
+        levels = list(posterior_engine._levels(nodes, counts))
+        # a level is built only while it has fewer points than the nodes
+        assert [points.size for points, _ in levels] == [m for m in counts if m < nodes.size]
+        x = np.log(nodes)
+        for points, interp in levels:
+            m = points.size
+            assert interp.shape == (nodes.size, m)
+            assert points[0] == nodes[0] and points[-1] == nodes[-1]
+            assert np.all(np.diff(points) > 0.0)
+            # the end nodes take the end points' values, bit for bit
+            assert interp[0].tolist() == [1.0] + [0.0] * (m - 1)
+            assert interp[-1].tolist() == [0.0] * (m - 1) + [1.0]
+            assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
+            # every polynomial of degree < m in the log, as Chebyshev
+            # polynomials on the nodes' span (so each is bounded by 1 there)
+            t = np.log(points)
+            for degree in range(m):
+                poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
+                assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12, (m, degree)
+
+    @given(lo=hst.floats(-50.0, 50.0), width=hst.floats(1e-6, 100.0))
+    def test_levels_are_nested(self, lo, width):
+        # each level's points are the next level's even-index points, bit
+        # for bit, so a walk evaluates only the new ones, and every level
+        # runs from the nodes' own end nodes
+        nodes = np.exp(np.linspace(lo, lo + width, 129))
+        for counts in (posterior_engine._G_LEVELS, posterior_engine._SIGMA_LEVELS):
+            assert all(finer == 2 * m - 1 for m, finer in zip(counts, counts[1:]))
+            levels = [points for points, _ in posterior_engine._levels(nodes, counts)]
+            assert [points.size for points in levels] == list(counts)
+            for coarse, fine in zip(levels, levels[1:]):
+                assert coarse.tobytes() == fine[::2].tobytes()
+            for points in levels:
+                assert (points[0], points[-1]) == (nodes[0], nodes[-1])
+
+
 class TestSigmaInterpolation:
     """The exact route evaluates each pair's integrand at nested levels of
     Chebyshev points of log sigma^2 (_SIGMA_LEVELS) and interpolates the
     first level its estimate keeps onto the quantile grid; the oracle is
     the same route evaluating every grid node."""
-
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 49.0, 1600.0])
-    @pytest.mark.parametrize("sigma_grid", [17, 65, 129])
-    def test_interpolation_matrix(self, shape, sigma_grid):
-        probs = (np.arange(sigma_grid) + 0.5) / sigma_grid
-        base_nodes = 1.0 / sp.gammainccinv(shape, probs)
-        levels = posterior_engine._sigma_levels(base_nodes)
-        # a level is tried only while it has fewer points than the grid
-        assert [nodes.size for nodes, _ in levels] == [m for m in posterior_engine._SIGMA_LEVELS if m < sigma_grid]
-        x = np.log(base_nodes)
-        for nodes, interp in levels:
-            m = nodes.size
-            assert interp.shape == (sigma_grid, m)
-            assert nodes[0] == base_nodes[0] and nodes[-1] == base_nodes[-1]
-            assert np.all(np.diff(nodes) > 0.0)
-            assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
-            # every polynomial of degree < m in log sigma^2, as Chebyshev
-            # polynomials on the grid's span (so each is bounded by 1 there)
-            t = np.log(nodes)
-            for degree in range(m):
-                poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
-                assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12
 
     @pytest.mark.parametrize(
         "opts, ns, radii",
@@ -864,6 +894,28 @@ class TestSigmaInterpolation:
             grid, _ = _exact_with_rows(cell, radii, opts, whole_grid=True)
             assert np.max(np.abs(value - grid)) <= 1e-9, path.stem
 
+    def test_levels_are_built_once_per_call(self, monkeypatch):
+        # one g value per block: each radius's walk spans many blocks, yet
+        # each sigma^2 level's matrix is built at most once per call
+        post, stats, _, _ = cell = _cli_default_cell("hyperg_fixed_offset_alpha05")
+        opts = BallOptions(method="exact")
+        grid = np.log(_sigma_grid(0.5 * (stats.n + post.a - 2.0), opts.sigma_grid))
+        built = []
+        barycentric = posterior_engine._barycentric_matrix
+
+        def recording(x, t):
+            if x.tobytes() == grid.tobytes():
+                built.append(t.size)
+            return barycentric(x, t)
+
+        pairs, _ = _count_kernel_pairs(monkeypatch)
+        monkeypatch.setattr(posterior_engine, "_barycentric_matrix", recording)
+        monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", _first_sigma_points(opts) * stats.p)
+        sup_ball_probability(*cell, CLI_RADII, opts)
+        assert max(pairs) == 1 and len(pairs) > CLI_RADII.size * posterior_engine._G_LEVELS[0]
+        assert built and len(set(built)) == len(built)
+        assert set(built) <= set(posterior_engine._SIGMA_LEVELS)
+
     @pytest.mark.parametrize("name, sigma_grid", sorted(SMALL_GRID_BITS))
     def test_small_grids_keep_their_bits(self, monkeypatch, name, sigma_grid):
         opts = BallOptions(method="exact", sigma_grid=sigma_grid)
@@ -874,7 +926,7 @@ class TestSigmaInterpolation:
         assert [v.hex() for v in value] == ["0x1.0000000000000p+0"] + SMALL_GRID_BITS[name, sigma_grid]
         assert np.max(np.abs(default - value)) <= 1e-12
 
-    def test_non_finite_rows_fall_back_to_the_grid(self):
+    def test_non_finite_rows_fall_back_to_the_grid(self, monkeypatch):
         # n = 4: the sigma^2 nodes span 0.09 to 128, so the first
         # coordinate's interval, 14.5 to 15.5 from the mean, underflows to
         # mass 0 at the smallest sd (0.3) but not at the largest (11.3)
@@ -883,11 +935,22 @@ class TestSigmaInterpolation:
         center, radii = np.array([15.0, 0.0]), np.array([0.5])
         cell = (post, stats, stats.beta_hat, center)
         opts = BallOptions(method="exact")
+        shapes = []
+        kernel = posterior_engine._log_interval_prob
+
+        def recording(hi, lo, scratch):
+            shapes.append(hi.shape)
+            return kernel(hi, lo, scratch)
+
+        monkeypatch.setattr(posterior_engine, "_log_interval_prob", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, rows = _exact_with_rows(cell, radii, opts)
         (first, last), = [np.frombuffer(r).reshape(2, 2) for r in rows]
         assert first[0] == -np.inf and np.isfinite(last[0])
+        # the -inf row leaves the walk at once: no kernel run on the second
+        # level's midpoints, which share the bad point, then the grid
+        assert [shape[:2] for shape in shapes] == [(1, _first_sigma_points(opts)), (1, opts.sigma_grid)]
         grid, _ = _exact_with_rows(cell, radii, opts, whole_grid=True)
         assert np.isfinite(value[0]) and 0.0 < value[0] < 1.0
         assert value.tobytes() == grid.tobytes()
@@ -1063,6 +1126,26 @@ def _grid_rows(monkeypatch, sigma_grid: int) -> list:
     return rows
 
 
+def _finite_level_rows(monkeypatch, sigma_levels: tuple) -> list:
+    """Record, for every kernel run at the first level of ``sigma_levels``,
+    whether each of its (g value, radius) rows has only finite values
+    there: the rows of the blocks' sigma^2 walks, in their order.  A
+    coordinate outside a row's active set lies 8.5 sds inside the radius,
+    so the row's own sum is finite where all its kernel values are."""
+    finite = []
+    kernel = posterior_engine._log_interval_prob
+    points = sigma_levels[0] if sigma_levels else None
+
+    def recording(hi, lo, scratch):
+        out = kernel(hi, lo, scratch)
+        if hi.ndim == 3 and hi.shape[1] == points:
+            finite.append(np.all(np.isfinite(out), axis=(1, 2)))
+        return out
+
+    monkeypatch.setattr(posterior_engine, "_log_interval_prob", recording)
+    return finite
+
+
 class TestGInterpolation:
     """Where more g-nodes than a level's points reach the kernel at a radius,
     the exact route evaluates log P(inside | g) at the Chebyshev points of
@@ -1070,54 +1153,6 @@ class TestGInterpolation:
     first level its coefficient estimate accepts onto them; a non-finite
     value, or no accepted level, sends it back to every node.  The oracle
     is the same route evaluating every g-node."""
-
-    @pytest.mark.parametrize(
-        "name, n, opts",
-        [
-            ("hyperg_fixed_offset_alpha05", 100, BallOptions(method="exact")),
-            ("zs_fixed_offset_alpha05", 400, BallOptions(method="exact")),
-            ("hyperg_fixed_offset_alpha05", 3200, CAPPED),
-        ],
-    )
-    def test_interpolation_matrix(self, name, n, opts):
-        g = posterior_engine._g_nodes_and_weights(_cli_default_cell(name, n)[0], opts.g_quad)[0]
-        x = np.log(g)
-        for m in LEVELS:
-            t = posterior_engine._chebyshev_lobatto(x[0], x[-1], m)
-            interp = posterior_engine._barycentric_matrix(x, t)
-            assert t.shape == (m,) and interp.shape == (x.size, m)
-            assert t[0] == x[0] and t[-1] == x[-1] and np.all(np.diff(t) > 0.0)
-            # the span's end nodes take the end points' values, bit for bit
-            assert interp[0].tolist() == [1.0] + [0.0] * (m - 1)
-            assert interp[-1].tolist() == [0.0] * (m - 1) + [1.0]
-            assert np.max(np.abs(np.sum(interp, axis=1) - 1.0)) <= 1e-15
-            # every polynomial of degree < m in log g, as Chebyshev
-            # polynomials on the span (so each is bounded by 1 there)
-            for degree in range(m):
-                poly = np.polynomial.Chebyshev.basis(degree, domain=[x[0], x[-1]])
-                assert np.max(np.abs(interp @ poly(t) - poly(x))) <= 1e-12, (m, degree)
-
-    @given(lo=hst.floats(-50.0, 50.0), width=hst.floats(1e-6, 100.0))
-    def test_levels_are_nested(self, lo, width):
-        # each level's points are the next level's even-index points, bit
-        # for bit, so the route evaluates only the new ones: on log g and
-        # on log sigma^2, whose points run from the grid's own end nodes
-        hi = lo + width
-        sigma_levels = posterior_engine._SIGMA_LEVELS
-        for levels in (LEVELS, sigma_levels):
-            for m, finer in zip(levels, levels[1:]):
-                assert finer == 2 * m - 1
-                coarse = posterior_engine._chebyshev_lobatto(lo, hi, m)
-                fine = posterior_engine._chebyshev_lobatto(lo, hi, finer)
-                assert coarse.tobytes() == fine[::2].tobytes()
-                assert np.exp(coarse).tobytes() == np.exp(fine[::2]).tobytes()
-        grid = np.exp(np.linspace(lo, hi, 129))
-        points = [nodes for nodes, _ in posterior_engine._sigma_levels(grid)]
-        assert [nodes.size for nodes in points] == list(sigma_levels)
-        for coarse, fine in zip(points, points[1:]):
-            assert coarse.tobytes() == fine[::2].tobytes()
-        for nodes in points:
-            assert (nodes[0], nodes[-1]) == (grid[0], grid[-1])
 
     @pytest.mark.parametrize(
         "opts, ns, radii",
@@ -1226,15 +1261,24 @@ class TestGInterpolation:
                 tails.clear()
                 with pytest.MonkeyPatch.context() as mp:
                     rows = _grid_rows(mp, opts.sigma_grid)
+                    finite = _finite_level_rows(mp, sigma_levels)
                     mp.setattr(posterior_engine, "_SIGMA_LEVELS", sigma_levels)
                     sup_ball_probability(*cell, radii, opts)
                 estimates = [t * np.exp(np.max(v, axis=1)) for v, t in tails if v.ndim == 2]
-                runs[sigma_levels] = np.sum(np.exp(np.concatenate(rows)), axis=1), np.concatenate(estimates or [[]])
+                runs[sigma_levels] = (
+                    np.sum(np.exp(np.concatenate(rows)), axis=1),
+                    np.concatenate(estimates or [[]]),
+                    np.concatenate(finite or [[]]).astype(bool),
+                )
             every_row = runs.pop(WHOLE_GRID)[0]
-            for (m,), (p_inside, estimates) in runs.items():
-                # the same (g value, radius) rows in the same order
-                assert p_inside.shape == every_row.shape == estimates.shape
-                error = np.abs(p_inside - every_row)
+            for (m,), (p_inside, estimates, finite) in runs.items():
+                # the same (g value, radius) rows in the same order; a row
+                # with a non-finite value at the level has no estimate and
+                # takes the whole grid's bits
+                assert p_inside.shape == every_row.shape == finite.shape
+                assert estimates.shape == (np.count_nonzero(finite),)
+                assert p_inside[~finite].tobytes() == every_row[~finite].tobytes()
+                error = np.abs(p_inside - every_row)[finite]
                 bad = (estimates < error) & (error > 1e-15)
                 assert not np.any(bad), (name, m, estimates[bad], error[bad])
                 estimated["sigma2"] += estimates.size
