@@ -262,19 +262,15 @@ def predict_verdict(scenario: Scenario, n_grid, norms=None) -> TheoremVerdict:
     else:
         raise ValueError(f"unknown regime {regime!r}")
     holds, ev = evaluate_theorem_subsequence_condition(scenario, n_grid, norms)
-    if holds is True:
-        return TheoremVerdict(
-            theorem=theorem,
-            predicted="consistent",
-            sufficient_only=(theorem == "T4"),
-            evidence=ev,
-        )
-    if holds is None:
-        return TheoremVerdict(theorem=theorem, predicted="unknown", evidence=ev)
-    if theorem == "T4":
-        # the condition is sufficient only; its failure proves nothing
-        return TheoremVerdict(theorem="T4", predicted="unknown", sufficient_only=True, evidence=ev)
-    return TheoremVerdict(theorem=theorem, predicted="inconsistent", evidence=ev)
+    # Theorem 4's condition is sufficient only: its failure proves nothing
+    sufficient_only = theorem == "T4" and holds is not None
+    if holds:
+        predicted = "consistent"
+    elif holds is None or sufficient_only:
+        predicted = "unknown"
+    else:
+        predicted = "inconsistent"
+    return TheoremVerdict(theorem=theorem, predicted=predicted, sufficient_only=sufficient_only, evidence=ev)
 
 
 # ---------------------------------------------------------------------------

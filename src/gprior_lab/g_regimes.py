@@ -266,25 +266,25 @@ def _beta_masses(u_nodes, shape1, shape2):
 _GRID_SIZE = 512
 
 
-def _conditional_mass_grid(grid_size: int) -> np.ndarray:
+def _conditional_mass_grid() -> np.ndarray:
     """Conditional-probability levels in (0, 1): uniform in the bulk with
     geometric refinement toward both endpoints.  The refinement keeps the
     trapezoid/endpoint rules second-order accurate where the quantile map
     steepens (1/density grows without bound at the support edges)."""
-    edge = max(8, grid_size // 4)
+    edge = max(8, _GRID_SIZE // 4)
     depth = 0.05
     lo = np.geomspace(1e-7, depth, edge)
-    mid = np.linspace(depth, 1.0 - depth, grid_size - 2 * edge + 2)
+    mid = np.linspace(depth, 1.0 - depth, _GRID_SIZE - 2 * edge + 2)
     hi = 1.0 - np.geomspace(1e-7, depth, edge)[::-1]
     return np.unique(np.concatenate([lo, mid, hi]))
 
 
-def _quantile_spaced_nodes(u_floor, shape1, shape2, grid_size):
+def _quantile_spaced_nodes(u_floor, shape1, shape2):
     """Nodes at Beta(shape1, shape2) quantiles of conditional probability
     levels above u_floor (edge-refined, see _conditional_mass_grid)."""
     fw = float(betainc(shape1, shape2, u_floor))
     _require_mass(1.0 - fw, u_floor)
-    q = fw + (1.0 - fw) * _conditional_mass_grid(grid_size)
+    q = fw + (1.0 - fw) * _conditional_mass_grid()
     u = betaincinv(shape1, shape2, q)
     lo = u_floor + (1.0 - u_floor) * 1e-13
     return np.clip(u, lo, 1.0 - 1e-12)
@@ -298,7 +298,6 @@ def build_g_posterior(regime, stats, quad_form: float, prior) -> GPosterior:
     at quantiles of a matched Beta envelope (plus, for Zellner-Siow, a
     geometric ladder resolving the essential singularity at u_floor).
     """
-    grid_size = _GRID_SIZE
     n, p, a, b = stats.n, stats.p, prior.a, prior.b
     if quad_form < 0:
         raise ValueError("quad_form must be >= 0")
@@ -327,23 +326,23 @@ def build_g_posterior(regime, stats, quad_form: float, prior) -> GPosterior:
         # masses from the incomplete-beta CDF are exact
         shape1 = 0.5 * (n - p + a - regime.c)
         shape2 = 0.5 * (p + regime.c - 2.0)
-        u = np.unique(_quantile_spaced_nodes(u_floor, shape1, shape2, grid_size))
+        u = np.unique(_quantile_spaced_nodes(u_floor, shape1, shape2))
         return continuous("hyper_g", u, *_beta_masses(u, shape1, shape2))
     if isinstance(regime, ZellnerSiowG):
         shape1 = 0.5 * (n - p + a)
         shape2 = 0.5 * (p - 2.0)
         if shape1 > 0 and shape2 > 0:
-            base = _quantile_spaced_nodes(u_floor, shape1, shape2, grid_size)
+            base = _quantile_spaced_nodes(u_floor, shape1, shape2)
         else:
             # tiny p: no usable Beta envelope, fall back to uniform nodes
-            base = u_floor + (1.0 - u_floor - 1e-12) * np.linspace(1e-7, 1.0, grid_size)
+            base = u_floor + (1.0 - u_floor - 1e-12) * np.linspace(1e-7, 1.0, _GRID_SIZE)
         # geometric ladder from just above u_floor up to the first envelope
         # node, resolving exp(-n u_floor (1 - u) / (2 (u - u_floor)))
         first = float(np.min(base))
         s0 = u_floor * 1e-12
         s1 = first - u_floor
         if s1 > s0 > 0:
-            k = max(grid_size // 8, 32)
+            k = max(_GRID_SIZE // 8, 32)
             ladder = u_floor + np.geomspace(s0, s1, k)[:-1]
         else:
             ladder = np.empty(0)

@@ -287,16 +287,18 @@ def _exact_ball_probabilities(
     (_G_LEVELS), log sigma^2 for each (g value, radius) row over the grid
     (_SIGMA_LEVELS).  _levels builds each level with fewer points than the
     nodes; a level evaluates only the midpoints the previous one lacks,
-    and its values are interpolated onto the nodes.  The first level whose
-    error estimate (the constants say which) is at most _LEVEL_TOLERANCE
-    is kept.  A non-finite value leaves the walk at once, since no
-    polynomial passes through it and every finer level shares the point;
-    such a walk, and one that keeps no level, evaluates the nodes
-    themselves: a sigma^2 row the whole grid, and the radii's g-nodes one
-    call of log_p_inside, which gives log P(inside | g) for (g value,
-    radius) rows (a one-node posterior's radii all take that call).  Each
-    radius is decided on its own, so a one-radius call gives the bits of a
-    grid call.
+    and its values are interpolated onto the nodes.  A walk keeps the
+    first level whose values are finite and whose error estimate (the
+    constants say which) is at most _LEVEL_TOLERANCE, and stops at a
+    non-finite value, since no polynomial passes through it and every
+    finer level shares the point.  A walk that keeps no level, for either
+    reason, has one exit, to the nodes themselves: a sigma^2 row that no
+    level marks done is evaluated on the whole grid, and a radius's nodes
+    stay missed, and every missed (radius, g-node) pair takes one call of
+    log_p_inside, which gives log P(inside | g) for (g value, radius) rows
+    (a one-node posterior's radii all take that call).  Each radius is
+    decided on its own, so a one-radius call gives the bits of a grid
+    call.
 
     log_p_inside takes its rows in blocks of max(1,
     _EXACT_BLOCK_ELEMENTS // (first level's sigma^2 points x p)) and walks
@@ -331,14 +333,17 @@ def _exact_ball_probabilities(
     # conditional sds until the kernel overwrites it
     buffers = np.empty(5 * s * block * p)
 
-    def geometry(g):
+    def geometry(g, radii):
+        # the active mask: coordinate i is active at a radius when beta_i's
+        # mean lies outside the ball or within _ACTIVE_SET_SIGMAS
+        # conditional sds, at the largest sigma^2 node, of its edge
         gg = g / (g + 1.0)
         delta = gg[:, None] * stats.beta_hat + (1.0 - gg)[:, None] * gamma - center
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         reach = _ACTIVE_SET_SIGMAS * np.sqrt(gg[:, None] * (scale * base_nodes[-1])[:, None] * inv_e)
-        return gg, delta, scale, reach
+        return gg, delta, scale, (radii[..., None] - np.abs(delta)) < reach
 
-    def rows_at(nodes, epsilon, gg, delta, scale, act):
+    def rows_at(epsilon, gg, delta, scale, act, nodes):
         # (rows x nodes): each (g value, radius) row's sum over its own
         # active coordinates (its row of act) of the log interval mass at
         # the sigma^2 nodes, one kernel run per chunk of rows that fits the
@@ -362,30 +367,28 @@ def _exact_ball_probabilities(
                 rows[start + i] = np.sum(np.take(values[i], np.flatnonzero(act[start + i][cols]), axis=1), axis=1)
         return rows
 
-    def grid_rows(epsilon, gg, delta, scale, act):
+    def grid_rows(*row):
         # each (g value, radius) row on the grid, from the first level that
-        # keeps it or from the grid itself
-        rows = np.empty((gg.size, base_nodes.size))
-        todo, values, on_grid = np.arange(gg.size), None, np.zeros(gg.size, dtype=bool)
-
-        def at(nodes):
-            return rows_at(nodes, epsilon[todo], gg[todo], delta[todo], scale[todo], act[todo])
-
+        # keeps it: the rows still walking carry their row arrays, and a
+        # row no level marks done is evaluated on the grid itself
+        rows = np.empty((row[0].size, base_nodes.size))
+        done = np.zeros(row[0].size, dtype=bool)
+        todo, walking, values = np.arange(row[0].size), row, None
         for points, interp in levels:
-            if todo.size == 0:
-                break
-            values = _refine(values, points, at)
+            values = _refine(values, points, functools.partial(rows_at, *walking))
             finite = np.all(np.isfinite(values), axis=1)
-            on_grid[todo[~finite]] = True
-            todo, values = todo[finite], values[finite]
-            keep = _chebyshev_tail(values) * np.exp(np.max(values, axis=1)) <= _LEVEL_TOLERANCE
+            keep, checked = finite.copy(), values[finite]
+            keep[finite] = _chebyshev_tail(checked) * np.exp(np.max(checked, axis=1)) <= _LEVEL_TOLERANCE
             # one matrix-vector product per row, as for a one-row block
             rows[todo[keep]] = np.matmul(interp, values[keep][:, :, None])[:, :, 0]
-            todo, values = todo[~keep], values[~keep]
-        on_grid[todo] = True
-        todo = np.flatnonzero(on_grid)
-        if todo.size:
-            rows[todo] = at(base_nodes)
+            done[todo[keep]] = True
+            stay = finite & ~keep
+            if not stay.any():
+                break
+            todo, values, walking = todo[stay], values[stay], [a[stay] for a in walking]
+        grid = np.flatnonzero(~done)
+        if grid.size:
+            rows[grid] = rows_at(*(a[grid] for a in row), base_nodes)
         return rows
 
     def log_p_inside(g_values, epsilon):
@@ -394,9 +397,8 @@ def _exact_ball_probabilities(
         epsilon = np.broadcast_to(epsilon, g_values.shape)
         out = np.zeros(g_values.size)
         for start in range(0, g_values.size, block):
-            gg, delta, scale, reach = geometry(g_values[start : start + block])
             radii = epsilon[start : start + block]
-            active = (radii[:, None] - np.abs(delta)) < reach
+            gg, delta, scale, active = geometry(g_values[start : start + block], radii)
             run = np.flatnonzero(np.any(active, axis=1))
             if run.size == 0:
                 continue
@@ -414,34 +416,26 @@ def _exact_ball_probabilities(
     positive = live[g_nodes[live] > 0.0]
     some = np.empty((eps.size, positive.size), dtype=bool)
     for start in range(0, positive.size, block):
-        _, delta, _, reach = geometry(g_nodes[positive[start : start + block]])
-        active = (eps[:, None, None] - np.abs(delta)) < reach
+        active = geometry(g_nodes[positive[start : start + block]], eps[:, None])[3]
         some[:, start : start + block] = np.any(active, axis=2)
 
-    def from_levels(j, run):
-        # writes the first kept level's interpolant into log_total[j, run];
-        # False where no level is kept
-        values = None
+    # each radius walks the log g levels over its nodes with an active
+    # coordinate; its nodes stay missed unless a level is kept, and every
+    # missed (radius, node) pair, a point-mass posterior's among them,
+    # takes one call
+    missed = some.copy()
+    for j in range(eps.size):
+        run, values = positive[some[j]], None
         for points, interp in _levels(g_nodes[run], _G_LEVELS):
             values = _refine(values, points, functools.partial(log_p_inside, epsilon=eps[j]))
             if not np.all(np.isfinite(values)):
-                return False
+                break
             log_total[j, run] = interp @ values
             if _chebyshev_tail(values) * math.exp(log_sum_exp(log_g_w + log_total[j])) <= _LEVEL_TOLERANCE:
-                return True
-        return False
-
-    # the (radius, node) pairs of the radii no level is kept for, a
-    # point-mass posterior's among them, in one call
-    radius_of, node_of = [], []
-    for j in range(eps.size):
-        run = positive[some[j]]
-        if not from_levels(j, run):
-            radius_of.append(np.full(run.size, j))
-            node_of.append(run)
-    if node_of:
-        radius_of, node_of = np.concatenate(radius_of), np.concatenate(node_of)
-        log_total[radius_of, node_of] = log_p_inside(g_nodes[node_of], eps[radius_of])
+                missed[j] = False
+                break
+    radius_of, node_of = np.nonzero(missed)
+    log_total[radius_of, positive[node_of]] = log_p_inside(g_nodes[positive[node_of]], eps[radius_of])
     # exceedance = 1 - P(inside); expm1 keeps precision when P(inside) ~ 1,
     # and a radius that no live node can miss is inside whatever the
     # rounding of the weights' sum

@@ -1304,6 +1304,27 @@ class TestGInterpolation:
         assert sup_ball_probability(*cell, radii, BallOptions(method="exact")).value.tobytes() == value.tobytes()
         assert sum(pairs) == 40
 
+    def test_walks_that_keep_no_level_give_the_node_bits(self):
+        # with no level ever kept, each radius walks every level of log g,
+        # writing each one's interpolant, and each sigma^2 row every level
+        # of log sigma^2, before both leave for their nodes
+        cells = [(n, BallOptions(method="exact")) for n in (16, 100, 400)] + [(3200, CAPPED)]
+        for name in MIXTURES + ("eb_fixed_offset_alpha05",):
+            for n, opts in cells:
+                cell = _cli_default_cell(name, n)
+                with pytest.MonkeyPatch.context() as mp:
+                    tails = _record_tails(mp)
+                    mp.setattr(posterior_engine, "_LEVEL_TOLERANCE", -1.0)
+                    walked = sup_ball_probability(*cell, SMALL_N_RADII, opts).value
+                    sizes = {(v.ndim, v.shape[-1]) for v, _ in tails}
+                    assert (2, posterior_engine._SIGMA_LEVELS[-1]) in sizes, (name, n)
+                    if name in MIXTURES:
+                        assert (1, max(m for m in LEVELS if m < _g_grid(name, n, opts).size)) in sizes, (name, n)
+                    mp.setattr(posterior_engine, "_G_LEVELS", EVERY_G_NODE)
+                    mp.setattr(posterior_engine, "_SIGMA_LEVELS", WHOLE_GRID)
+                    nodes = sup_ball_probability(*cell, SMALL_N_RADII, opts).value
+                assert nodes.tobytes() == walked.tobytes(), (name, n)
+
     @pytest.mark.parametrize("name", MIXTURES)
     @pytest.mark.parametrize("n", [30, 400])
     def test_one_radius_calls_give_the_grid_bits(self, name, n):
