@@ -113,7 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     exp = subs.add_parser("experiment", help="run a ball-probability experiment")
-    exp.add_argument("--scenario", nargs="+", required=True, help="scenario JSON files; with several, each writes to --out/<name>/")
+    exp.add_argument(
+        "--scenario", nargs="+", action="extend", required=True,
+        help="scenario JSON files, the flag repeatable; with several, each writes to --out/<name>/",
+    )
     _add_common(exp, reps=20)
     exp.add_argument("--eps-grid", type=_eps_grid, required=True, help="comma-separated radii")
     exp.add_argument("--threads", type=_int_at_least(1), default=1)

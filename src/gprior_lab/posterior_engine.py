@@ -25,8 +25,8 @@ reveal it.
 
 On a rotated design the mc route rotates its draws in float32 and bounds
 each sup distance's rounding error; a draw whose float32 distance lies
-within that bound of a radius is decided in float64, so every count is
-the one float64 arithmetic gives.
+within that bound of a radius is decided by its own float64 row, one
+matrix-vector product, so each draw's count depends on that draw alone.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ _LEVEL_TOLERANCE = 1e-11
 # stream is read block by block, each block's g, then its sigma^2, then
 # its normals, so the block of max(1, min(mc_draws, this // p)) draws
 # defines the draws; it depends on p and mc_draws alone, so the estimates
-# do not depend on the thread count or the eps grid, and the basis product
-# is always handed the same row counts.  Two 2 MB block buffers are the
-# route's whole working set at any p: the first holds the float64 normals,
-# the second a rotated block's float32 rows and their rotation through the
-# design's float32 basis, shared by every cell at that n and never copied
-# per cell (a traced call peaks at 4.2 MiB at p = 400, 800 and 1600).
+# do not depend on the thread count or the eps grid.  Two 2 MB block
+# buffers are the route's whole working set at any p: the first holds the
+# float64 normals, the second a rotated block's float32 rows and their
+# rotation through the design's float32 basis, shared by every cell at
+# that n and never copied per cell (a traced call peaks at 4.2 MiB at p =
+# 400, 800 and 1600).
 # 2**18 keeps at least 64 rows per GEMM up to p = 4096.  On one thread at
 # p = 800 (EB, rotated, 20,000 draws) a call took a median 0.60 s, against
 # 0.63-0.66 s at 2**17, 0.61-0.64 s at 2**16, 0.71 s at 2**15 and 0.54-0.58
@@ -104,9 +104,11 @@ _MC_BLOCK_ELEMENTS = 2**18
 # the exact route: a block of max(1, this // (points x p)) g values shares
 # one kernel call per radius and level, and five block-sized buffers (hi,
 # lo and the kernel's three scratch slots) are its working set.  The block
-# size changes no bit.  On perfbench's cli_defaults (two threads) 2**15 ran
-# 17.0-20.2 cells/s at 66.0-66.7 MB peak RSS, against 15.4-16.2 at 2**14
-# and 21.2-22.3 at 2**16, whose buffers alone take 2.5 MiB (70 MB RSS)
+# size changes no bit.  On perfbench's cli_defaults (two threads, eight
+# alternating pairs of 20 s runs on a 2-vCPU VM) 2**15 ran a median 79.7
+# cells/s (quartiles 76.3-83.5) at 66.6 MB peak RSS, against 82.2
+# (79.5-85.0) at 66.7 MB at 2**16, whose buffers take 2.5 MiB; 2**16 was
+# faster in 5 of the 8 pairs, within the noise
 _EXACT_BLOCK_ELEMENTS = 2**15
 
 
@@ -456,38 +458,31 @@ def _sup_distances(dev, scratch, s, gg, shift, offset) -> np.ndarray:
     return np.max(np.abs(dev, out=dev), axis=1)
 
 
-def _distance_bound(unit, dev, s, gg, shift, offset, dist) -> np.ndarray:
-    """For each row w of ``dev``, a bound on how far the sup distance
-    ``dist`` that _sup_distances gives for dev @ q.T, rounded with unit
-    roundoff ``unit``, lies from the exact one.
-
-    Rounding q and w (to float32) and their product (Higham 2002, section
-    3.1, in any summation order) moves row i of q w by at most (p + 2) u
-    ||w||_2, since ||q_i||_2 = 1; scaling by s adds 2 u s ||w||_2, the shift
-    3 u gg |shift_i| for its product and u (s ||w||_2 + gg |shift_i|) for
-    the sum, and the offset u |offset_i| for its rounding and u times the
-    distance for the sum.  Each coefficient below is one more than that
-    and the sum is divided by 1 - (p + 8) u: that covers the higher-order
-    terms, the float64 route's own rounding (the same form with 2**-53)
-    when u is float32's, the norm, the bound's own arithmetic and its
-    comparison with a radius.  The last term covers products that
-    underflow, even where they are flushed to zero."""
-    p = dev.shape[1]
-    norm = np.sqrt(np.einsum("ij,ij->i", dev, dev))
-    shift_max, offset_max = np.max(np.abs(shift)), np.max(np.abs(offset))
-    bound = unit * ((p + 6) * s * norm + 5 * gg * shift_max + 2 * offset_max + 2 * dist) / (1.0 - (p + 8) * unit)
-    return bound + 2.0**-120 * (1.0 + p * s + norm + shift_max)
-
-
 def _rotated_distances_f32(dev, qt32, s, gg, shift, offset, work):
     """The sup distances _sup_distances gives for dev @ q.T, computed in
-    float32 through qt32 (q.T in float32), and for each a bound on its
-    distance from the float64 one.  ``work`` is a float32 array of shape
-    (2,) + dev.shape; dev is left as it is."""
+    float32 through qt32 (q.T in float32), and for each row w of dev a
+    bound on its distance from the exact one.  ``work`` is a float32 array
+    of shape (2,) + dev.shape; dev is left as it is.
+
+    With u = 2**-24, rounding q and w (to float32) and their product
+    (Higham 2002, section 3.1, in any summation order) moves row i of q w
+    by at most (p + 2) u ||w||_2, since ||q_i||_2 = 1; scaling by s adds 2
+    u s ||w||_2, the shift 3 u gg |shift_i| for its product and u (s
+    ||w||_2 + gg |shift_i|) for the sum, and the offset u |offset_i| for
+    its rounding and u times the distance for the sum.  Each coefficient
+    below is one more than that and the sum is divided by 1 - (p + 8) u:
+    that covers the higher-order terms, a float64 row's own rounding
+    (the same form with 2**-53), the norm, the bound's own arithmetic and
+    its comparison with a radius.  The last term covers products that
+    underflow, even where they are flushed to zero."""
     w, qw = work
     np.copyto(w, dev, casting="same_kind")
     dist = _sup_distances(np.matmul(w, qt32, out=qw), w, s, gg, shift, offset).astype(float)
-    return dist, _distance_bound(2.0**-24, dev, s, gg, shift, offset, dist)
+    p, unit = dev.shape[1], 2.0**-24
+    norm = np.sqrt(np.einsum("ij,ij->i", dev, dev))
+    shift_max, offset_max = np.max(np.abs(shift)), np.max(np.abs(offset))
+    bound = unit * ((p + 6) * s * norm + 5 * gg * shift_max + 2 * offset_max + 2 * dist) / (1.0 - (p + 8) * unit)
+    return dist, bound + 2.0**-120 * (1.0 + p * s + norm + shift_max)
 
 
 def _clear_of(dist, eps, bound) -> np.ndarray:
@@ -511,11 +506,10 @@ def _mc_exceedances(
     The draws come in blocks of max(1, min(mc_draws, _MC_BLOCK_ELEMENTS //
     p)): each block draws its g, then its sigma^2, then its normals, and is
     reduced to its counts before the next block is drawn.  A rotated
-    block is rotated and reduced in float32.  The draws whose float32
-    distance lies within its error bound of a radius are reduced again in
-    float64 from a product of their own rows, or, where that product's own
-    rounding could decide, of the whole block, as the float64 route
-    computes it; so every count is the float64 route's."""
+    block is rotated and reduced in float32.  A draw whose float32
+    distance lies within its error bound of a radius is reduced again from
+    its own float64 row q @ w, so its count depends on that draw alone and
+    is the one a float64 product of that row gives."""
     shape = 0.5 * (stats.n + post.a - 2.0)
     total, p = opts.mc_draws, stats.p
     rows = max(1, min(total, _MC_BLOCK_ELEMENTS // p))
@@ -543,21 +537,11 @@ def _mc_exceedances(
             dist = _sup_distances(dev, scratch, s, gg, shift, offset)
         else:
             dist, guard = _rotated_distances_f32(dev, stats.gram.qt32, s, gg, shift, offset, halves[:, :m])
-            near = np.flatnonzero(~_clear_of(dist, eps, guard))
-            if near.size:
-                # the draws near a radius in float64: rows of q z / sqrt(e),
-                # q.T a view, C-ordered for a Fortran-ordered q
-                w, args = dev[near], (s[near], gg[near], shift, offset)
-                rows64 = np.matmul(w, q.T)
-                dist64 = _sup_distances(rows64, np.empty_like(rows64), *args)
-                # their product's last bits can differ from the block's; a
-                # draw within both products' bounds of a radius is decided
-                # by the block's product, whose row count is the float64
-                # route's
-                if np.all(_clear_of(dist64, eps, 2.0 * _distance_bound(2.0**-53, w, *args, dist64))):
-                    dist[near] = dist64
-                else:
-                    dist = _sup_distances(np.matmul(dev, q.T, out=scratch), dev, s, gg, shift, offset)
+            for i in np.flatnonzero(~_clear_of(dist, eps, guard)):
+                # a draw near a radius, decided by its own float64 row q z /
+                # sqrt(e), one matrix-vector product whatever the block holds
+                row = (q @ dev[i])[None]
+                dist[i] = _sup_distances(row, np.empty_like(row), s[i : i + 1], gg[i : i + 1], shift, offset)[0]
         exceed += np.count_nonzero(dist[:, None] > eps, axis=0)
     return exceed
 

@@ -16,8 +16,8 @@
     on; the lab itself only maps u back to g.
   * mc_blocks_float64, the MC route's draws reduced to sup distances
     wholly in float64: as the route reduces them on an axis-aligned
-    design, and as it did on a rotated one before it rotated them in
-    float32.
+    design, and on a rotated one as it reduces a draw near a radius, each
+    row rotated on its own.
 """
 
 import math
@@ -210,8 +210,8 @@ def mc_blocks_float64(post, stats: SufficientStats, gamma, center, mc_draws: int
     sigma^2, then its normals): the rows w = z / sqrt(e) (scaled by
     1/sqrt(e)), s = sqrt(gg sigma^2), gg = g / (g + 1) and the sup
     distances |offset + gg shift + s q w| in float64, with offset = gamma
-    - center and shift = beta_hat - gamma: one product w @ q.T of the
-    whole block (none on an axis-aligned design, where q w is w), then the
+    - center and shift = beta_hat - gamma: one matrix-vector product q @ w
+    per row (none on an axis-aligned design, where q w is w), then the
     scaling, the shift and the offset, in that order."""
     shape = 0.5 * (stats.n + post.a - 2.0)
     inv_root_e = 1.0 / np.sqrt(stats.gram.eigenvalues)
@@ -223,7 +223,7 @@ def mc_blocks_float64(post, stats: SufficientStats, gamma, center, mc_draws: int
         sigma2 = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0)) / rng.generator.standard_gamma(shape, m)
         w = rng.generator.standard_normal((m, stats.p)) * inv_root_e
         s = np.sqrt(gg * sigma2)
-        noise = w.copy() if stats.gram.q is None else w @ stats.gram.q.T
+        noise = w.copy() if stats.gram.q is None else np.array([stats.gram.q @ row for row in w])
         noise *= s[:, None]
         noise += gg[:, None] * shift
         noise += offset

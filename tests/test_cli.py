@@ -527,6 +527,17 @@ class TestSeveralScenarios:
             assert (several / "cells.csv").read_text() == (one / "cells.csv").read_text()
         assert capsys.readouterr().out.count("Verdict: ") == 2 * len(self.SHIPPED)
 
+    def test_repeated_flag_adds_its_scenarios(self, tmp_path, capsys, monkeypatch):
+        # `--scenario a --scenario b` runs both, each under --out/<name>/,
+        # as `--scenario a b` does; a path given twice is a duplicate name
+        first, second = (SCENARIOS / f"{name}.json" for name in self.SHIPPED)
+        assert main(self._argv([first], tmp_path / "suite", ["--scenario", str(second)])) == 0
+        assert sorted(p.name for p in (tmp_path / "suite").iterdir()) == sorted(self.SHIPPED)
+        assert capsys.readouterr().out.count("Verdict: ") == len(self.SHIPPED)
+        ran = self._no_cells(monkeypatch)
+        assert main(self._argv([first], tmp_path / "twice", ["--scenario", str(first)])) == 2 and ran == []
+        assert "two scenarios are named" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "case", ["malformed", "exact_on_rotated", "duplicate_names", "decreasing_grid", "name_with_slash"]
     )

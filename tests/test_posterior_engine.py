@@ -561,7 +561,8 @@ def _rotated_instance_at(p, regime):
 class TestFloat32Rotation:
     """A rotated block is rotated and reduced in float32; a draw whose
     float32 sup distance lies within its error bound of a radius is
-    decided in float64, so every count is the float64 route's."""
+    decided by its own float64 row, so each count is the one float64
+    rows give."""
 
     @pytest.mark.parametrize("p", [1, 3, 100, 400, 800])
     @pytest.mark.parametrize("regime", [EmpiricalBayesG(), HyperG()], ids=["eb", "hyper_g"])
@@ -581,22 +582,19 @@ class TestFloat32Rotation:
 
     @pytest.mark.parametrize("p", [3, 400])
     @pytest.mark.parametrize(
-        "move, whole_block",
+        "move",
         [
-            # a tie, or a radius within the last bits of a distance: the
-            # row products could round across it, so the block's product
-            # decides
-            (lambda d: np.concatenate([d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]), True),
-            # well clear of float64 rounding, within the float32 bound:
-            # the near draws' own rows decide
-            (lambda d: np.concatenate([d * (1.0 - 1e-9), d * (1.0 + 1e-9)]), False),
+            # a tie, or a radius within the last bits of a distance
+            lambda d: np.concatenate([d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]),
+            # well clear of float64 rounding, within the float32 bound
+            lambda d: np.concatenate([d * (1.0 - 1e-9), d * (1.0 + 1e-9)]),
         ],
         ids=["ties", "near"],
     )
-    def test_near_radius_draws_are_decided_in_float64(self, monkeypatch, p, move, whole_block):
+    def test_near_radius_draws_are_decided_in_float64(self, monkeypatch, p, move):
         instance = _rotated_instance_at(p, HyperG())
         draws = 1500
-        dist, rows = _float64_distances(instance, draws)
+        dist, _ = _float64_distances(instance, draws)
         radii = np.sort(move(dist[[0, 1, draws // 2, draws - 1]]))
         float64_rows = []
         reduce = posterior_engine._sup_distances
@@ -610,9 +608,27 @@ class TestFloat32Rotation:
         res = _mc_call(instance, radii, draws)
         counts = np.count_nonzero(dist[:, None] > radii, axis=0)
         assert res.value.tolist() == (counts / draws).tolist()
-        assert float64_rows, "no draw was decided in float64"
-        blocks = {rows, draws % rows or rows}
-        assert any(k in blocks for k in float64_rows) == whole_block
+        # at least the four draws the radii were placed at, each on its own
+        assert len(float64_rows) >= 4 and set(float64_rows) == {1}
+
+    @pytest.mark.parametrize("p", [3, 400])
+    @pytest.mark.parametrize("regime", [EmpiricalBayesG(), HyperG()], ids=["eb", "hyper_g"])
+    def test_every_draw_decided_in_float64_gives_the_oracle_counts(self, monkeypatch, p, regime):
+        # with every draw near a radius, every count is the float64 rows':
+        # each draw's distance is a radius, so a draw whose last bit moved
+        # would move a count.  1,500 draws end in a ragged block: 700 + 700
+        # + 100 at p = 3, 655 + 655 + 190 at p = 400
+        instance = _rotated_instance_at(p, regime)
+        draws = 1500
+        if p == 3:
+            monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", 3 * 700)
+        dist, rows = _float64_distances(instance, draws)
+        assert draws % rows
+        radii = np.sort(dist)
+        monkeypatch.setattr(posterior_engine, "_clear_of", lambda dist, eps, bound: np.zeros(dist.shape, dtype=bool))
+        res = _mc_call(instance, radii, draws)
+        counts = np.count_nonzero(dist[:, None] > radii, axis=0)
+        assert res.value.tolist() == (counts / draws).tolist()
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
