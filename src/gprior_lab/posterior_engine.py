@@ -23,10 +23,11 @@ though: exact takes its nodes and weights, mc samples its piecewise-linear
 cdf.  A wrong law of g moves both routes alike and their agreement cannot
 reveal it.
 
-On a rotated design the mc route rotates its draws in float32 and bounds
-each sup distance's rounding error; a draw whose float32 distance lies
-within that bound of a radius is decided by its own float64 row, one
-matrix-vector product, so each draw's count depends on that draw alone.
+The mc route reduces every block of draws in float32 (after the rotation
+by q.T on a rotated design) and bounds each sup distance's rounding
+error; a draw whose float32 distance lies within that bound of a radius
+is decided by its own float64 row (w itself on an axis-aligned design, q
+@ w on a rotated one), so each draw's count depends on that draw alone.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ _LEVEL_TOLERANCE = 1e-11
 # stream is read block by block, each block's g, then its sigma^2, then
 # its normals, so the block of max(1, min(mc_draws, this // p)) draws
 # defines the draws; it depends on p and mc_draws alone, so the estimates
-# do not depend on the thread count or the eps grid.  Two 2 MB block
-# buffers are the route's whole working set at any p: the first holds the
-# float64 normals, the second a rotated block's float32 rows and their
+# do not depend on the thread count or the eps grid.  Two 2 MB arrays are
+# the route's whole working set at any p: the block's float64 normals, and
+# a float32 pair that holds its rows and, on a rotated design, their
 # rotation through the design's float32 basis, shared by every cell at
 # that n and never copied per cell (a traced call peaks at 4.2 MiB at p =
 # 400, 800 and 1600).
@@ -231,17 +232,6 @@ def _refine(values, points: np.ndarray, evaluate) -> np.ndarray:
     return finer
 
 
-def _block_log_values(epsilon: np.ndarray, d: np.ndarray, sd: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """log P(|d_i + sd_i Z| <= eps) for a block of (g-node, radius) rows:
-    epsilon has shape (rows,), d (rows, m), sd (rows, sigma^2 nodes, m);
-    ``work`` has shape (5,) + sd.shape and sd may be its last slot, which
-    the kernel overwrites."""
-    hi, lo = work[0], work[1]
-    np.divide((epsilon[:, None] - d)[:, None, :], sd, out=hi)
-    np.divide((-epsilon[:, None] - d)[:, None, :], sd, out=lo)
-    return _log_interval_prob(hi, lo, work[2:])
-
-
 def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """log(Phi(hi) - Phi(lo)) elementwise, stable in both tails.
 
@@ -363,7 +353,11 @@ def _exact_ball_probabilities(
             work = (buffers[:size] if size <= buffers.size else np.empty(size)).reshape(dims)
             sd = np.multiply(np.multiply.outer(scale[chunk], nodes)[:, :, None], inv_e_cols, out=work[4])
             np.sqrt(np.multiply(gg[chunk, None, None], sd, out=sd), out=sd)
-            values = _block_log_values(epsilon[chunk], delta[chunk][:, cols], sd, work)
+            # log P(|delta_i + sd Z| <= eps) for each row, coordinate and node
+            e, d = epsilon[chunk, None], delta[chunk][:, cols]
+            np.divide((e - d)[:, None, :], sd, out=work[0])
+            np.divide((-e - d)[:, None, :], sd, out=work[1])
+            values = _log_interval_prob(work[0], work[1], work[2:])
             rows[chunk] = np.sum(values, axis=2)
             for i in np.flatnonzero(own < inv_e_cols.size):
                 rows[start + i] = np.sum(np.take(values[i], np.flatnonzero(act[start + i][cols]), axis=1), axis=1)
@@ -458,11 +452,12 @@ def _sup_distances(dev, scratch, s, gg, shift, offset) -> np.ndarray:
     return np.max(np.abs(dev, out=dev), axis=1)
 
 
-def _rotated_distances_f32(dev, qt32, s, gg, shift, offset, work):
-    """The sup distances _sup_distances gives for dev @ q.T, computed in
-    float32 through qt32 (q.T in float32), and for each row w of dev a
-    bound on its distance from the exact one.  ``work`` is a float32 array
-    of shape (2,) + dev.shape; dev is left as it is.
+def _distances_f32(dev, qt32, s, gg, shift, offset, work):
+    """The sup distances _sup_distances gives for the rows q w of dev (w
+    itself where qt32 is None, q = I), computed in float32 through qt32
+    (q.T in float32), and for each row w of dev a bound on its distance
+    from the exact one.  ``work`` is a float32 array of shape (2,) +
+    dev.shape; dev is left as it is.
 
     With u = 2**-24, rounding q and w (to float32) and their product
     (Higham 2002, section 3.1, in any summation order) moves row i of q w
@@ -474,10 +469,14 @@ def _rotated_distances_f32(dev, qt32, s, gg, shift, offset, work):
     that covers the higher-order terms, a float64 row's own rounding
     (the same form with 2**-53), the norm, the bound's own arithmetic and
     its comparison with a radius.  The last term covers products that
-    underflow, even where they are flushed to zero."""
-    w, qw = work
-    np.copyto(w, dev, casting="same_kind")
-    dist = _sup_distances(np.matmul(w, qt32, out=qw), w, s, gg, shift, offset).astype(float)
+    underflow, even where they are flushed to zero.  The bound also holds
+    for q = I, where only the rounding of w to float32 (u |w_i|) is left
+    of the product's terms."""
+    rows, scratch = work
+    np.copyto(rows, dev, casting="same_kind")
+    if qt32 is not None:
+        rows, scratch = np.matmul(rows, qt32, out=scratch), rows
+    dist = _sup_distances(rows, scratch, s, gg, shift, offset).astype(float)
     p, unit = dev.shape[1], 2.0**-24
     norm = np.sqrt(np.einsum("ij,ij->i", dev, dev))
     shift_max, offset_max = np.max(np.abs(shift)), np.max(np.abs(offset))
@@ -505,11 +504,12 @@ def _mc_exceedances(
 
     The draws come in blocks of max(1, min(mc_draws, _MC_BLOCK_ELEMENTS //
     p)): each block draws its g, then its sigma^2, then its normals, and is
-    reduced to its counts before the next block is drawn.  A rotated
-    block is rotated and reduced in float32.  A draw whose float32
-    distance lies within its error bound of a radius is reduced again from
-    its own float64 row q @ w, so its count depends on that draw alone and
-    is the one a float64 product of that row gives."""
+    reduced to its counts before the next block is drawn.  Every block is
+    reduced in float32, after its rotation by q.T on a rotated design.  A
+    draw whose float32 distance lies within its error bound of a radius is
+    reduced again from its own float64 row (w itself on an axis-aligned
+    design, q @ w on a rotated one), so its count depends on that draw
+    alone and is the one a float64 reduction of that row gives."""
     shape = 0.5 * (stats.n + post.a - 2.0)
     total, p = opts.mc_draws, stats.p
     rows = max(1, min(total, _MC_BLOCK_ELEMENTS // p))
@@ -519,9 +519,8 @@ def _mc_exceedances(
     # beta - center = (gamma - center) + gg (beta_hat - gamma) + sqrt(gg sigma^2) noise
     offset = gamma - center
     shift = stats.beta_hat - gamma
-    buffers = np.empty((2, rows, p))
-    # the float32 rows and their rotation share the second buffer
-    halves = buffers[1].view(np.float32).reshape(2, rows, p)
+    normals = np.empty((rows, p))
+    pair = np.empty((2, rows, p), dtype=np.float32)
     exceed = np.zeros(eps.shape, dtype=np.int64)
     for done in range(0, total, rows):
         m = min(rows, total - done)
@@ -530,18 +529,15 @@ def _mc_exceedances(
         scale = 0.5 * (post.resid_plus_b + post.quad_form / (g + 1.0))
         sigma2 = scale / rng.generator.standard_gamma(shape, m)  # InverseGamma(shape, scale)
         s = np.sqrt(gg * sigma2)
-        dev, scratch = buffers[0, :m], buffers[1, :m]
+        dev = normals[:m]
         rng.generator.standard_normal(out=dev)
         dev *= inv_root_e
-        if q is None:
-            dist = _sup_distances(dev, scratch, s, gg, shift, offset)
-        else:
-            dist, guard = _rotated_distances_f32(dev, stats.gram.qt32, s, gg, shift, offset, halves[:, :m])
-            for i in np.flatnonzero(~_clear_of(dist, eps, guard)):
-                # a draw near a radius, decided by its own float64 row q z /
-                # sqrt(e), one matrix-vector product whatever the block holds
-                row = (q @ dev[i])[None]
-                dist[i] = _sup_distances(row, np.empty_like(row), s[i : i + 1], gg[i : i + 1], shift, offset)[0]
+        dist, guard = _distances_f32(dev, stats.gram.qt32, s, gg, shift, offset, pair[:, :m])
+        for i in np.flatnonzero(~_clear_of(dist, eps, guard)):
+            # a draw near a radius, decided by its own float64 row, one
+            # matrix-vector product on a rotated design, whatever the block holds
+            row = dev[i : i + 1].copy() if q is None else (q @ dev[i])[None]
+            dist[i] = _sup_distances(row, np.empty_like(row), s[i : i + 1], gg[i : i + 1], shift, offset)[0]
         exceed += np.count_nonzero(dist[:, None] > eps, axis=0)
     return exceed
 

@@ -544,13 +544,21 @@ class TestMcBlocks:
             assert 0.0 < blocked.value[1] < 1.0
 
 
-def _rotated_instance_at(p, regime):
-    """A rotated design at dimension p (n = max(20, 2p)), with the truth
-    (beta0 = e_1) as the centre, so the offset gamma - center is nonzero."""
+# every MC test of the float32 reduction runs on a rotated and an
+# axis-aligned design
+DESIGNS = pytest.mark.parametrize(
+    "design", [DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0), DesignSpec()], ids=["rotated", "axis"]
+)
+
+
+def _mc_instance_at(p, regime, design):
+    """An instance of ``design`` at dimension p (n = max(20, 2p)), with the
+    truth (beta0 = e_1) as the centre, so the offset gamma - center is
+    nonzero."""
     n = max(20, 2 * p)
     sc = make_scenario(
         name="rot32", alpha=0.0, p_rule=FixedDimension(p), regime=regime, beta0_rule=FirstMRule(1.0, 1),
-        design=DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0),
+        design=design,
     )
     stats = simulate_scenario_stats(sc, n, 11)
     gamma = sc.gamma_at(n)
@@ -558,28 +566,30 @@ def _rotated_instance_at(p, regime):
     return stats, gamma, post, sc.beta0_at(n)
 
 
-class TestFloat32Rotation:
-    """A rotated block is rotated and reduced in float32; a draw whose
-    float32 sup distance lies within its error bound of a radius is
-    decided by its own float64 row, so each count is the one float64
-    rows give."""
+class TestFloat32Reduction:
+    """Every block, rotated or axis-aligned, is reduced in float32 (after
+    its rotation on a rotated design); a draw whose float32 sup distance
+    lies within its error bound of a radius is decided by its own float64
+    row, so each count is the one float64 rows give."""
 
+    @DESIGNS
     @pytest.mark.parametrize("p", [1, 3, 100, 400, 800])
     @pytest.mark.parametrize("regime", [EmpiricalBayesG(), HyperG()], ids=["eb", "hyper_g"])
-    def test_bound_dominates_the_float32_error(self, p, regime):
+    def test_bound_dominates_the_float32_error(self, p, regime, design):
         # every draw of three blocks of at most 1,000 draws
-        stats, gamma, post, center = _rotated_instance_at(p, regime)
+        stats, gamma, post, center = _mc_instance_at(p, regime, design)
         rows = min(1000, posterior_engine._MC_BLOCK_ELEMENTS // p)
         offset, shift = gamma - center, stats.beta_hat - gamma
         worst = 0.0
         for w, s, gg, dist64 in mc_blocks_float64(post, stats, gamma, center, 3 * rows, RngStream(3, ("f32",)), rows):
             work = np.empty((2,) + w.shape, dtype=np.float32)
-            dist32, guard = posterior_engine._rotated_distances_f32(w, stats.gram.qt32, s, gg, shift, offset, work)
+            dist32, guard = posterior_engine._distances_f32(w, stats.gram.qt32, s, gg, shift, offset, work)
             assert np.all(np.abs(dist32 - dist64) <= guard)
             worst = max(worst, np.max(guard) / np.median(dist64))
         # a float32 bound, a few p float32 ulps of the distances' scale
         assert worst < 1e-3
 
+    @DESIGNS
     @pytest.mark.parametrize("p", [3, 400])
     @pytest.mark.parametrize(
         "move",
@@ -591,8 +601,8 @@ class TestFloat32Rotation:
         ],
         ids=["ties", "near"],
     )
-    def test_near_radius_draws_are_decided_in_float64(self, monkeypatch, p, move):
-        instance = _rotated_instance_at(p, HyperG())
+    def test_near_radius_draws_are_decided_in_float64(self, monkeypatch, p, move, design):
+        instance = _mc_instance_at(p, HyperG(), design)
         draws = 1500
         dist, _ = _float64_distances(instance, draws)
         radii = np.sort(move(dist[[0, 1, draws // 2, draws - 1]]))
@@ -611,14 +621,15 @@ class TestFloat32Rotation:
         # at least the four draws the radii were placed at, each on its own
         assert len(float64_rows) >= 4 and set(float64_rows) == {1}
 
+    @DESIGNS
     @pytest.mark.parametrize("p", [3, 400])
     @pytest.mark.parametrize("regime", [EmpiricalBayesG(), HyperG()], ids=["eb", "hyper_g"])
-    def test_every_draw_decided_in_float64_gives_the_oracle_counts(self, monkeypatch, p, regime):
+    def test_every_draw_decided_in_float64_gives_the_oracle_counts(self, monkeypatch, p, regime, design):
         # with every draw near a radius, every count is the float64 rows':
         # each draw's distance is a radius, so a draw whose last bit moved
         # would move a count.  1,500 draws end in a ragged block: 700 + 700
         # + 100 at p = 3, 655 + 655 + 190 at p = 400
-        instance = _rotated_instance_at(p, regime)
+        instance = _mc_instance_at(p, regime, design)
         draws = 1500
         if p == 3:
             monkeypatch.setattr(posterior_engine, "_MC_BLOCK_ELEMENTS", 3 * 700)
