@@ -23,6 +23,7 @@ variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -102,7 +103,10 @@ def _add_common(sub, reps=None):
         sub.add_argument("--reps", type=_int_at_least(1), default=reps, help=f"replications per n (default {reps})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse_args call
+    returns a new namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="gprior-lab", description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -388,8 +392,7 @@ def _render_svg(scenario_name: str, verdict_display: str, agg: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

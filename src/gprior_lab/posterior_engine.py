@@ -101,15 +101,12 @@ _LEVEL_TOLERANCE = 1e-11
 # defines the draws, so it is not changed for a few percent
 _MC_BLOCK_ELEMENTS = 2**18
 
-# elements of one (g values x first level's sigma^2 points x p) block of
-# the exact route: a block of max(1, this // (points x p)) g values shares
-# one kernel call per radius and level, and five block-sized buffers (hi,
-# lo and the kernel's three scratch slots) are its working set.  The block
-# size changes no bit.  On perfbench's cli_defaults (two threads, eight
-# alternating pairs of 20 s runs on a 2-vCPU VM) 2**15 ran a median 79.7
-# cells/s (quartiles 76.3-83.5) at 66.6 MB peak RSS, against 82.2
-# (79.5-85.0) at 66.7 MB at 2**16, whose buffers take 2.5 MiB; 2**16 was
-# faster in 5 of the 8 pairs, within the noise
+# elements of each array of a block of the exact route's work: g values x
+# p in a block of log_p_inside, radii x g values x p in the pass that
+# finds the g-nodes with an active coordinate, and (g value, radius) rows
+# x sigma^2 points x p in a kernel run, where a single row that is larger
+# runs alone.  The size changes no bit; README "Performance notes" times
+# other sizes
 _EXACT_BLOCK_ELEMENTS = 2**15
 
 
@@ -138,6 +135,11 @@ class BallOptions:
     def __post_init__(self):
         if self.method not in ("auto", "exact", "mc"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("mc_draws", "sigma_grid") + (("g_quad",) if self.g_quad is not None else ()):
+            value = getattr(self, name)
+            # a bool is an int, and numpy's integers are not
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be >= 1")
         if self.sigma_grid < 3:
@@ -232,30 +234,22 @@ def _refine(values, points: np.ndarray, evaluate) -> np.ndarray:
     return finer
 
 
-def _log_interval_prob(hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """log(Phi(hi) - Phi(lo)) elementwise, stable in both tails.
-
-    ``scratch`` is an array of shape (3,) + hi.shape that takes the two
-    tail masses and the result, so a caller looping over blocks of one
-    shape allocates nothing; the result is a view of it."""
-    below, above, out = scratch[0, ...], scratch[1, ...], scratch[2, ...]
-    ndtr(lo, out=below)
-    ndtr(np.negative(hi, out=above), out=above)
-    miss = np.add(below, above, out=out)
+def _log_interval_prob(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """log(Phi(hi) - Phi(lo)) elementwise, stable in both tails."""
+    below, above = ndtr(lo), ndtr(-hi)
+    out = below + above  # the two-tail miss, then the result
     # small masses are differences of lower tails, where ndtr is relatively
     # accurate; reflecting intervals centred above 0 gives [lo, hi] and
     # [-hi, -lo] the same expression.  Only narrow intervals (miss >= 0.5)
-    # take this branch, so it is evaluated on that subset alone, if any.
-    far = np.flatnonzero(miss >= 0.5)
+    # take this branch, so it is evaluated on that subset alone
+    far = np.flatnonzero(out >= 0.5)
+    lo_far, hi_far = np.take(lo, far), np.take(hi, far)
+    upper = lo_far > -hi_far
+    near = np.where(upper, np.take(above, far), np.take(below, far))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if far.size:
-            lo_far, hi_far = np.take(lo, far), np.take(hi, far)
-            upper = lo_far > -hi_far
-            near = np.where(upper, np.take(above, far), np.take(below, far))
-            tail = np.log(ndtr(np.where(upper, -lo_far, hi_far)) - near)
-        np.log1p(np.negative(miss, out=out), out=out)  # exact when the two-tail miss is small
-    if far.size:
-        np.put(out, far, tail)
+        tail = np.log(ndtr(np.where(upper, -lo_far, hi_far)) - near)
+        np.log1p(np.negative(out, out=out), out=out)  # exact when the two-tail miss is small
+    np.put(out, far, tail)
     return out
 
 
@@ -292,14 +286,18 @@ def _exact_ball_probabilities(
     decided on its own, so a one-radius call gives the bits of a grid
     call.
 
-    log_p_inside takes its rows in blocks of max(1,
-    _EXACT_BLOCK_ELEMENTS // (first level's sigma^2 points x p)) and walks
-    a block's rows together, one kernel run per level for the rows still
-    walking.  Every kernel run covers the union of its rows' active
-    coordinates, with the conditional sds of just those rows and
-    coordinates, but each row's sum runs over its own active coordinates
-    in their order and each row is decided from its own values, as in a
-    one-row block, so no bit depends on the block a row falls in.
+    Each array of a block of work holds at most _EXACT_BLOCK_ELEMENTS
+    elements, but a kernel run on one row that is larger.  log_p_inside
+    takes its g values in blocks of _EXACT_BLOCK_ELEMENTS // p and walks a
+    block's rows together, one kernel run per level for each chunk of the
+    rows still walking that fits the bound at that level's sigma^2
+    points; the pass that finds the g-nodes with an active coordinate
+    takes blocks of _EXACT_BLOCK_ELEMENTS // (radii x p).  Every kernel
+    run covers the union of its rows' active coordinates, with the
+    conditional sds of just those rows and coordinates, but each row's sum
+    runs over its own active coordinates in their order and each row is
+    decided from its own values, as in a one-row run, so no bit depends on
+    the block or the run a row falls in.
     """
     if stats.gram.q is not None:
         raise ValueError("exact route requires an axis-aligned gram spectrum (q is None)")
@@ -316,14 +314,8 @@ def _exact_ball_probabilities(
     with np.errstate(divide="ignore"):
         log_g_w = np.log(g_weights)
     skip_below = math.log(_SKIP_MASS / g_nodes.size)
-    # a block's first kernel run evaluates the first level's points, or the
-    # grid where no level is tried
-    s, p = (levels[0][0] if levels else base_nodes).size, stats.p
-    block = max(1, _EXACT_BLOCK_ELEMENTS // (s * p))
-    # reused by every kernel run that fits them: hi, lo and the kernel's
-    # scratch (two tails, result), where the result slot holds the
-    # conditional sds until the kernel overwrites it
-    buffers = np.empty(5 * s * block * p)
+    p = stats.p
+    block = max(1, _EXACT_BLOCK_ELEMENTS // p)
 
     def geometry(g, radii):
         # the active mask: coordinate i is active at a radius when beta_i's
@@ -339,27 +331,22 @@ def _exact_ball_probabilities(
         # (rows x nodes): each (g value, radius) row's sum over its own
         # active coordinates (its row of act) of the log interval mass at
         # the sigma^2 nodes, one kernel run per chunk of rows that fits the
-        # buffers (a lone row too large for them gets its own), over the
-        # union of the chunk's active coordinates
+        # bound (or per row, where one row does not), over the union of
+        # the chunk's active coordinates
         rows = np.empty((gg.size, nodes.size))
-        per = max(1, buffers.size // (5 * nodes.size * p))
+        per = max(1, _EXACT_BLOCK_ELEMENTS // (nodes.size * p))
         for start in range(0, gg.size, per):
             chunk = slice(start, start + per)
-            own = np.count_nonzero(act[chunk], axis=1)
-            cols = slice(None) if np.max(own) == p else np.flatnonzero(np.any(act[chunk], axis=0))
-            inv_e_cols = inv_e[cols]
-            dims = (5, own.size, nodes.size, inv_e_cols.size)
-            size = math.prod(dims)
-            work = (buffers[:size] if size <= buffers.size else np.empty(size)).reshape(dims)
-            sd = np.multiply(np.multiply.outer(scale[chunk], nodes)[:, :, None], inv_e_cols, out=work[4])
+            cols = np.flatnonzero(np.any(act[chunk], axis=0))
+            sd = np.multiply.outer(scale[chunk], nodes)[:, :, None] * inv_e[cols]
             np.sqrt(np.multiply(gg[chunk, None, None], sd, out=sd), out=sd)
-            # log P(|delta_i + sd Z| <= eps) for each row, coordinate and node
+            # log P(|delta_i + sd Z| <= eps) for each row, coordinate and
+            # node; the lower edges take the sds' place
             e, d = epsilon[chunk, None], delta[chunk][:, cols]
-            np.divide((e - d)[:, None, :], sd, out=work[0])
-            np.divide((-e - d)[:, None, :], sd, out=work[1])
-            values = _log_interval_prob(work[0], work[1], work[2:])
+            hi = (e - d)[:, None, :] / sd
+            values = _log_interval_prob(hi, np.divide((-e - d)[:, None, :], sd, out=sd))
             rows[chunk] = np.sum(values, axis=2)
-            for i in np.flatnonzero(own < inv_e_cols.size):
+            for i in np.flatnonzero(np.count_nonzero(act[chunk], axis=1) < cols.size):
                 rows[start + i] = np.sum(np.take(values[i], np.flatnonzero(act[start + i][cols]), axis=1), axis=1)
         return rows
 
@@ -396,12 +383,9 @@ def _exact_ball_probabilities(
             radii = epsilon[start : start + block]
             gg, delta, scale, active = geometry(g_values[start : start + block], radii)
             run = np.flatnonzero(np.any(active, axis=1))
-            if run.size == 0:
-                continue
-            # views, not copies, where every g value takes part
-            sel = slice(None) if run.size == gg.size else run
-            rows = grid_rows(radii[sel], gg[sel], delta[sel], scale[sel], active[sel])
-            out[start : start + block][sel] = log_sum_exp(log_sig_w + rows, axis=1)
+            if run.size:
+                rows = grid_rows(radii[run], gg[run], delta[run], scale[run], active[run])
+                out[start + run] = log_sum_exp(log_sig_w + rows, axis=1)
         return out
 
     # log P(inside | g-node) per radius; at g = 0 beta sits at gamma
@@ -411,9 +395,10 @@ def _exact_ball_probabilities(
     log_total[np.ix_(np.max(np.abs(gamma - center)) > eps, live[g_nodes[live] == 0.0])] = -np.inf
     positive = live[g_nodes[live] > 0.0]
     some = np.empty((eps.size, positive.size), dtype=bool)
-    for start in range(0, positive.size, block):
-        active = geometry(g_nodes[positive[start : start + block]], eps[:, None])[3]
-        some[:, start : start + block] = np.any(active, axis=2)
+    per = max(1, _EXACT_BLOCK_ELEMENTS // (max(1, eps.size) * p))
+    for start in range(0, positive.size, per):
+        active = geometry(g_nodes[positive[start : start + per]], eps[:, None])[3]
+        some[:, start : start + per] = np.any(active, axis=2)
 
     # each radius walks the log g levels over its nodes with an active
     # coordinate; its nodes stay missed unless a level is kept, and every

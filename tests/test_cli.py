@@ -538,6 +538,33 @@ class TestSeveralScenarios:
         assert main(self._argv([first], tmp_path / "twice", ["--scenario", str(first)])) == 2 and ran == []
         assert "two scenarios are named" in capsys.readouterr().err
 
+    def test_calls_in_one_process_share_no_state(self, tmp_path, monkeypatch):
+        # main builds its parser once per process, and each call's flags
+        # are its own: the second call takes neither the first's extra
+        # scenario (an "extend" list) nor its method, draws, reps or format
+        assert build_parser() is build_parser()
+        seen = []
+        run = consistency_lab.run_experiment
+
+        def recording(scenario, *args, **kwargs):
+            opts = kwargs["ball_options"]
+            seen.append((scenario.name, opts.method, opts.mc_draws, kwargs["reps"]))
+            return run(scenario, *args, **kwargs)
+
+        monkeypatch.setattr("gprior_lab.cli.run_experiment", recording)
+        first, second = (SCENARIOS / f"{name}.json" for name in self.SHIPPED)
+        argv = ["experiment", "--scenario", str(first), "--n-grid", "50,100", "--eps-grid", "0.5", "--seed", "7"]
+        extra = ["--scenario", str(second), "--method", "mc", "--mc-draws", "500", "--reps", "1", "--format", "csv"]
+        assert main(argv + ["--out", str(tmp_path / "first"), *extra]) == 0
+        assert main(argv + ["--out", str(tmp_path / "second")]) == 0
+        assert seen == [
+            ("eb_fixed_offset_alpha05", "mc", 500, 1),
+            ("hyperg_fixed_offset_alpha05", "mc", 500, 1),
+            ("eb_fixed_offset_alpha05", "auto", 20_000, 20),
+        ]
+        assert not list((tmp_path / "first").glob("*/report.json"))
+        assert sorted(p.name for p in (tmp_path / "second").iterdir()) == ["cells.csv", "report.json"]
+
     @pytest.mark.parametrize(
         "case", ["malformed", "exact_on_rotated", "duplicate_names", "decreasing_grid", "name_with_slash"]
     )

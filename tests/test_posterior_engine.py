@@ -186,9 +186,8 @@ class TestIntervalKernel:
         x = np.linspace(-30.0, 30.0, 241)
         hi, lo = np.meshgrid(x, x)
         keep = hi >= lo
-        scratch = np.empty((3, np.count_nonzero(keep)))
-        a = _log_interval_prob(hi[keep], lo[keep], scratch).copy()
-        b = _log_interval_prob(-lo[keep], -hi[keep], scratch)
+        a = _log_interval_prob(hi[keep], lo[keep])
+        b = _log_interval_prob(-lo[keep], -hi[keep])
         assert not np.any(np.isnan(a))
         nonempty = ~(np.isneginf(a) & np.isneginf(b))
         assert np.max(np.abs(a[nonempty] - b[nonempty])) <= 1e-15
@@ -218,9 +217,8 @@ class TestIntervalKernel:
         want = both_branches(hi, lo)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scratch = np.full((3,) + hi.shape, np.nan)
-            got = _log_interval_prob(hi, lo, scratch)
-        assert np.array_equal(got, want) and np.shares_memory(got, scratch)
+            got = _log_interval_prob(hi, lo)
+        assert np.array_equal(got, want)
         assert np.isneginf(got[-1]).all() and np.isfinite(got[-2]).all()
 
     def test_upper_tail_matches_reflected_log_ndtr(self):
@@ -228,7 +226,7 @@ class TestIntervalKernel:
         for lo, hi, want in ((10.0, 11.0, -53.2313), (8.3, 8.6, -37.574)):
             log_a, log_b = sp.log_ndtr(-lo), sp.log_ndtr(-hi)
             ref = log_a + math.log1p(-math.exp(log_b - log_a))
-            got = float(_log_interval_prob(np.array(hi), np.array(lo), np.empty(3)))
+            got = _log_interval_prob(np.array([hi]), np.array([lo])).item()
             assert got == pytest.approx(ref, rel=1e-12)
             assert got == pytest.approx(want, abs=1e-3)
 
@@ -546,9 +544,8 @@ class TestMcBlocks:
 
 # every MC test of the float32 reduction runs on a rotated and an
 # axis-aligned design
-DESIGNS = pytest.mark.parametrize(
-    "design", [DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0), DesignSpec()], ids=["rotated", "axis"]
-)
+ROTATED = DesignSpec("diagonal", (0.5, 1.0, 2.0), 0.5, 2.0)
+DESIGNS = pytest.mark.parametrize("design", [ROTATED, DesignSpec()], ids=["rotated", "axis"])
 
 
 def _mc_instance_at(p, regime, design):
@@ -588,6 +585,27 @@ class TestFloat32Reduction:
             worst = max(worst, np.max(guard) / np.median(dist64))
         # a float32 bound, a few p float32 ulps of the distances' scale
         assert worst < 1e-3
+
+    @pytest.mark.parametrize("p", [100, 400, 800])
+    @pytest.mark.parametrize("regime", [EmpiricalBayesG(), HyperG()], ids=["eb", "hyper_g"])
+    def test_bound_covers_the_float32_product(self, p, regime):
+        # the product's own term of the bound, (p + 6) u s ||w||_2 over
+        # 1 - (p + 8) u, against the error of the float32 product alone,
+        # s |q w - fl32(q) fl32(w)|.  With no shift and no offset, the term
+        # is what is left of the bound less its distance and underflow
+        # terms; on the test above, those of the shift and the offset
+        # exceed the whole float32 error by far
+        stats, gamma, post, center = _mc_instance_at(p, regime, ROTATED)
+        rows = min(1000, posterior_engine._MC_BLOCK_ELEMENTS // p)
+        q, qt32, zero, unit = stats.gram.q, stats.gram.qt32, np.zeros(p), 2.0**-24
+        for w, s, gg, _ in mc_blocks_float64(post, stats, gamma, center, 3 * rows, RngStream(3, ("f32",)), rows):
+            work = np.empty((2,) + w.shape, dtype=np.float32)
+            dist, guard = posterior_engine._distances_f32(w, qt32, s, gg, zero, zero, work)
+            norm = np.sqrt(np.einsum("ij,ij->i", w, w))
+            rest = unit * 2.0 * dist / (1.0 - (p + 8) * unit) + 2.0**-120 * (1.0 + p * s + norm)
+            product = s * np.max(np.abs(w @ q.T - w.astype(np.float32) @ qt32), axis=1)
+            assert np.min(product) > 0.0
+            assert np.all(product <= guard - rest)
 
     @DESIGNS
     @pytest.mark.parametrize("p", [3, 400])
@@ -700,10 +718,10 @@ def _count_kernel_pairs(monkeypatch) -> tuple:
     kernel, tail = posterior_engine._log_interval_prob, posterior_engine._chebyshev_tail
     rows = _first_sigma_points(BallOptions())
 
-    def counting(hi, lo, scratch):
+    def counting(hi, lo):
         if hi.ndim == 3 and hi.shape[1] == rows:
             pairs.append(hi.shape[0])
-        return kernel(hi, lo, scratch)
+        return kernel(hi, lo)
 
     def estimating(values):
         # a 2-D array holds sigma^2 rows
@@ -773,20 +791,19 @@ class TestSkipRule:
 CAPPED = BallOptions(method="exact", g_quad=64, sigma_grid=65)
 
 
-def _exact_with_rows(cell, radii, opts, whole_grid=False, levels=None):
+def _exact_with_rows(cell, radii, opts, whole_grid=False, levels=None, elements=None):
     """The exact route's exceedances, and the first and last sigma^2 point
     of every (g value, radius) pair that reaches the kernel, over the
-    columns of its first kernel run.  With ``whole_grid`` the route
-    evaluates every sigma^2 grid node, the oracle for the rest, with the
-    block elements scaled so that the blocks hold the same g values.
-    ``levels`` overrides _G_LEVELS."""
+    columns of its kernel run (its rows' active coordinates).  With
+    ``whole_grid`` the route evaluates every sigma^2 grid node, the oracle
+    for the rest.  ``levels`` overrides _G_LEVELS and ``elements``
+    _EXACT_BLOCK_ELEMENTS."""
     rows = []
     kernel = posterior_engine._log_interval_prob
-    first = _first_sigma_points(opts)
-    evaluated = opts.sigma_grid if whole_grid else first
+    evaluated = opts.sigma_grid if whole_grid else _first_sigma_points(opts)
 
-    def recording(hi, lo, scratch):
-        out = kernel(hi, lo, scratch)
+    def recording(hi, lo):
+        out = kernel(hi, lo)
         if hi.ndim == 3 and hi.shape[1] == evaluated:
             rows.extend(pair[[0, -1]].tobytes() for pair in out)
         return out
@@ -796,8 +813,8 @@ def _exact_with_rows(cell, radii, opts, whole_grid=False, levels=None):
             mp.setattr(posterior_engine, "_G_LEVELS", levels)
         if whole_grid:
             mp.setattr(posterior_engine, "_SIGMA_LEVELS", WHOLE_GRID)
-            block = posterior_engine._EXACT_BLOCK_ELEMENTS * evaluated // first
-            mp.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", block)
+        if elements is not None:
+            mp.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", elements)
         mp.setattr(posterior_engine, "_log_interval_prob", recording)
         value = sup_ball_probability(*cell, radii, opts).value
     return value, rows
@@ -897,14 +914,15 @@ class TestSigmaInterpolation:
         ids=["cli_defaults", "suite_options"],
     )
     def test_matches_the_whole_grid_on_shipped_scenarios(self, opts, ns, radii):
-        # the end nodes are the grid's own, so every kernel run's first and
-        # last rows, and with them the active sets, keep the whole grid's
-        # bits
+        # the end nodes are the grid's own, so every row's first and last
+        # sigma^2 values, and with them the active sets, keep the whole
+        # grid's bits.  One row per kernel run (elements = p) gives each row
+        # its own active columns, whatever the sigma^2 points of its run
         for path in sorted(SCENARIOS.glob("*.json")):
             for n in ns:
                 cell = _cli_default_cell(path.stem, n)
-                value, rows = _exact_with_rows(cell, radii, opts)
-                grid, grid_rows = _exact_with_rows(cell, radii, opts, whole_grid=True)
+                value, rows = _exact_with_rows(cell, radii, opts, elements=cell[1].p)
+                grid, grid_rows = _exact_with_rows(cell, radii, opts, whole_grid=True, elements=cell[1].p)
                 assert np.max(np.abs(value - grid)) <= 1e-12, (path.stem, n)
                 assert rows and rows == grid_rows, (path.stem, n)
 
@@ -937,7 +955,7 @@ class TestSigmaInterpolation:
 
         pairs, _ = _count_kernel_pairs(monkeypatch)
         monkeypatch.setattr(posterior_engine, "_barycentric_matrix", recording)
-        monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", _first_sigma_points(opts) * stats.p)
+        monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", stats.p)
         sup_ball_probability(*cell, CLI_RADII, opts)
         assert max(pairs) == 1 and len(pairs) > CLI_RADII.size * posterior_engine._G_LEVELS[0]
         assert built and len(set(built)) == len(built)
@@ -965,9 +983,9 @@ class TestSigmaInterpolation:
         shapes = []
         kernel = posterior_engine._log_interval_prob
 
-        def recording(hi, lo, scratch):
+        def recording(hi, lo):
             shapes.append(hi.shape)
-            return kernel(hi, lo, scratch)
+            return kernel(hi, lo)
 
         monkeypatch.setattr(posterior_engine, "_log_interval_prob", recording)
         with warnings.catch_warnings():
@@ -1038,24 +1056,41 @@ class TestExactBlocks:
 
     @pytest.mark.parametrize("key", sorted(CELLS))
     def test_block_size_changes_no_bit(self, monkeypatch, key):
-        # one g-node per block, 7 (a ragged last block) and the whole cell
+        # the bound in elements: p puts one g value in each block and each
+        # kernel run; 7 rows of the first level's sigma^2 points gives
+        # first-level runs of 7 rows and a ragged last run; as many rows as
+        # g-nodes holds the whole cell in one block
         cell, opts, radii = self.CELLS[key]()
         post, stats = cell[0], cell[1]
         nodes = opts.g_quad or post.quadrature()[0].size
-        rows = _first_sigma_points(opts) * stats.p
+        first = _first_sigma_points(opts)
         default = sup_ball_probability(*cell, radii, opts).value
         assert np.any((0.0 < default) & (default < 1.0))
-        for per_block in (1, 7, nodes):
-            monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", per_block * rows)
+        runs = []
+        kernel = posterior_engine._log_interval_prob
+
+        def recording(hi, lo):
+            if hi.shape[1] == first:
+                runs.append(hi.shape[0])
+            return kernel(hi, lo)
+
+        monkeypatch.setattr(posterior_engine, "_log_interval_prob", recording)
+        for elements in (stats.p, 7 * first * stats.p, nodes * first * stats.p):
+            runs.clear()
+            monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", elements)
             value = sup_ball_probability(*cell, radii, opts).value
-            assert value.tobytes() == default.tobytes(), per_block
+            assert value.tobytes() == default.tobytes(), elements
+            if elements == stats.p:
+                assert set(runs) == {1}
+            elif elements == 7 * first * stats.p:
+                assert max(runs) <= 7 and min(runs) < 7, runs
 
     def test_fallback_pairs_share_a_block_with_finite_ones(self, monkeypatch):
         kernel = posterior_engine._log_interval_prob
         first_rows = []
 
-        def recording(hi, lo, scratch):
-            out = kernel(hi, lo, scratch)
+        def recording(hi, lo):
+            out = kernel(hi, lo)
             if hi.ndim == 3 and hi.shape[1] == _first_sigma_points(BallOptions()):
                 first_rows.append(np.isfinite(out[:, 0]).all(axis=1).tolist())
             return out
@@ -1075,11 +1110,14 @@ class TestExactBlocks:
             ("hyperg_fixed_offset_alpha05", 100, BallOptions(method="exact"), CLI_RADII),
             ("hyperg_fixed_offset_alpha05", 400, BallOptions(method="exact"), CLI_RADII),
             ("hyperg_fixed_offset_alpha05", 3200, CAPPED, np.array([0.1, 0.5])),
+            ("hyperg_fixed_offset_alpha05", 400, BallOptions(method="exact"), np.geomspace(0.05, 2.0, 12)),
         ],
     )
     def test_working_set_stays_small(self, name, n, opts, radii):
-        # five block buffers of 2**15 doubles (1.25 MiB) and the bound's
-        # temporaries; a call allocates no cell-sized array
+        # every array of 2**15 doubles (256 KiB) at most: a kernel run's
+        # five (hi, lo and the kernel's two tails and result), a block's
+        # means and the pass over all radii's active masks; a call forms no
+        # cell-sized array, whatever the number of radii
         cell = _cli_default_cell(name, n)
         sup_ball_probability(*cell, radii, opts)
         tracemalloc.start()
@@ -1163,8 +1201,8 @@ def _finite_level_rows(monkeypatch, sigma_levels: tuple) -> list:
     kernel = posterior_engine._log_interval_prob
     points = sigma_levels[0] if sigma_levels else None
 
-    def recording(hi, lo, scratch):
-        out = kernel(hi, lo, scratch)
+    def recording(hi, lo):
+        out = kernel(hi, lo)
         if hi.ndim == 3 and hi.shape[1] == points:
             finite.append(np.all(np.isfinite(out), axis=(1, 2)))
         return out
@@ -1362,19 +1400,20 @@ class TestGInterpolation:
 
     @pytest.mark.parametrize("name, n", [("hyperg_fixed_offset_alpha05", 400), ("hyperg_fixed_offset_alpha05", 10), ("zs_fixed_offset_alpha05", 16)])
     def test_block_layouts_change_no_bit(self, monkeypatch, name, n):
-        # one g value per block, 7 (a ragged last block), a level's new
-        # points in one block, and the whole cell.  Each sigma^2 row is
-        # decided on its own too: in these cells some rows keep 9 points,
-        # some 17, and at n <= 16 some are evaluated on the whole grid
+        # one g value per block and kernel run, first-level runs of 7 rows
+        # (a ragged last run), a level's new points in one run, and the
+        # whole cell in one block.  Each sigma^2 row is decided on its own
+        # too: in these cells some rows keep 9 points, some 17, and at
+        # n <= 16 some are evaluated on the whole grid
         cell = _cli_default_cell(name, n)
         tails = _record_tails(monkeypatch)
         grid_rows = []
         kernel = posterior_engine._log_interval_prob
 
-        def recording(hi, lo, scratch):
+        def recording(hi, lo):
             if hi.shape[1] == BallOptions().sigma_grid:
                 grid_rows.append(hi.shape[0])
-            return kernel(hi, lo, scratch)
+            return kernel(hi, lo)
 
         monkeypatch.setattr(posterior_engine, "_log_interval_prob", recording)
         default = sup_ball_probability(*cell, SMALL_N_RADII, BallOptions(method="exact")).value
@@ -1382,11 +1421,14 @@ class TestGInterpolation:
         # every row reaches 9 points; those that keep them do not reach 17
         assert reached[9] > reached[17] > sum(grid_rows)
         assert (sum(grid_rows) > 0) == (n <= 16)
-        rows = _first_sigma_points(BallOptions()) * cell[1].p
-        for per_block in (1, 7, LEVELS[0], LEVELS[-1] // 2, cell[0].quadrature()[0].size):
-            monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", per_block * rows)
+        # in elements, p for one g value and m rows of 9 sigma^2 points for
+        # runs of m rows
+        row = _first_sigma_points(BallOptions()) * cell[1].p
+        for rows in (1, 7, LEVELS[0], LEVELS[-1] // 2, cell[0].quadrature()[0].size):
+            elements = cell[1].p if rows == 1 else rows * row
+            monkeypatch.setattr(posterior_engine, "_EXACT_BLOCK_ELEMENTS", elements)
             value = sup_ball_probability(*cell, SMALL_N_RADII, BallOptions(method="exact")).value
-            assert value.tobytes() == default.tobytes(), per_block
+            assert value.tobytes() == default.tobytes(), rows
 
 
 class TestDispatchAndValidation:
@@ -1435,6 +1477,17 @@ class TestDispatchAndValidation:
             BallOptions(sigma_grid=2)
         with pytest.raises(ValueError, match="g_quad"):
             BallOptions(g_quad=0)
+        # counts are integers: a float or a bool is refused by name, before
+        # a route could fail on it partway or run one draw for True
+        for field, value in [
+            ("sigma_grid", 65.0), ("sigma_grid", True), ("g_quad", True), ("g_quad", 64.0),
+            ("mc_draws", 2000.5), ("mc_draws", True), ("mc_draws", np.float64(2000.0)), ("mc_draws", None),
+        ]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                BallOptions(method="mc", **{field: value})
+        # numpy's integers are integers
+        opts = BallOptions(mc_draws=np.int64(2000), sigma_grid=np.int32(65), g_quad=np.int64(64))
+        assert (opts.mc_draws, opts.sigma_grid, opts.g_quad) == (2000, 65, 64)
 
     def test_result_is_frozen_record(self):
         res = BallProbability(value=np.array([0.25]), method="exact")
